@@ -36,7 +36,6 @@ from .ring import (
     divisor_class,
     integrate,
     linear_combination,
-    space_new,
 )
 from .scenario_io import (
     DEMO_SCENARIO_JSON,
@@ -44,7 +43,7 @@ from .scenario_io import (
     scenario_to_document,
     serialize_scenario,
 )
-from .variety import CompleteIntersection, PairingMatrix
+from .variety import CompleteIntersection
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "GapReport",
     "GeometryError",
     "Pairing",
-    "PairingMatrix",
     "Ray",
     "Scenario",
     "ScenarioError",
@@ -83,5 +81,4 @@ __all__ = [
     "ray_normalize",
     "scenario_to_document",
     "serialize_scenario",
-    "space_new",
 ]

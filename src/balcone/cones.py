@@ -131,33 +131,41 @@ class Pairing:
     coordinate spaces.
     """
 
-    m: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+    entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.m)
+        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("pairing matrix must be 2x2")
-        object.__setattr__(self, "m", rows)
+        object.__setattr__(self, "entries", rows)
 
     @property
     def det(self) -> Fraction:
-        return self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
+        (m00, m01), (m10, m11) = self.entries
+        return m00 * m11 - m01 * m10
 
     def transpose(self) -> "Pairing":
-        return Pairing(((self.m[0][0], self.m[1][0]), (self.m[0][1], self.m[1][1])))
+        (m00, m01), (m10, m11) = self.entries
+        return Pairing(((m00, m10), (m01, m11)))
 
     def functional(self, r) -> Tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
         x, y = (r.x, r.y) if isinstance(r, Ray) else r
-        return (
-            self.m[0][0] * x + self.m[1][0] * y,
-            self.m[0][1] * x + self.m[1][1] * y,
-        )
+        (m00, m01), (m10, m11) = self.entries
+        return (m00 * x + m10 * y, m01 * x + m11 * y)
 
     def pair(self, x, y) -> Fraction:
         fx = self.functional(x)
         yx, yy = (y.x, y.y) if isinstance(y, Ray) else y
         return fx[0] * yx + fx[1] * yy
+
+    def solve(self, w) -> Tuple[Fraction, Fraction]:
+        """The column vector c with M c = w, exactly."""
+        det = self.det
+        if det == 0:
+            raise DegeneratePairingError("pairing matrix is singular; cannot solve M c = w")
+        (m00, m01), (m10, m11) = self.entries
+        return ((w[0] * m11 - m01 * w[1]) / det, (m00 * w[1] - w[0] * m10) / det)
 
 
 def _edge_ray(zero_on, positive_on) -> Ray:

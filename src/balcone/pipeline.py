@@ -19,9 +19,9 @@ from math import comb, lcm
 from typing import Optional, Tuple
 
 from .cones import Cone2D, Pairing, Ray, cone_new, det2, dual_cone, is_subcone, ray_normalize
-from .errors import ComputationError, DegeneratePairingError, ValidationError
-from .ring import AmbientSpace, CohomClass, divisor_class, linear_combination
-from .variety import CompleteIntersection, PairingMatrix
+from .errors import ComputationError, ValidationError
+from .ring import CohomClass, linear_combination
+from .variety import CompleteIntersection
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Scenario:
     effective_cone: Cone2D
     prime_divisors: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
     codim_exprs: Optional[Tuple[str, str]] = None
-    pairing_matrix: PairingMatrix = field(init=False, compare=False, repr=False)
+    pairing_matrix: Pairing = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.h11_names) != 2 or len(self.h11_classes) != 2:
@@ -47,14 +47,11 @@ class Scenario:
                 f"scenario needs exactly two degree-{self.ci.dim - 1} basis classes"
             )
         pm = self.ci.pairing_matrix(self.h11_classes, self.codim_classes)
-        if not pm.nondegenerate:
+        if pm.det == 0:
             raise ValidationError(
                 "intersection pairing of the chosen bases is degenerate"
             )
         object.__setattr__(self, "pairing_matrix", pm)
-
-    def intersection_pairing(self) -> Pairing:
-        return Pairing(self.pairing_matrix.entries)
 
     def h11_combination(self, coords) -> CohomClass:
         """Ambient class with the given coordinates in the degree-1 basis."""
@@ -83,26 +80,15 @@ class GapReport:
     witness: Optional[Ray]
 
 
-def express_in_basis(ci, p, h11_basis, codim_basis) -> Tuple[Fraction, Fraction]:
-    """Coordinates of a degree dim-1 class in the codim basis.
+def express_in_basis(scenario: Scenario, p) -> Tuple[Fraction, Fraction]:
+    """Coordinates of a degree dim-1 class in the scenario's codim basis.
 
-    Solves M c = w where M is the pairing of the bases and
+    Solves M c = w where M is the scenario's pairing matrix and
     w_i = intersection number of h11_i with p.  The result c makes p
     numerically equivalent to c1*codim1 + c2*codim2 on the intersection.
     """
-    h11_basis = tuple(h11_basis)
-    codim_basis = tuple(codim_basis)
-    if len(h11_basis) != 2 or len(codim_basis) != 2:
-        raise ValidationError("coordinate expression needs rank-2 bases")
-    pm = ci.pairing_matrix(h11_basis, codim_basis)
-    det = pm.determinant
-    if det == 0:
-        raise DegeneratePairingError("codim basis does not span under pairing")
-    w = tuple(ci.intersection_number([h, p]) for h in h11_basis)
-    (m00, m01), (m10, m11) = pm.entries
-    c1 = (w[0] * m11 - m01 * w[1]) / det
-    c2 = (m00 * w[1] - w[0] * m10) / det
-    return (c1, c2)
+    w = [scenario.ci.intersection_number([h, p]) for h in scenario.h11_classes]
+    return scenario.pairing_matrix.solve(w)
 
 
 def _image_term_coordinates(scenario: Scenario):
@@ -117,11 +103,7 @@ def _image_term_coordinates(scenario: Scenario):
     coords = []
     for j in range(n, -1, -1):
         term = (u ** j) * (v ** (n - j)) * comb(n, j)
-        coords.append(
-            express_in_basis(
-                scenario.ci, term, scenario.h11_classes, scenario.codim_classes
-            )
-        )
+        coords.append(express_in_basis(scenario, term))
     return coords
 
 
@@ -153,16 +135,19 @@ def balanced_cone(scenario: Scenario) -> Cone2D:
     Lives in codim coordinates; its boundary rays annihilate the boundary
     rays of the effective cone.
     """
-    return dual_cone(scenario.effective_cone, scenario.intersection_pairing())
+    return dual_cone(scenario.effective_cone, scenario.pairing_matrix)
 
 
 def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fraction, Fraction]:
-    """Coefficients (l1, l2) of a1, a2 in the triple product against a known prime.
+    """Coefficients (l1, l2) of a1, a2 in the bound functional of a known prime.
 
-    For D = a1*h1 + a2*h2 the value of the integral of D ^ P ^ A equals
-    l1*a1 + l2*a2, where P is the known prime divisor class and A the ample
-    class, both given in degree-1 coordinates.  Non-negativity of this form
-    on valid (a1, a2) certifies bounds on prime divisor classes.
+    For D = a1*h1 + a2*h2 the integral of D ^ P ^ A^(dim-2) over the
+    intersection equals l1*a1 + l2*a2, where P is the known prime divisor
+    class and A the ample class, both given in degree-1 coordinates.  The
+    integrand has the top degree dim, and on a threefold it is the triple
+    product D ^ P ^ A.  The integral is linear in D, so l_i is the integral
+    of h_i ^ P ^ A^(dim-2).  Non-negativity of this form on valid (a1, a2)
+    certifies bounds on prime divisor classes.
     """
     a = tuple(Fraction(x) for x in ample)
     if len(a) != 2:
@@ -173,9 +158,9 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fr
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
     p_cls = scenario.h11_combination(kp)
-    a_cls = scenario.h11_combination(a)
+    a_pow = scenario.h11_combination(a) ** (scenario.ci.dim - 2)
     return tuple(
-        scenario.ci.intersection_number([h, p_cls, a_cls])
+        scenario.ci.intersection_number([h, p_cls, a_pow])
         for h in scenario.h11_classes
     )
 
@@ -229,20 +214,9 @@ def quintic_conifold_scenario() -> Scenario:
     (1,1) and (4,1).  The degree-1 basis is (α, β) with α pulled back from
     P^1 and β from P^4; the degree-2 basis is (α∧β, β∧β).  The Kähler cone
     is the coordinate quadrant and the effective cone is spanned by α and
-    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.
+    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.  Built
+    from ``scenario_io.DEMO_SCENARIO_DOCUMENT``, the one copy of this data.
     """
-    space = AmbientSpace([4, 1])
-    ci = CompleteIntersection(space, [(1, 1), (4, 1)])
-    alpha = divisor_class(space, (0, 1))
-    beta = divisor_class(space, (1, 0))
-    return Scenario(
-        ci=ci,
-        h11_names=("α", "β"),
-        h11_classes=(alpha, beta),
-        codim_names=("α∧β", "β∧β"),
-        codim_classes=(alpha * beta, beta * beta),
-        kahler_cone=cone_new((1, 0), (0, 1)),
-        effective_cone=cone_new((1, 0), (-1, 1)),
-        prime_divisors=(("E1", (-1, 1)), ("E2", (-1, 4))),
-        codim_exprs=("α*β", "β*β"),
-    )
+    from .scenario_io import DEMO_SCENARIO_DOCUMENT, document_to_scenario
+
+    return document_to_scenario(DEMO_SCENARIO_DOCUMENT)

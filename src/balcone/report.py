@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 
 from .cones import Cone2D, Ray, dual_cone
 from .pipeline import (
+    GapReport,
     Scenario,
     balanced_cone,
     balanced_image_closure,
@@ -106,8 +107,7 @@ def scenario_summary(sc: Scenario) -> dict:
     }
 
 
-def _gap_section(sc: Scenario) -> dict:
-    gr = gap_report(sc)
+def _gap_section(gr: GapReport) -> dict:
     section = {
         "strict": gr.strict,
         "generators": [_ray_json(r) for r in gr.gap_generators],
@@ -138,20 +138,17 @@ def pairing_payload(sc: Scenario) -> dict:
         "rows": list(sc.h11_names),
         "cols": list(sc.codim_names),
         "matrix": [[fmt_rational(v) for v in row] for row in pm.entries],
-        "determinant": fmt_rational(pm.determinant),
-        "nondegenerate": pm.nondegenerate,
+        "determinant": fmt_rational(pm.det),
+        "nondegenerate": pm.det != 0,
     }
 
 
 def dual_payload(sc: Scenario, cone: Cone2D) -> dict:
-    dual = dual_cone(cone, sc.intersection_pairing())
+    dual = dual_cone(cone, sc.pairing_matrix)
     return {
         "command": "dual",
         "scenario": scenario_summary(sc),
-        "input_cone": {
-            "rays": _cone_json(cone),
-            "labels": [format_class_label(r, sc.h11_names) for r in cone.generators()],
-        },
+        "input_cone": _cone_section(cone, sc.h11_names),
         "dual_cone": _cone_section(dual, sc.codim_names),
     }
 
@@ -173,12 +170,13 @@ def balanced_payload(sc: Scenario) -> dict:
 
 
 def gap_payload(sc: Scenario) -> dict:
+    gr = gap_report(sc)
     return {
         "command": "gap",
         "scenario": scenario_summary(sc),
-        "image_closure": _cone_section(balanced_image_closure(sc), sc.codim_names),
-        "balanced_cone": _cone_section(balanced_cone(sc), sc.codim_names),
-        "gap": _gap_section(sc),
+        "image_closure": _cone_section(gr.image_closure, sc.codim_names),
+        "balanced_cone": _cone_section(gr.balanced_cone, sc.codim_names),
+        "gap": _gap_section(gr),
     }
 
 
@@ -197,7 +195,6 @@ def bound_payload(sc: Scenario, prime_name: str, ample) -> dict:
 
 def demo_payload(sc: Scenario) -> dict:
     pm = sc.pairing_matrix
-    pairing = sc.intersection_pairing()
     numbers = []
     for combo in combinations_with_replacement(range(2), sc.ci.dim):
         factors = [sc.h11_classes[i] for i in combo]
@@ -207,15 +204,15 @@ def demo_payload(sc: Scenario) -> dict:
                 "value": fmt_rational(sc.ci.intersection_number(factors)),
             }
         )
-    bal = balanced_cone(sc)
+    gr = gap_report(sc)
     boundary = [
         {
             "effective_ray": _ray_json(e),
             "balanced_ray": _ray_json(b),
-            "value": fmt_rational(pairing.pair(e, b)),
+            "value": fmt_rational(pm.pair(e, b)),
         }
         for e in sc.effective_cone.generators()
-        for b in bal.generators()
+        for b in gr.balanced_cone.generators()
     ]
     bounds = [
         {
@@ -232,10 +229,10 @@ def demo_payload(sc: Scenario) -> dict:
         "scenario": scenario_summary(sc),
         "intersection_numbers": numbers,
         "pairing_matrix": [[fmt_rational(v) for v in row] for row in pm.entries],
-        "pairing_determinant": fmt_rational(pm.determinant),
-        "image_closure": _cone_section(balanced_image_closure(sc), sc.codim_names),
-        "balanced_cone": _cone_section(bal, sc.codim_names),
-        "gap": _gap_section(sc),
+        "pairing_determinant": fmt_rational(pm.det),
+        "image_closure": _cone_section(gr.image_closure, sc.codim_names),
+        "balanced_cone": _cone_section(gr.balanced_cone, sc.codim_names),
+        "gap": _gap_section(gr),
         "boundary_pairings": boundary,
         "bound_functionals": bounds,
     }

@@ -203,11 +203,6 @@ class CohomClass:
         return "CohomClass(" + " + ".join(bits) + f" on {self.space!r})"
 
 
-def space_new(dims: Sequence[int]) -> AmbientSpace:
-    """Validated ambient space from the list of factor dimensions."""
-    return AmbientSpace(dims)
-
-
 def divisor_class(space: AmbientSpace, multidegree: Sequence[int]) -> CohomClass:
     """First Chern class ``sum(d_i * h_i)`` of a multidegree.
 

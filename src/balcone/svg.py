@@ -9,8 +9,8 @@ bytes.
 
 from __future__ import annotations
 
+from html import escape
 from math import atan2, cos, pi, sin
-from xml.sax.saxutils import escape
 
 from .cones import Ray
 from .errors import ValidationError
@@ -64,14 +64,14 @@ def _ray_label(theta: float, text: str, dist: float = _LABEL_DIST) -> str:
     y = -_RADIUS * dist * sin(theta)
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y + 5.0)}" font-size="16" '
-        f'font-family="sans-serif" text-anchor="middle">{escape(text)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{escape(text, quote=False)}</text>'
     )
 
 
 def _caption(x: float, y: float, text: str) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="17" '
-        f'font-family="sans-serif" text-anchor="middle">{escape(text)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{escape(text, quote=False)}</text>'
     )
 
 

@@ -8,50 +8,12 @@ fundamental class, the product of the divisor classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
+from .cones import Pairing
 from .errors import DegreeMismatchError, ValidationError
 from .ring import AmbientSpace, CohomClass, divisor_class, integrate
-
-
-def _det(entries) -> Fraction:
-    n = len(entries)
-    if n == 1:
-        return Fraction(entries[0][0])
-    if n == 2:
-        return Fraction(entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in entries[1:])
-        term = entries[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-@dataclass(frozen=True)
-class PairingMatrix:
-    """Exact intersection pairing of a row basis against a column basis."""
-
-    row_basis: Tuple[CohomClass, ...]
-    col_basis: Tuple[CohomClass, ...]
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    @property
-    def is_square(self) -> bool:
-        return len(self.row_basis) == len(self.col_basis)
-
-    @property
-    def determinant(self):
-        """Determinant for square matrices, ``None`` otherwise."""
-        if not self.is_square:
-            return None
-        return _det(self.entries)
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.is_square and self.determinant != 0
 
 
 class CompleteIntersection:
@@ -105,8 +67,8 @@ class CompleteIntersection:
             acc = acc * f
         return integrate(acc)
 
-    def pairing_matrix(self, row_basis, col_basis) -> PairingMatrix:
-        """Matrix of intersection numbers of degree-1 rows against degree dim-1 columns."""
+    def pairing_matrix(self, row_basis, col_basis) -> Pairing:
+        """2x2 pairing of degree-1 rows against degree dim-1 columns."""
         rows = tuple(row_basis)
         cols = tuple(col_basis)
         for i, r in enumerate(rows):
@@ -121,7 +83,7 @@ class CompleteIntersection:
         entries = tuple(
             tuple(self.intersection_number([r, c]) for c in cols) for r in rows
         )
-        return PairingMatrix(rows, cols, entries)
+        return Pairing(entries)
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):

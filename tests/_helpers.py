@@ -76,6 +76,28 @@ def random_pairing(rng) -> Pairing:
             return p
 
 
+def pn_document(n):
+    """P^n x P^1 cut by (1,1) and (n,1), prime E1 = β−α; n = 4 is the quintic conifold.
+
+    The codim basis is α∧β^(n−3), β^(n−2) in degree dim−1 = n−2.
+    """
+    return {
+        "ambient": [n, 1],
+        "divisors": [[1, 1], [n, 1]],
+        "h11_basis": [
+            {"name": "α", "multidegree": [0, 1]},
+            {"name": "β", "multidegree": [1, 0]},
+        ],
+        "codim_basis": [
+            {"name": "c1", "expr": "*".join(["α"] + ["β"] * (n - 3))},
+            {"name": "c2", "expr": "*".join(["β"] * (n - 2))},
+        ],
+        "kahler_cone": [[1, 0], [0, 1]],
+        "effective_cone": [[1, 0], [-1, 1]],
+        "prime_divisors": [{"name": "E1", "coords": [-1, 1]}],
+    }
+
+
 def nonneg_combination(rng, cone: Cone2D):
     s = Fraction(rng.randint(0, 9), rng.randint(1, 5))
     t = Fraction(rng.randint(0, 9), rng.randint(1, 5))

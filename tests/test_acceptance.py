@@ -6,11 +6,14 @@ budgets.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import balcone
 from balcone.cones import Ray, cone_new, det2, dual_cone, is_subcone
 from balcone.pipeline import (
     balanced_cone,
@@ -53,18 +56,18 @@ def test_criterion_1_intersection_numbers():
 def test_criterion_2_pairing_matrix():
     sc = quintic_conifold_scenario()
     pm = sc.pairing_matrix
-    ok = pm.entries == ((0, 4), (4, 5)) and pm.determinant == -16
+    ok = pm.entries == ((0, 4), (4, 5)) and pm.det == -16
     report_line(
         2, ok,
         f"pairing matrix {[[int(v) for v in row] for row in pm.entries]} "
-        f"with determinant {pm.determinant}",
+        f"with determinant {pm.det}",
     )
 
 
 def test_criterion_3_balanced_cone_rays():
     sc = quintic_conifold_scenario()
     expected = cone_new((1, 0), (-1, 4))
-    direct = dual_cone(cone_new((1, 0), (-1, 1)), sc.intersection_pairing())
+    direct = dual_cone(cone_new((1, 0), (-1, 1)), sc.pairing_matrix)
     via_pipeline = balanced_cone(sc)
     ok = direct == expected and via_pipeline == expected
     report_line(
@@ -160,9 +163,13 @@ def test_criterion_7_property_suites():
 
 
 def test_criterion_8_cli_demo_and_render(tmp_path):
+    # The child process imports the same balcone as this one, installed or not.
+    src = str(Path(balcone.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     demo = subprocess.run(
         [sys.executable, "-m", "balcone", "demo", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     doc = json.loads(demo.stdout)
     values = {
@@ -186,7 +193,7 @@ def test_criterion_8_cli_demo_and_render(tmp_path):
     for target in (a, b):
         render = subprocess.run(
             [sys.executable, "-m", "balcone", "render", "--out", str(target)],
-            capture_output=True,
+            capture_output=True, env=env,
         )
         assert render.returncode == 0
     render_ok = a.read_bytes() == b.read_bytes() and a.read_bytes().startswith(b"<svg")

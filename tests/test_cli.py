@@ -5,6 +5,8 @@ import pytest
 from balcone.cli import main
 from balcone.scenario_io import DEMO_SCENARIO_JSON
 
+from _helpers import pn_document
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -126,6 +128,18 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["coefficients"] == ["16", "16"]
+
+    def test_bound_on_fourfold(self, capsys, tmp_path):
+        # P^5 x P^1 cut by (1,1), (5,1): the bound is ∫ D∧P∧A^2 here
+        path = tmp_path / "p5.json"
+        path.write_text(json.dumps(pn_document(5)), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "bound", "E1", "1,1", "--scenario", str(path), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["coefficients"] == ["5", "11"]
+        code, _, _ = run(capsys, "demo", "--scenario", str(path))
+        assert code == 0
 
     def test_bound_unknown_prime(self, capsys):
         code, _, err = run(capsys, "bound", "E7", "3,4")

@@ -16,7 +16,10 @@ from balcone.pipeline import (
     quintic_conifold_scenario,
 )
 from balcone.ring import AmbientSpace
+from balcone.scenario_io import document_to_scenario
 from balcone.variety import CompleteIntersection
+
+from _helpers import pn_document
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ def with_effective(sc, cone):
 class TestScenario:
     def test_pairing_matrix(self, sc):
         assert sc.pairing_matrix.entries == ((0, 4), (4, 5))
-        assert sc.pairing_matrix.determinant == -16
+        assert sc.pairing_matrix.det == -16
 
     def test_dimension(self, sc):
         assert sc.ci.dim == 3
@@ -60,21 +63,17 @@ class TestScenario:
 class TestExpressInBasis:
     def test_basis_element(self, sc):
         beta = sc.h11_classes[1]
-        got = express_in_basis(sc.ci, beta * beta, sc.h11_classes, sc.codim_classes)
+        got = express_in_basis(sc, beta * beta)
         assert got == (0, 1)
 
     def test_square_of_sum(self, sc):
         alpha, beta = sc.h11_classes
-        got = express_in_basis(
-            sc.ci, (alpha + beta) ** 2, sc.h11_classes, sc.codim_classes
-        )
+        got = express_in_basis(sc, (alpha + beta) ** 2)
         assert got == (2, 1)
 
     def test_zero_class(self, sc):
         alpha = sc.h11_classes[0]
-        got = express_in_basis(
-            sc.ci, alpha * alpha, sc.h11_classes, sc.codim_classes
-        )
+        got = express_in_basis(sc, alpha * alpha)
         assert got == (0, 0)
 
 
@@ -84,14 +83,12 @@ class TestBalancedImageClosure:
 
     def test_interior_sample(self, sc):
         alpha, beta = sc.h11_classes
-        coords = express_in_basis(
-            sc.ci, (alpha + beta) ** 2, sc.h11_classes, sc.codim_classes
-        )
+        coords = express_in_basis(sc, (alpha + beta) ** 2)
         assert balanced_image_closure(sc).contains(coords, "open")
 
     def test_v_dominant_ray_is_top_power(self, sc):
         beta = sc.h11_classes[1]
-        coords = express_in_basis(sc.ci, beta * beta, sc.h11_classes, sc.codim_classes)
+        coords = express_in_basis(sc, beta * beta)
         assert Ray(*(int(c) for c in coords)) in balanced_image_closure(sc).generators()
 
     def test_scaling_generators_is_invariant(self, sc):
@@ -132,6 +129,19 @@ class TestBalancedCone:
         )
         assert scenario.pairing_matrix.entries == ((1, 0), (0, 1))
         assert balanced_cone(scenario) == cone_new((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_pn_family_closed_forms(n):
+    sc = document_to_scenario(pn_document(n))
+    assert sc.ci.dim == n - 1
+    assert sc.pairing_matrix.entries == ((0, n), (n, n + 1))
+    assert sc.pairing_matrix.det == -n * n
+    assert balanced_cone(sc).generators() == (Ray(1, 0), Ray(-1, n))
+    assert balanced_image_closure(sc).generators() == (Ray(1, 0), Ray(0, 1))
+    assert gap_report(sc).witness == Ray(-1, 2 * n)
+    e1 = sc.prime_divisor_coords("E1")
+    assert divisor_bound_functional(sc, e1, (1, 1)) == (n, n + 1 + n * (n - 4))
 
 
 class TestBoundFunctional:

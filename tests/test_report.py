@@ -52,7 +52,7 @@ class TestPayloads:
 
     def test_boundary_pairings_certificate(self):
         sc = quintic_conifold_scenario()
-        pairing = sc.intersection_pairing()
+        pairing = sc.pairing_matrix
         bal = balanced_cone(sc)
         values = {
             (e.coords, b.coords): pairing.pair(e, b)

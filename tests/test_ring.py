@@ -10,7 +10,6 @@ from balcone.ring import (
     divisor_class,
     integrate,
     linear_combination,
-    space_new,
 )
 
 from _helpers import dense_mul, random_class, random_fraction, random_space
@@ -31,24 +30,24 @@ def alpha(space):
 
 class TestAmbientSpace:
     def test_total_dim(self):
-        assert space_new([4, 1]).total_dim == 5
-        assert space_new([2]).total_dim == 2
+        assert AmbientSpace([4, 1]).total_dim == 5
+        assert AmbientSpace([2]).total_dim == 2
 
     def test_zero_dimensional_factor_rejected(self):
         with pytest.raises(ValidationError, match="factor 1"):
-            space_new([4, 0])
+            AmbientSpace([4, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            space_new([])
+            AmbientSpace([])
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError, match="factor 0"):
-            space_new([-2, 1])
+            AmbientSpace([-2, 1])
 
     def test_value_equality(self):
-        assert space_new([4, 1]) == space_new([4, 1])
-        assert space_new([4, 1]) != space_new([1, 4])
+        assert AmbientSpace([4, 1]) == AmbientSpace([4, 1])
+        assert AmbientSpace([4, 1]) != AmbientSpace([1, 4])
 
 
 class TestDivisorClass:

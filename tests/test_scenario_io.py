@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,10 @@ class TestRoundTrip:
     def test_document_level(self):
         assert scenario_to_document(parse_scenario(DEMO_SCENARIO_JSON)) == \
             DEMO_SCENARIO_DOCUMENT
+
+    def test_shipped_file_is_demo_json(self):
+        shipped = Path(__file__).parent.parent / "scenarios" / "quintic_conifold.json"
+        assert shipped.read_bytes() == DEMO_SCENARIO_JSON.encode("utf-8")
 
     def test_builtin_document_is_canonical(self):
         assert scenario_to_document(quintic_conifold_scenario()) == \
