@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,6 @@ from .errors import (
 )
 from .pipeline import quintic_conifold_scenario
 from .scenario_io import parse_scenario
-from .svg import render_cone_diagram
 
 _TRANSLIT = str.maketrans(
     {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
@@ -83,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")  # -1,4 is a value, not a flag
         sp.add_argument(
             "--scenario", metavar="FILE",
             help="scenario JSON file (default: built-in quintic conifold)",
@@ -171,6 +172,7 @@ def main(argv=None) -> int:
     try:
         scenario = _load_scenario(args.scenario)
         if args.command == "render":
+            from .svg import render_cone_diagram
             text = render_cone_diagram(report.gap_payload(scenario))
         else:
             payload = run_command(scenario, args)

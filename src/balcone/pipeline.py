@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from typing import Optional, Tuple
 
@@ -53,9 +54,10 @@ class Scenario:
             )
         object.__setattr__(self, "pairing_matrix", pm)
 
-    def h11_combination(self, coords) -> CohomClass:
-        """Ambient class with the given coordinates in the degree-1 basis."""
-        return linear_combination(list(zip(coords, self.h11_classes)))
+    @cached_property
+    def kappa(self) -> Tuple[Fraction, ...]:
+        """κ_j = ∫ h1^j h2^(dim−j) for j = 0..dim, computed on first use."""
+        return self.ci.kappa(*self.h11_classes)
 
     def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
         for n, coords in self.prime_divisors:
@@ -91,22 +93,6 @@ def express_in_basis(scenario: Scenario, p) -> Tuple[Fraction, Fraction]:
     return scenario.pairing_matrix.solve(w)
 
 
-def _image_term_coordinates(scenario: Scenario):
-    """Codim coordinates of the binomial terms of (s*u + t*v)^(dim-1).
-
-    Ordered from the u-dominant exponent down to the v-dominant one, with
-    the binomial coefficients included.
-    """
-    n = scenario.ci.dim - 1
-    u = scenario.h11_combination(scenario.kahler_cone.r1.coords)
-    v = scenario.h11_combination(scenario.kahler_cone.r2.coords)
-    coords = []
-    for j in range(n, -1, -1):
-        term = (u ** j) * (v ** (n - j)) * comb(n, j)
-        coords.append(express_in_basis(scenario, term))
-    return coords
-
-
 def balanced_image_closure(scenario: Scenario) -> Cone2D:
     """Closure of the image of the open Kähler cone under x -> x^(dim-1).
 
@@ -114,13 +100,17 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     scanning the binomial expansion from the u-dominant end and from the
     v-dominant end.  Leading non-zero terms, not boundary samples: a
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
-    next surviving mixed term, and the scan captures that exactly.
+    next surviving mixed term, and the scan captures that exactly.  Up to its
+    positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j).
     """
-    coords = _image_term_coordinates(scenario)
-    first = next((c for c in coords if any(c)), None)
-    last = next((c for c in reversed(coords) if any(c)), None)
-    if first is None:
+    rays = scenario.kahler_cone.generators()
+    u, v = (linear_combination(zip(r.coords, scenario.h11_classes)) for r in rays)
+    k = scenario.ci.kappa(u, v)
+    live = [j for j in range(scenario.ci.dim) if k[j] or k[j + 1]]
+    if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
+    uv_pairing = Pairing(tuple(scenario.pairing_matrix.functional(r) for r in rays))
+    first, last = (uv_pairing.solve((k[j + 1], k[j])) for j in (live[-1], live[0]))
     try:
         return cone_new(first, last)
     except ValidationError as e:
@@ -157,12 +147,11 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fr
     kp = tuple(Fraction(x) for x in known_prime)
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
-    p_cls = scenario.h11_combination(kp)
-    a_pow = scenario.h11_combination(a) ** (scenario.ci.dim - 2)
-    return tuple(
-        scenario.ci.intersection_number([h, p_cls, a_pow])
-        for h in scenario.h11_classes
-    )
+    # s_e integrates h1^e h2^(2-e) A^m, expanding A^m binomially in h1, h2.
+    m = scenario.ci.dim - 2
+    weights = [comb(m, j) * a[0] ** j * a[1] ** (m - j) for j in range(m + 1)]
+    s0, s1, s2 = (sum(w * k for w, k in zip(weights, scenario.kappa[e:])) for e in range(3))
+    return (kp[0] * s2 + kp[1] * s1, kp[0] * s1 + kp[1] * s0)
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:

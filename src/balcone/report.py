@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .cones import Cone2D, Ray, dual_cone
 from .pipeline import (
@@ -195,15 +194,11 @@ def bound_payload(sc: Scenario, prime_name: str, ample) -> dict:
 
 def demo_payload(sc: Scenario) -> dict:
     pm = sc.pairing_matrix
-    numbers = []
-    for combo in combinations_with_replacement(range(2), sc.ci.dim):
-        factors = [sc.h11_classes[i] for i in combo]
-        numbers.append(
-            {
-                "factors": [sc.h11_names[i] for i in combo],
-                "value": fmt_rational(sc.ci.intersection_number(factors)),
-            }
-        )
+    n1, n2 = sc.h11_names
+    numbers = [
+        {"factors": [n1] * j + [n2] * (sc.ci.dim - j), "value": fmt_rational(sc.kappa[j])}
+        for j in range(sc.ci.dim, -1, -1)
+    ]
     gr = gap_report(sc)
     boundary = [
         {

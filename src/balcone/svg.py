@@ -9,7 +9,6 @@ bytes.
 
 from __future__ import annotations
 
-from html import escape
 from math import atan2, cos, pi, sin
 
 from .cones import Ray
@@ -22,6 +21,8 @@ _RADIUS = 150.0
 _LEFT = (170.0, 290.0)
 _RIGHT = (590.0, 290.0)
 _LABEL_DIST = 1.22
+# html.escape(text, quote=False) without importing html and its entity table.
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(value: float) -> str:
@@ -64,14 +65,14 @@ def _ray_label(theta: float, text: str, dist: float = _LABEL_DIST) -> str:
     y = -_RADIUS * dist * sin(theta)
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y + 5.0)}" font-size="16" '
-        f'font-family="sans-serif" text-anchor="middle">{escape(text, quote=False)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
     )
 
 
 def _caption(x: float, y: float, text: str) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="17" '
-        f'font-family="sans-serif" text-anchor="middle">{escape(text, quote=False)}</text>'
+        f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
     )
 
 

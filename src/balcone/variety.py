@@ -9,7 +9,7 @@ fundamental class, the product of the divisor classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .cones import Pairing
 from .errors import DegreeMismatchError, ValidationError
@@ -66,6 +66,19 @@ class CompleteIntersection:
         for f in factors:
             acc = acc * f
         return integrate(acc)
+
+    def kappa(self, a: CohomClass, b: CohomClass) -> Tuple[Fraction, ...]:
+        """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, in one pass."""
+        if any(c.degree() not in (None, 1) for c in (a, b)):
+            raise ValidationError("kappa needs two degree-1 classes")
+        b_powers = [self.space.one()]
+        for _ in range(self.dim):
+            b_powers.append(b_powers[-1] * b)
+        values, acc = [], self._fundamental
+        for b_power in reversed(b_powers):
+            values.append(integrate(acc * b_power))
+            acc = acc * a
+        return tuple(values)
 
     def pairing_matrix(self, row_basis, col_basis) -> Pairing:
         """2x2 pairing of degree-1 rows against degree dim-1 columns."""

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
-from balcone.cones import Cone2D, Pairing, ray_normalize
-from balcone.ring import AmbientSpace, CohomClass
+from balcone.cones import Cone2D, Pairing, cone_new, ray_normalize
+from balcone.errors import ComputationError, ValidationError
+from balcone.pipeline import express_in_basis
+from balcone.ring import AmbientSpace, CohomClass, linear_combination
 
 
 def random_space(rng, max_total=8, max_factors=3):
@@ -105,3 +108,25 @@ def nonneg_combination(rng, cone: Cone2D):
         s * cone.r1.x + t * cone.r2.x,
         s * cone.r1.y + t * cone.r2.y,
     )
+
+
+def reference_image_closure(sc):
+    """Image closure from the ring: every binomial term through express_in_basis.
+
+    Scans the terms of (s*u + t*v)^(dim-1) from the u-dominant end and from
+    the v-dominant end for the first non-zero codim coordinates.
+    """
+    n = sc.ci.dim - 1
+    u, v = (
+        linear_combination(zip(r.coords, sc.h11_classes)) for r in sc.kahler_cone.generators()
+    )
+    coords = [
+        express_in_basis(sc, (u ** j) * (v ** (n - j)) * comb(n, j)) for j in range(n, -1, -1)
+    ]
+    live = [c for c in coords if any(c)]
+    if not live:
+        raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
+    try:
+        return cone_new(live[0], live[-1])
+    except ValidationError as e:
+        raise ComputationError(f"balanced-map image closure is not a planar cone: {e}") from e

@@ -123,6 +123,16 @@ class TestCommands:
         assert code == 0
         assert doc["dual_cone"]["rays"] == [[1, 0], [-5, 4]]
 
+    def test_dual_negative_ray(self, capsys):
+        code, out, _ = run(capsys, "dual", "--rays", "-1,4", "1,0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dual_cone"]["rays"] == [[1, 0], [-1, 1]]
+
+    def test_bound_negative_ample_read_as_value(self, capsys):
+        code, _, err = run(capsys, "bound", "E1", "-1,2")
+        assert code == 3
+        assert "ample coordinates must be strictly positive" in err
+
     def test_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "E1", "3,4", "--format", "json")
         doc = json.loads(out)

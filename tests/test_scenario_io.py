@@ -1,9 +1,12 @@
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from balcone.errors import ScenarioError
+from balcone.cli import main
+from balcone.errors import ScenarioError, ValidationError
 from balcone.pipeline import quintic_conifold_scenario
 from balcone.scenario_io import (
     DEMO_SCENARIO_DOCUMENT,
@@ -83,6 +86,56 @@ class TestParse:
             document_to_scenario(doc)
 
 
+def _codim(expr):
+    return [{"name": "a", "expr": expr}, {"name": "b", "expr": "β*β"}]
+
+
+_BETA = DEMO_SCENARIO_DOCUMENT["h11_basis"][1]
+
+_DOCUMENT_ERRORS = [
+    pytest.param([], "/", id="not-an-object"),
+    pytest.param(mutated(ambient=[0, 1]), "/ambient", id="ambient-zero"),
+    pytest.param(mutated(divisors=5), "/divisors", id="divisors-not-a-list"),
+    pytest.param(mutated(divisors=[[1, -1]]), "/divisors/0", id="divisor-negative"),
+    pytest.param(mutated(divisors=[[1, 1]] * 5), "/divisors", id="dimension-0"),
+    pytest.param(mutated(h11_basis={"α": [0, 1]}), "/h11_basis", id="h11-object"),
+    pytest.param(mutated(h11_basis=["α", _BETA]), "/h11_basis/0", id="h11-item-not-object"),
+    pytest.param(
+        mutated(h11_basis=[{"name": "", "multidegree": [0, 1]}, _BETA]),
+        "/h11_basis/0/name", id="h11-empty-name",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0]}, _BETA]),
+        "/h11_basis/0/multidegree", id="h11-zero-multidegree",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA]),
+        "/h11_basis/0/multidegree", id="h11-multidegree-length",
+    ),
+    pytest.param(mutated(codim_basis=_codim("")), "/codim_basis/0/expr", id="expr-empty"),
+    pytest.param(mutated(codim_basis=_codim("α / β")), "/codim_basis/0/expr", id="expr-slash"),
+    pytest.param(
+        mutated(codim_basis=_codim("α β")), "/codim_basis/0/expr", id="expr-no-operator"
+    ),
+    pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
+        "/prime_divisors/0/coords", id="prime-coords-triple",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, path", _DOCUMENT_ERRORS)
+def test_document_error_located(doc, path, tmp_path, capsys):
+    with pytest.raises(ScenarioError) as info:
+        document_to_scenario(doc)
+    assert info.value.path == path
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["demo", "--scenario", str(scenario_file)]) == 3
+    assert f"at {path}:" in capsys.readouterr().err
+
+
 class TestClassExpr:
     def test_rational_combination(self):
         space = AmbientSpace([4, 1])
@@ -105,6 +158,12 @@ class TestClassExpr:
             parse_class_expr("β*", named, space)
 
 
+    def test_sum_in_document(self):
+        sc = document_to_scenario(mutated(codim_basis=_codim("α*β + β*β")))
+        alpha, beta = sc.h11_classes
+        assert sc.codim_classes[0] == alpha * beta + beta * beta
+
+
 class TestRoundTrip:
     def test_scenario_level(self):
         sc = quintic_conifold_scenario()
@@ -121,3 +180,15 @@ class TestRoundTrip:
     def test_builtin_document_is_canonical(self):
         assert scenario_to_document(quintic_conifold_scenario()) == \
             DEMO_SCENARIO_DOCUMENT
+
+    def test_rational_h11_class_not_serializable(self):
+        sc = quintic_conifold_scenario()
+        alpha, beta = sc.h11_classes
+        halved = dataclasses.replace(sc, h11_classes=(alpha, Fraction(1, 2) * beta))
+        with pytest.raises(ValidationError, match="multidegree"):
+            scenario_to_document(halved)
+
+    def test_missing_codim_exprs_not_serializable(self):
+        sc = dataclasses.replace(quintic_conifold_scenario(), codim_exprs=None)
+        with pytest.raises(ValidationError, match="codim basis expressions"):
+            scenario_to_document(sc)

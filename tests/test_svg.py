@@ -24,6 +24,11 @@ class TestRender:
         assert "α∧β" in svg
         assert "β∧β−¼α∧β" in svg
 
+    def test_label_markup_escaped(self, gap_doc):
+        # &, < and > are escaped as html.escape(text, quote=False) does; quotes stay
+        doc = dict(gap_doc, scenario=dict(gap_doc["scenario"], h11_basis=['a<&>"', "β"]))
+        assert '>a&lt;&amp;&gt;"</text>' in render_cone_diagram(doc)
+
     def test_deterministic(self, gap_doc):
         assert render_cone_diagram(gap_doc) == render_cone_diagram(gap_doc)
 
