@@ -28,6 +28,7 @@ from .pipeline import (
     divisor_bound_functional,
     express_in_basis,
     gap_report,
+    integrate_forms,
     quintic_conifold_scenario,
 )
 from .ring import (
@@ -74,6 +75,7 @@ __all__ = [
     "express_in_basis",
     "gap_report",
     "integrate",
+    "integrate_forms",
     "is_subcone",
     "linear_combination",
     "parse_scenario",

@@ -22,44 +22,17 @@ from .errors import (
     UnknownNameError,
     ValidationError,
 )
-from .pipeline import quintic_conifold_scenario
-from .scenario_io import parse_scenario
-
-_TRANSLIT = str.maketrans(
-    {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
-     "−": "-", "·": "*", "×": "*", " ": None, "\t": None}
-)
+from .pipeline import H11_FORMS, quintic_conifold_scenario
+from .scenario_io import _canonical, parse_scenario
 
 
-def _canonical(name: str) -> str:
-    return name.translate(_TRANSLIT).lower()
-
-
-def _resolve_class(scenario, name):
-    """Match a user-supplied name against scenario class names.
-
-    Greek letters and wedge signs have ASCII spellings, so ``alpha*beta``
-    finds ``α∧β``.  Returns the declared display name and the class.
-    """
-    table = {}
-    for n, cls in zip(scenario.h11_names + scenario.codim_names,
-                      scenario.h11_classes + scenario.codim_classes):
-        table.setdefault(_canonical(n), (n, cls))
-    hit = table.get(_canonical(name))
+def _resolve(name, entries, kind):
+    """The (declared name, value) entry a user-supplied name refers to, compared
+    in lower case with Greek letters and wedge signs in ASCII: ``alpha*beta`` finds ``α∧β``."""
+    hit = {_canonical(n): (n, v) for n, v in entries}.get(_canonical(name))
     if hit is None:
-        known = ", ".join(scenario.h11_names + scenario.codim_names)
-        raise UnknownNameError(f"unknown class name {name!r}; scenario declares: {known}")
-    return hit
-
-
-def _resolve_prime(scenario, name):
-    table = {_canonical(n): n for n, _ in scenario.prime_divisors}
-    hit = table.get(_canonical(name))
-    if hit is None:
-        known = ", ".join(n for n, _ in scenario.prime_divisors) or "(none)"
-        raise UnknownNameError(
-            f"unknown prime divisor {name!r}; scenario declares: {known}"
-        )
+        known = ", ".join(n for n, _ in entries) or "(none)"
+        raise UnknownNameError(f"unknown {kind} {name!r}; scenario declares: {known}")
     return hit
 
 
@@ -129,10 +102,10 @@ def run_command(scenario, args) -> dict:
     if cmd == "demo":
         return report.demo_payload(scenario)
     if cmd == "intersect":
-        resolved = [_resolve_class(scenario, n) for n in args.factors]
-        names = [n for n, _ in resolved]
-        classes = [c for _, c in resolved]
-        return report.intersect_payload(scenario, names, classes)
+        classes = list(zip(scenario.h11_names + scenario.codim_names,
+                           H11_FORMS + scenario.codim_forms))
+        names, forms = zip(*[_resolve(n, classes, "class name") for n in args.factors])
+        return report.intersect_payload(scenario, names, forms)
     if cmd == "pairing":
         return report.pairing_payload(scenario)
     if cmd == "dual":
@@ -147,7 +120,7 @@ def run_command(scenario, args) -> dict:
     if cmd == "gap":
         return report.gap_payload(scenario)
     if cmd == "bound":
-        prime = _resolve_prime(scenario, args.prime)
+        prime, _ = _resolve(args.prime, scenario.prime_divisors, "prime divisor")
         return report.bound_payload(scenario, prime, args.ample)
     raise AssertionError(f"unhandled command {cmd!r}")
 

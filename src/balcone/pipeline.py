@@ -1,28 +1,45 @@
 """End-to-end cone computations on a rank-2 complete-intersection scenario.
 
-A scenario fixes a complete intersection, a 2-element basis of degree-1
-classes, a 2-element basis of degree dim-1 classes, and two cones written in
-degree-1 coordinates: the Kähler cone and the (pseudo-)effective cone.  The
-effective cone is input, not derived; what the pipeline verifies about it is
-arithmetic (pairing certificates), not geometry.
+A scenario fixes a complete intersection, a 2-element basis (h1, h2) of
+degree-1 classes, a 2-element basis of degree dim-1 classes, and two cones
+written in degree-1 coordinates: the Kähler cone and the (pseudo-)effective
+cone.  The effective cone is input, not derived; what the pipeline verifies
+about it is arithmetic (pairing certificates), not geometry.
 
-Degree dim-1 classes are handled only through their intersection numbers
-against the degree-1 basis (numerical equivalence), so the codim coordinate
-space is exactly what the pairing matrix sees.
+Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), one ring pass
+per scenario.  Classes in h1 and h2, such as the codim basis, are binary
+forms: a form of degree d is a tuple of d+1 coefficients, entry j that of
+h1^j h2^(d−j).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from math import comb, lcm
 from typing import Optional, Tuple
 
 from .cones import Cone2D, Pairing, Ray, cone_new, det2, dual_cone, is_subcone, ray_normalize
-from .errors import ComputationError, ValidationError
-from .ring import CohomClass, linear_combination
+from .errors import ComputationError, DegreeMismatchError, ValidationError
+from .ring import CohomClass
 from .variety import CompleteIntersection
+
+H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
+
+
+def _product(f, g):
+    """Product of two binary forms."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _dot(form, kappa) -> Fraction:
+    """Σ_j form_j κ_j, skipping the zero coefficients that monomial forms are made of."""
+    return sum([c * k for c, k in zip(form, kappa) if c], Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -33,31 +50,36 @@ class Scenario:
     h11_names: Tuple[str, str]
     h11_classes: Tuple[CohomClass, CohomClass]
     codim_names: Tuple[str, str]
-    codim_classes: Tuple[CohomClass, CohomClass]
+    codim_forms: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     kahler_cone: Cone2D
     effective_cone: Cone2D
     prime_divisors: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
     codim_exprs: Optional[Tuple[str, str]] = None
+    kappa: Tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
     pairing_matrix: Pairing = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        dim = self.ci.dim
         if len(self.h11_names) != 2 or len(self.h11_classes) != 2:
             raise ValidationError("scenario needs exactly two degree-1 basis classes")
-        if len(self.codim_names) != 2 or len(self.codim_classes) != 2:
-            raise ValidationError(
-                f"scenario needs exactly two degree-{self.ci.dim - 1} basis classes"
-            )
-        pm = self.ci.pairing_matrix(self.h11_classes, self.codim_classes)
+        if len(self.codim_names) != 2 or len(self.codim_forms) != 2:
+            raise ValidationError(f"scenario needs exactly two degree-{dim - 1} basis classes")
+        for i, h in enumerate(self.h11_classes):
+            if h.degree() != 1:
+                raise ValidationError(f"row class {i} must have degree 1")
+        for j, c in enumerate(self.codim_forms):
+            if len(c) != dim:
+                raise ValidationError(
+                    f"column class {j} must have degree {dim - 1}, got {len(c) - 1}"
+                )
+        object.__setattr__(self, "kappa", self.ci.kappa(*self.h11_classes))
+        # ∫ h1·c = Σ c_j κ_(j+1) and ∫ h2·c = Σ c_j κ_j for a codim form c
+        pm = Pairing([[_dot(c, self.kappa[1 - i:]) for c in self.codim_forms] for i in (0, 1)])
         if pm.det == 0:
             raise ValidationError(
                 "intersection pairing of the chosen bases is degenerate"
             )
         object.__setattr__(self, "pairing_matrix", pm)
-
-    @cached_property
-    def kappa(self) -> Tuple[Fraction, ...]:
-        """κ_j = ∫ h1^j h2^(dim−j) for j = 0..dim, computed on first use."""
-        return self.ci.kappa(*self.h11_classes)
 
     def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
         for n, coords in self.prime_divisors:
@@ -83,7 +105,7 @@ class GapReport:
 
 
 def express_in_basis(scenario: Scenario, p) -> Tuple[Fraction, Fraction]:
-    """Coordinates of a degree dim-1 class in the scenario's codim basis.
+    """Coordinates of a degree dim-1 ring class in the scenario's codim basis.
 
     Solves M c = w where M is the scenario's pairing matrix and
     w_i = intersection number of h11_i with p.  The result c makes p
@@ -91,6 +113,14 @@ def express_in_basis(scenario: Scenario, p) -> Tuple[Fraction, Fraction]:
     """
     w = [scenario.ci.intersection_number([h, p]) for h in scenario.h11_classes]
     return scenario.pairing_matrix.solve(w)
+
+
+def integrate_forms(scenario: Scenario, forms) -> Fraction:
+    """Integral over the intersection of a product of binary forms, read from κ."""
+    acc = reduce(_product, forms, [1])
+    if len(acc) != len(scenario.kappa):
+        raise DegreeMismatchError(scenario.ci.dim, len(acc) - 1)
+    return _dot(acc, scenario.kappa)
 
 
 def balanced_image_closure(scenario: Scenario) -> Cone2D:
@@ -102,11 +132,21 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
     next surviving mixed term, and the scan captures that exactly.  Up to its
     positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j).
+    Here k_j = ∫ u^j v^(dim−j) times a positive integer: Horner's rule expands
+    κ(s, t) = Σ_i C(dim, i) κ_i s^i t^(dim−i) at s·h1 + t·h2 = x·u + y·v in
+    integers over the common denominator of κ; x^j y^(dim−j) gets C(dim, j) k_j.
     """
     rays = scenario.kahler_cone.generators()
-    u, v = (linear_combination(zip(r.coords, scenario.h11_classes)) for r in rays)
-    k = scenario.ci.kappa(u, v)
-    live = [j for j in range(scenario.ci.dim) if k[j] or k[j + 1]]
+    (u1, u2), (v1, v2) = (r.coords for r in rays)
+    d, kappa = scenario.ci.dim, scenario.kappa
+    den = lcm(*[q.denominator for q in kappa])
+    a = [comb(d, i) * q.numerator * (den // q.denominator) for i, q in enumerate(kappa)]
+    acc, t_power = [a[d]], [1]
+    for i in range(d - 1, -1, -1):
+        t_power = _product(t_power, [v2, u2])
+        acc = [x + a[i] * y for x, y in zip(_product(acc, [v1, u1]), t_power)]
+    k = [c // comb(d, j) for j, c in enumerate(acc)]
+    live = [j for j in range(d) if k[j] or k[j + 1]]
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
     uv_pairing = Pairing(tuple(scenario.pairing_matrix.functional(r) for r in rays))

@@ -19,6 +19,7 @@ from .pipeline import (
     balanced_image_closure,
     divisor_bound_functional,
     gap_report,
+    integrate_forms,
 )
 
 _MINUS = "−"
@@ -120,12 +121,12 @@ def _gap_section(gr: GapReport) -> dict:
     return section
 
 
-def intersect_payload(sc: Scenario, names, classes) -> dict:
+def intersect_payload(sc: Scenario, names, forms) -> dict:
     return {
         "command": "intersect",
         "scenario": scenario_summary(sc),
         "factors": list(names),
-        "value": fmt_rational(sc.ci.intersection_number(classes)),
+        "value": fmt_rational(integrate_forms(sc, forms)),
     }
 
 

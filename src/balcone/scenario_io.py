@@ -13,8 +13,10 @@ Document layout::
     }
 
 ``expr`` is a linear combination of products of h11 names with rational
-coefficients, e.g. ``"β*β - 1/4*α*β"``.  Syntax errors report line and
-column; semantic errors report the path of the offending node.
+coefficients, all of one degree, e.g. ``"β*β - 1/4*α*β"``.  Class names, and
+prime divisor names, stay distinct under the CLI's case and ASCII folding.
+Syntax errors report line and column; semantic errors report the path of
+the offending node.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .pipeline import Scenario
 from .ring import AmbientSpace, divisor_class
 from .variety import CompleteIntersection
 
+_TRANSLIT = str.maketrans(
+    {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
+     "−": "-", "·": "*", "×": "*", " ": None, "\t": None}
+)
 _NUMBER = re.compile(r"\d+(?:/\d+)?$")
 _TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[+\-*]|[^\s+\-*/]+)")
 
@@ -52,6 +58,10 @@ DEMO_SCENARIO_DOCUMENT = {
 }
 
 DEMO_SCENARIO_JSON = json.dumps(DEMO_SCENARIO_DOCUMENT, indent=2, ensure_ascii=False) + "\n"
+
+
+def _canonical(name: str) -> str:
+    return name.translate(_TRANSLIT).lower()
 
 
 def _require(doc, key, path):
@@ -87,7 +97,9 @@ def _cone(value, path):
         raise ScenarioError(str(e), path=path) from e
 
 
-def _named_entries(value, path, value_key):
+def _named_entries(doc, key, value_key, seen):
+    """(name, value, path) per entry; ``seen`` maps folded names to earlier entries."""
+    value, path = _require(doc, key, ""), f"/{key}"
     if not isinstance(value, list):
         raise ScenarioError("expected a list of objects", path=path)
     out = []
@@ -98,12 +110,19 @@ def _named_entries(value, path, value_key):
         name = _require(item, "name", here)
         if not isinstance(name, str) or not name:
             raise ScenarioError("name must be a non-empty string", path=f"{here}/name")
+        earlier, where = seen.setdefault(_canonical(name), (name, here))
+        if where != here:
+            raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=f"{here}/name")
         out.append((name, _require(item, value_key, here), here))
     return out
 
 
-def parse_class_expr(expr, classes, space, path="expr"):
-    """Parse a combination like ``"β*β - 1/4*α*β"`` against named degree-1 classes."""
+def parse_class_expr(expr, names, path="expr"):
+    """Binary form of a combination like ``"β*β - 1/4*α*β"`` of h11 names.
+
+    Entry j is the coefficient of h1^j h2^(d−j), d the degree shared by all
+    terms; ``names[0]`` is h1 and any other name h2.
+    """
     if not isinstance(expr, str) or not expr.strip():
         raise ScenarioError("expected a non-empty expression string", path=path)
     tokens = []
@@ -117,45 +136,37 @@ def parse_class_expr(expr, classes, space, path="expr"):
     if expr[pos:].strip():
         raise ScenarioError(f"cannot tokenize {expr[pos:].strip()!r}", path=path)
 
-    total = space.zero()
+    if tokens[0] not in "+-":
+        tokens.insert(0, "+")
+    terms = []  # (degree, power of h1, coefficient)
     idx = 0
-
-    def take_term(sign):
-        nonlocal idx
-        coeff = Fraction(sign)
-        cls = space.one()
+    while idx < len(tokens):
+        if tokens[idx] not in "+-":
+            raise ScenarioError(f"expected '+' or '-', got {tokens[idx]!r}", path=path)
+        coeff, degree, j = Fraction(1 if tokens[idx] == "+" else -1), 0, 0
         while True:
+            idx += 1
             if idx >= len(tokens) or tokens[idx] in "+-*":
                 raise ScenarioError("expected a name or number", path=path)
             tok = tokens[idx]
             if _NUMBER.match(tok):
                 coeff *= Fraction(tok)
-            elif tok in classes:
-                cls = cls * classes[tok]
+            elif tok in names:
+                degree += 1
+                j += tok == names[0]
             else:
                 raise ScenarioError(f"unknown class name {tok!r}", path=path)
             idx += 1
-            if idx < len(tokens) and tokens[idx] == "*":
-                idx += 1
-                continue
-            return coeff * cls
-
-    sign = 1
-    if tokens and tokens[0] in "+-":
-        sign = 1 if tokens[0] == "+" else -1
-        idx = 1
-    total = total + take_term(sign)
-    while idx < len(tokens):
-        tok = tokens[idx]
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ScenarioError(f"expected '+' or '-', got {tok!r}", path=path)
-        idx += 1
-        total = total + take_term(sign)
-    return total
+            if idx >= len(tokens) or tokens[idx] != "*":
+                break
+        terms.append((degree, j, coeff))
+    degrees = sorted({t[0] for t in terms})
+    if len(degrees) > 1:
+        raise ScenarioError(f"terms must share one degree, got degrees {degrees}", path=path)
+    form = [Fraction(0)] * (degrees[0] + 1)
+    for _, j, coeff in terms:
+        form[j] += coeff
+    return tuple(form)
 
 
 def document_to_scenario(doc) -> Scenario:
@@ -180,8 +191,8 @@ def document_to_scenario(doc) -> Scenario:
     except ValidationError as e:
         raise ScenarioError(str(e), path="/divisors") from e
 
-    h11_names, h11_classes = [], []
-    for name, raw, here in _named_entries(_require(doc, "h11_basis", ""), "/h11_basis", "multidegree"):
+    h11_names, h11_classes, seen = [], [], {}
+    for name, raw, here in _named_entries(doc, "h11_basis", "multidegree", seen):
         if any(ch in name for ch in "+-*/ \t"):
             raise ScenarioError(
                 "h11 names may not contain arithmetic characters or spaces",
@@ -198,12 +209,11 @@ def document_to_scenario(doc) -> Scenario:
             raise ScenarioError(str(e), path=f"{here}/multidegree") from e
         h11_names.append(name)
         h11_classes.append(cls)
-    named = dict(zip(h11_names, h11_classes))
 
-    codim_names, codim_classes, codim_exprs = [], [], []
-    for name, raw, here in _named_entries(_require(doc, "codim_basis", ""), "/codim_basis", "expr"):
+    codim_names, codim_forms, codim_exprs = [], [], []
+    for name, raw, here in _named_entries(doc, "codim_basis", "expr", seen):
         codim_names.append(name)
-        codim_classes.append(parse_class_expr(raw, named, space, path=f"{here}/expr"))
+        codim_forms.append(parse_class_expr(raw, h11_names, path=f"{here}/expr"))
         codim_exprs.append(raw)
 
     kahler = _cone(_require(doc, "kahler_cone", ""), "/kahler_cone")
@@ -211,7 +221,7 @@ def document_to_scenario(doc) -> Scenario:
 
     primes = []
     if "prime_divisors" in doc:
-        for name, raw, here in _named_entries(doc["prime_divisors"], "/prime_divisors", "coords"):
+        for name, raw, here in _named_entries(doc, "prime_divisors", "coords", {}):
             primes.append((name, _int_pair(raw, f"{here}/coords")))
 
     try:
@@ -220,7 +230,7 @@ def document_to_scenario(doc) -> Scenario:
             h11_names=tuple(h11_names),
             h11_classes=tuple(h11_classes),
             codim_names=tuple(codim_names),
-            codim_classes=tuple(codim_classes),
+            codim_forms=tuple(codim_forms),
             kahler_cone=kahler,
             effective_cone=effective,
             prime_divisors=tuple(primes),

@@ -3,7 +3,9 @@
 An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral against its
-fundamental class, the product of the divisor classes.
+fundamental class, the product of the divisor classes.  This module builds
+no pairings: a scenario reads its pairing and every other number from one
+``kappa`` pass.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .cones import Pairing
 from .errors import DegreeMismatchError, ValidationError
 from .ring import AmbientSpace, CohomClass, divisor_class, integrate
 
@@ -79,24 +80,6 @@ class CompleteIntersection:
             values.append(integrate(acc * b_power))
             acc = acc * a
         return tuple(values)
-
-    def pairing_matrix(self, row_basis, col_basis) -> Pairing:
-        """2x2 pairing of degree-1 rows against degree dim-1 columns."""
-        rows = tuple(row_basis)
-        cols = tuple(col_basis)
-        for i, r in enumerate(rows):
-            if r.degree() != 1:
-                raise ValidationError(f"row class {i} must have degree 1")
-        for j, c in enumerate(cols):
-            d = c.degree()
-            if d is not None and d != self.dim - 1:
-                raise ValidationError(
-                    f"column class {j} must have degree {self.dim - 1}, got {d}"
-                )
-        entries = tuple(
-            tuple(self.intersection_number([r, c]) for c in cols) for r in rows
-        )
-        return Pairing(entries)
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import balcone
 from balcone.cli import main
 from balcone.scenario_io import DEMO_SCENARIO_JSON
 
@@ -179,3 +184,18 @@ class TestCommands:
         code, out, _ = run(capsys, "pairing")
         assert code == 0
         assert "\x1b[" not in out
+
+
+def test_cli_import_leaves_rendering_modules_unloaded():
+    # balcone.svg, html and xml cost start-up time and memory on every command
+    # that draws no figure, so only `render` may load them.
+    src = str(Path(balcone.__file__).resolve().parent.parent)
+    code = (
+        "import sys; import balcone.cli; "
+        "print(sorted(m for m in ('balcone.svg', 'html', 'xml') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.strip() == "[]"

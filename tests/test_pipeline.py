@@ -33,7 +33,7 @@ def with_effective(sc, cone):
         h11_names=sc.h11_names,
         h11_classes=sc.h11_classes,
         codim_names=sc.codim_names,
-        codim_classes=sc.codim_classes,
+        codim_forms=sc.codim_forms,
         kahler_cone=sc.kahler_cone,
         effective_cone=cone,
         prime_divisors=sc.prime_divisors,
@@ -97,7 +97,7 @@ class TestBalancedImageClosure:
             h11_names=sc.h11_names,
             h11_classes=sc.h11_classes,
             codim_names=sc.codim_names,
-            codim_classes=sc.codim_classes,
+            codim_forms=sc.codim_forms,
             kahler_cone=cone_new((Fraction(7, 3), 0), (0, Fraction(2, 5))),
             effective_cone=sc.effective_cone,
             prime_divisors=sc.prime_divisors,
@@ -123,7 +123,7 @@ class TestBalancedCone:
             h11_names=("h0", "h1"),
             h11_classes=(h0, h1),
             codim_names=("c0", "c1"),
-            codim_classes=(h1, h0),  # pairing is the identity with this order
+            codim_forms=((1, 0), (0, 1)),  # h1 and h0: the pairing is the identity
             kahler_cone=cone_new((1, 0), (0, 1)),
             effective_cone=cone_new((1, 0), (0, 1)),
         )
@@ -239,7 +239,7 @@ def random_product_scenario(rng):
         h0, h1 = space.generator(0), space.generator(1)
         n = ci.dim - 1
         candidates = [
-            (f"h0^{i}*h1^{n - i}", (h0 ** i) * (h1 ** (n - i)))
+            (f"h0^{i}*h1^{n - i}", tuple(int(j == i) for j in range(n + 1)))
             for i in range(n + 1)
             if not ((h0 ** i) * (h1 ** (n - i))).is_zero()
         ]
@@ -251,7 +251,7 @@ def random_product_scenario(rng):
                     h11_names=("h0", "h1"),
                     h11_classes=(h0, h1),
                     codim_names=(na, nb),
-                    codim_classes=(ca, cb),
+                    codim_forms=(ca, cb),
                     kahler_cone=quadrant,
                     effective_cone=quadrant,
                 )

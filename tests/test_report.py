@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from balcone.cli import build_parser, run_command
 from balcone.cones import Ray
 from balcone.pipeline import balanced_cone, quintic_conifold_scenario
 from balcone.report import (
@@ -11,6 +14,10 @@ from balcone.report import (
     render_json,
     render_text,
 )
+from balcone.ring import CohomClass
+from balcone.scenario_io import document_to_scenario
+
+from _helpers import pn_document
 
 CODIM = ("α∧β", "β∧β")
 
@@ -68,3 +75,21 @@ class TestPayloads:
         assert render_text(payload) == render_text(payload)
         assert "\x1b[" not in render_text(payload)
         assert "\x1b[1m" in render_text(payload, color=True)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_payloads_run_no_ring_products(n, monkeypatch):
+    """The ring runs once per scenario, at construction; every payload reads κ."""
+    sc = document_to_scenario(pn_document(n))
+    commands = [
+        ["demo"], ["gap"], ["image"], ["balanced"], ["pairing"],
+        ["dual", "--rays", "-1,4", "1,0"], ["bound", "E1", "1,1"],
+        ["intersect", "α"] + ["β"] * (n - 2), ["intersect", "α", "c1"],
+    ]
+    calls = []
+    mul = CohomClass.__mul__
+    monkeypatch.setattr(CohomClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    parser = build_parser()
+    for argv in commands:
+        run_command(sc, parser.parse_args(argv))
+    assert calls == []

@@ -17,7 +17,6 @@ from balcone.scenario_io import (
     scenario_to_document,
     serialize_scenario,
 )
-from balcone.ring import AmbientSpace, divisor_class
 
 
 def mutated(**overrides):
@@ -117,10 +116,30 @@ _DOCUMENT_ERRORS = [
     pytest.param(
         mutated(codim_basis=_codim("α β")), "/codim_basis/0/expr", id="expr-no-operator"
     ),
+    # α³ = 0 on the quintic, but a sum of terms of different degrees is no class.
+    pytest.param(
+        mutated(codim_basis=_codim("α*α*α + β*β")), "/codim_basis/0/expr",
+        id="expr-mixed-degrees",
+    ),
     pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
         "/prime_divisors/0/coords", id="prime-coords-triple",
+    ),
+    # The CLI folds case and Greek letters, so folded names must be distinct.
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
+                                {"name": "e1", "coords": [-1, 4]}]),
+        "/prime_divisors/1/name", id="prime-names-fold-together",
+    ),
+    pytest.param(
+        mutated(codim_basis=[{"name": "β", "expr": "α*β"}, {"name": "b", "expr": "β*β"}]),
+        "/codim_basis/0/name", id="codim-name-is-h11-name",
+    ),
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
+                                {"name": "E1", "coords": [-1, 4]}]),
+        "/prime_divisors/1/name", id="prime-names-repeat",
     ),
 ]
 
@@ -138,30 +157,25 @@ def test_document_error_located(doc, path, tmp_path, capsys):
 
 class TestClassExpr:
     def test_rational_combination(self):
-        space = AmbientSpace([4, 1])
-        alpha = divisor_class(space, (0, 1))
-        beta = divisor_class(space, (1, 0))
-        named = {"α": alpha, "β": beta}
-        got = parse_class_expr("β*β - 1/4*α*β", named, space)
-        quarter = parse_class_expr("1/4*α*β", named, space)
-        assert got + quarter == beta * beta
+        names = ("α", "β")
+        got = parse_class_expr("β*β - 1/4*α*β", names)
+        quarter = parse_class_expr("1/4*α*β", names)
+        assert tuple(a + b for a, b in zip(got, quarter)) == parse_class_expr("β*β", names)
+        assert got == (1, Fraction(-1, 4), 0)
 
     def test_leading_sign(self):
-        space = AmbientSpace([4, 1])
-        named = {"β": divisor_class(space, (1, 0))}
-        assert parse_class_expr("-β", named, space) == -named["β"]
+        assert parse_class_expr("-β", ("α", "β")) == (-1, 0)
 
     def test_dangling_operator(self):
-        space = AmbientSpace([4, 1])
-        named = {"β": divisor_class(space, (1, 0))}
         with pytest.raises(ScenarioError):
-            parse_class_expr("β*", named, space)
-
+            parse_class_expr("β*", ("α", "β"))
 
     def test_sum_in_document(self):
         sc = document_to_scenario(mutated(codim_basis=_codim("α*β + β*β")))
         alpha, beta = sc.h11_classes
-        assert sc.codim_classes[0] == alpha * beta + beta * beta
+        assert sc.codim_forms[0] == (1, 1, 0)
+        assert sc.pairing_matrix.entries[0][0] == \
+            sc.ci.intersection_number([alpha, alpha * beta + beta * beta])
 
 
 class TestRoundTrip:

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from balcone.cones import cone_new
 from balcone.errors import DegreeMismatchError, ValidationError
+from balcone.pipeline import Scenario
 from balcone.ring import AmbientSpace, divisor_class, linear_combination
 from balcone.variety import CompleteIntersection
 
@@ -96,12 +99,19 @@ class TestIntersectionNumber:
             assert lhs == rhs
 
 
+def scenario(ci, h11, codim_forms):
+    """Scenario on ``ci`` whose pairing is read from κ at construction."""
+    quadrant = cone_new((1, 0), (0, 1))
+    return Scenario(ci, ("h1", "h2"), tuple(h11), ("c1", "c2"), tuple(codim_forms),
+                    quadrant, quadrant)
+
+
 class TestPairingMatrix:
+    """The scenario's pairing of the h11 basis with the codim basis forms."""
+
     def test_quintic_pairing(self, quintic_ci):
-        alpha, beta = basis(quintic_ci)
-        pm = quintic_ci.pairing_matrix(
-            [alpha, beta], [alpha * beta, beta * beta]
-        )
+        # α∧β and β∧β as forms in (α, β)
+        pm = scenario(quintic_ci, basis(quintic_ci), [(0, 1, 0), (1, 0, 0)]).pairing_matrix
         assert pm.entries == ((0, 4), (4, 5))
         assert pm.det == -16
         assert pm.det != 0
@@ -110,33 +120,36 @@ class TestPairingMatrix:
         ci = CompleteIntersection(AmbientSpace([2]), [])
         h = ci.space.generator(0)
         assert ci.intersection_number([h, h]) == 1
-        with pytest.raises(ValidationError, match="2x2"):
-            ci.pairing_matrix([h], [h])
+        with pytest.raises(ValidationError, match="two degree-1"):
+            scenario(ci, [h], [(1, 0), (0, 1)])
 
     def test_p1_x_p1(self):
         ci = CompleteIntersection(AmbientSpace([1, 1]), [])
         h0, h1 = ci.space.generator(0), ci.space.generator(1)
-        pm = ci.pairing_matrix([h0, h1], [h0, h1])
+        pm = scenario(ci, [h0, h1], [(0, 1), (1, 0)]).pairing_matrix
         assert pm.entries == ((0, 1), (1, 0))
 
     def test_entries_recompute(self, quintic_ci):
         alpha, beta = basis(quintic_ci)
-        rows = [alpha, beta]
-        cols = [alpha * beta, beta * beta]
-        pm = quintic_ci.pairing_matrix(rows, cols)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
+        forms = [(2, Fraction(-1, 3), 0), (Fraction(1, 2), 1, 7)]
+        pm = scenario(quintic_ci, [alpha, beta], forms).pairing_matrix
+        for j, f in enumerate(forms):
+            c = f[0] * beta * beta + f[1] * alpha * beta + f[2] * alpha * alpha
+            for i, r in enumerate((alpha, beta)):
                 assert pm.entries[i][j] == quintic_ci.intersection_number([r, c])
 
     def test_row_degree_validated(self, quintic_ci):
         alpha, beta = basis(quintic_ci)
         with pytest.raises(ValidationError, match="row"):
-            quintic_ci.pairing_matrix([alpha * beta], [alpha * beta])
+            scenario(quintic_ci, [alpha * beta, beta], [(0, 1, 0), (1, 0, 0)])
 
     def test_col_degree_validated(self, quintic_ci):
-        alpha, beta = basis(quintic_ci)
         with pytest.raises(ValidationError, match="column"):
-            quintic_ci.pairing_matrix([alpha], [beta])
+            scenario(quintic_ci, basis(quintic_ci), [(0, 1), (1, 0)])
+
+    def test_degenerate_bases_rejected(self, quintic_ci):
+        with pytest.raises(ValidationError, match="degenerate"):
+            scenario(quintic_ci, basis(quintic_ci), [(0, 1, 0), (0, 2, 0)])
 
 
 class TestDivisorRelations:
