@@ -91,7 +91,7 @@ def _load_scenario(path):
         return quintic_conifold_scenario()
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read scenario file: {e}") from e
     return parse_scenario(text)
 

@@ -6,10 +6,11 @@ written in degree-1 coordinates: the Kähler cone and the (pseudo-)effective
 cone.  The effective cone is input, not derived; what the pipeline verifies
 about it is arithmetic (pairing certificates), not geometry.
 
-Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), one ring pass
-per scenario.  Classes in h1 and h2, such as the codim basis, are binary
-forms: a form of degree d is a tuple of d+1 coefficients, entry j that of
-h1^j h2^(d−j).
+Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
+computed once per scenario from the multidegrees of h1 and h2; no number
+needs a ring class.  Classes in h1 and h2, such as the codim basis, are
+binary forms: a form of degree d is a tuple of d+1 coefficients, entry j
+that of h1^j h2^(d−j).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Tuple
 
 from .cones import Cone2D, Pairing, Ray, cone_new, det2, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegreeMismatchError, ValidationError
-from .ring import CohomClass
+from .ring import CohomClass, divisor_class
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -48,31 +49,31 @@ class Scenario:
 
     ci: CompleteIntersection
     h11_names: Tuple[str, str]
-    h11_classes: Tuple[CohomClass, CohomClass]
+    h11_multidegrees: Tuple[Tuple[int, ...], Tuple[int, ...]]
     codim_names: Tuple[str, str]
     codim_forms: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     kahler_cone: Cone2D
     effective_cone: Cone2D
     prime_divisors: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
     codim_exprs: Optional[Tuple[str, str]] = None
-    kappa: Tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    kappa: Tuple[int, ...] = field(init=False, compare=False, repr=False)
     pairing_matrix: Pairing = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dim = self.ci.dim
-        if len(self.h11_names) != 2 or len(self.h11_classes) != 2:
+        if len(self.h11_names) != 2 or len(self.h11_multidegrees) != 2:
             raise ValidationError("scenario needs exactly two degree-1 basis classes")
         if len(self.codim_names) != 2 or len(self.codim_forms) != 2:
             raise ValidationError(f"scenario needs exactly two degree-{dim - 1} basis classes")
-        for i, h in enumerate(self.h11_classes):
-            if h.degree() != 1:
+        for i, h in enumerate(self.h11_multidegrees):
+            if not any(h):
                 raise ValidationError(f"row class {i} must have degree 1")
         for j, c in enumerate(self.codim_forms):
             if len(c) != dim:
                 raise ValidationError(
                     f"column class {j} must have degree {dim - 1}, got {len(c) - 1}"
                 )
-        object.__setattr__(self, "kappa", self.ci.kappa(*self.h11_classes))
+        object.__setattr__(self, "kappa", self.ci.kappa(*self.h11_multidegrees))
         # ∫ h1·c = Σ c_j κ_(j+1) and ∫ h2·c = Σ c_j κ_j for a codim form c
         pm = Pairing([[_dot(c, self.kappa[1 - i:]) for c in self.codim_forms] for i in (0, 1)])
         if pm.det == 0:
@@ -80,6 +81,11 @@ class Scenario:
                 "intersection pairing of the chosen bases is degenerate"
             )
         object.__setattr__(self, "pairing_matrix", pm)
+
+    @property
+    def h11_classes(self) -> Tuple[CohomClass, CohomClass]:
+        """The degree-1 basis as ring classes, for ``express_in_basis`` and ring-side checks."""
+        return tuple(divisor_class(self.ci.space, d) for d in self.h11_multidegrees)
 
     def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
         for n, coords in self.prime_divisors:
@@ -132,15 +138,14 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
     next surviving mixed term, and the scan captures that exactly.  Up to its
     positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j).
-    Here k_j = ∫ u^j v^(dim−j) times a positive integer: Horner's rule expands
-    κ(s, t) = Σ_i C(dim, i) κ_i s^i t^(dim−i) at s·h1 + t·h2 = x·u + y·v in
-    integers over the common denominator of κ; x^j y^(dim−j) gets C(dim, j) k_j.
+    Here k_j = ∫ u^j v^(dim−j): Horner's rule expands κ(s, t) =
+    Σ_i C(dim, i) κ_i s^i t^(dim−i) at s·h1 + t·h2 = x·u + y·v in integers,
+    and x^j y^(dim−j) gets C(dim, j) k_j.
     """
     rays = scenario.kahler_cone.generators()
     (u1, u2), (v1, v2) = (r.coords for r in rays)
     d, kappa = scenario.ci.dim, scenario.kappa
-    den = lcm(*[q.denominator for q in kappa])
-    a = [comb(d, i) * q.numerator * (den // q.denominator) for i, q in enumerate(kappa)]
+    a = [comb(d, i) * q for i, q in enumerate(kappa)]
     acc, t_power = [a[d]], [1]
     for i in range(d - 1, -1, -1):
         t_power = _product(t_power, [v2, u2])

@@ -203,6 +203,21 @@ class CohomClass:
         return "CohomClass(" + " + ".join(bits) + f" on {self.space!r})"
 
 
+def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> Tuple[int, ...]:
+    """The multidegree as a tuple, after checking its length and entries."""
+    d = tuple(multidegree)
+    if len(d) != space.nfactors:
+        raise ValidationError(
+            f"multidegree {d} has length {len(d)}, expected {space.nfactors}"
+        )
+    for i, di in enumerate(d):
+        if not isinstance(di, int) or isinstance(di, bool) or di < 0:
+            raise ValidationError(
+                f"multidegree entry {i}: expected a non-negative integer, got {di!r}"
+            )
+    return d
+
+
 def divisor_class(space: AmbientSpace, multidegree: Sequence[int]) -> CohomClass:
     """First Chern class ``sum(d_i * h_i)`` of a multidegree.
 
@@ -210,17 +225,8 @@ def divisor_class(space: AmbientSpace, multidegree: Sequence[int]) -> CohomClass
     i-th factor cuts out a divisor with exactly this class; the all-zero
     multidegree gives the zero class.
     """
-    d = tuple(multidegree)
-    if len(d) != space.nfactors:
-        raise ValidationError(
-            f"multidegree {d} has length {len(d)}, expected {space.nfactors}"
-        )
     terms = {}
-    for i, di in enumerate(d):
-        if not isinstance(di, int) or isinstance(di, bool) or di < 0:
-            raise ValidationError(
-                f"multidegree entry {i}: expected a non-negative integer, got {di!r}"
-            )
+    for i, di in enumerate(check_multidegree(space, multidegree)):
         if di:
             e = [0] * space.nfactors
             e[i] = 1

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cones import cone_new
 from .errors import ScenarioError, ValidationError
 from .pipeline import Scenario
-from .ring import AmbientSpace, divisor_class
+from .ring import AmbientSpace, check_multidegree
 from .variety import CompleteIntersection
 
 _TRANSLIT = str.maketrans(
@@ -150,7 +150,10 @@ def parse_class_expr(expr, names, path="expr"):
                 raise ScenarioError("expected a name or number", path=path)
             tok = tokens[idx]
             if _NUMBER.match(tok):
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ScenarioError(f"zero denominator in {tok!r}", path=path) from None
             elif tok in names:
                 degree += 1
                 j += tok == names[0]
@@ -191,7 +194,7 @@ def document_to_scenario(doc) -> Scenario:
     except ValidationError as e:
         raise ScenarioError(str(e), path="/divisors") from e
 
-    h11_names, h11_classes, seen = [], [], {}
+    h11_names, h11_multidegrees, seen = [], [], {}
     for name, raw, here in _named_entries(doc, "h11_basis", "multidegree", seen):
         if any(ch in name for ch in "+-*/ \t"):
             raise ScenarioError(
@@ -204,11 +207,10 @@ def document_to_scenario(doc) -> Scenario:
                 "multidegree must have a positive entry", path=f"{here}/multidegree"
             )
         try:
-            cls = divisor_class(space, d)
+            h11_multidegrees.append(check_multidegree(space, d))
         except ValidationError as e:
             raise ScenarioError(str(e), path=f"{here}/multidegree") from e
         h11_names.append(name)
-        h11_classes.append(cls)
 
     codim_names, codim_forms, codim_exprs = [], [], []
     for name, raw, here in _named_entries(doc, "codim_basis", "expr", seen):
@@ -228,7 +230,7 @@ def document_to_scenario(doc) -> Scenario:
         return Scenario(
             ci=ci,
             h11_names=tuple(h11_names),
-            h11_classes=tuple(h11_classes),
+            h11_multidegrees=tuple(h11_multidegrees),
             codim_names=tuple(codim_names),
             codim_forms=tuple(codim_forms),
             kahler_cone=kahler,
@@ -246,18 +248,9 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(e.msg, line=e.lineno, column=e.colno) from e
+    except RecursionError:
+        raise ScenarioError("JSON nesting is too deep") from None
     return document_to_scenario(doc)
-
-
-def _multidegree_of(cls):
-    out = [0] * cls.space.nfactors
-    for exp, coeff in cls.terms().items():
-        if sum(exp) != 1 or coeff.denominator != 1 or coeff < 0:
-            raise ValidationError(
-                "degree-1 basis class is not a non-negative multidegree class"
-            )
-        out[exp.index(1)] = int(coeff)
-    return out
 
 
 def scenario_to_document(s: Scenario) -> dict:
@@ -268,8 +261,8 @@ def scenario_to_document(s: Scenario) -> dict:
         "ambient": list(s.ci.space.dims),
         "divisors": [list(d) for d in s.ci.divisors],
         "h11_basis": [
-            {"name": n, "multidegree": _multidegree_of(c)}
-            for n, c in zip(s.h11_names, s.h11_classes)
+            {"name": n, "multidegree": list(d)}
+            for n, d in zip(s.h11_names, s.h11_multidegrees)
         ],
         "codim_basis": [
             {"name": n, "expr": e} for n, e in zip(s.codim_names, s.codim_exprs)

@@ -3,18 +3,34 @@
 An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral against its
-fundamental class, the product of the divisor classes.  This module builds
-no pairings: a scenario reads its pairing and every other number from one
-``kappa`` pass.
+fundamental class, the product of the divisor classes.  The fundamental class
+is kept as an integer polynomial in the hyperplane classes, so ``kappa``
+multiplies linear forms in integers and builds no ring class; a scenario
+reads every number it reports from that one pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 from typing import Sequence, Tuple
 
 from .errors import DegreeMismatchError, ValidationError
-from .ring import AmbientSpace, CohomClass, divisor_class, integrate
+from .ring import AmbientSpace, CohomClass, check_multidegree, integrate
+
+
+def _times_linear(poly, linear, dims):
+    """poly · Σ d_i h_i in the truncated ring, on exponent -> integer coefficient dicts.
+
+    Multidegrees are non-negative, so nothing cancels: the zero class is the empty dict.
+    """
+    out = {}
+    for exp, c in poly.items():
+        for i, d in enumerate(linear):
+            if d and exp[i] < dims[i]:
+                e = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                out[e] = out.get(e, 0) + c * d
+    return out
 
 
 class CompleteIntersection:
@@ -23,28 +39,28 @@ class CompleteIntersection:
     __slots__ = ("space", "divisors", "dim", "_fundamental")
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
-        classes = [divisor_class(space, d) for d in divisors]
-        dim = space.total_dim - len(classes)
+        divisors = tuple(check_multidegree(space, d) for d in divisors)
+        dim = space.total_dim - len(divisors)
         if dim < 1:
             raise ValidationError(
-                f"{len(classes)} divisors in a {space.total_dim}-dimensional "
+                f"{len(divisors)} divisors in a {space.total_dim}-dimensional "
                 f"ambient space leave dimension {dim}; need at least 1"
             )
-        fundamental = space.one()
-        for cls in classes:
-            fundamental = fundamental * cls
-        if fundamental.is_zero():
+        fundamental = {(0,) * space.nfactors: 1}
+        for d in divisors:
+            fundamental = _times_linear(fundamental, d, space.dims)
+        if not fundamental:
             raise ValidationError(
                 "divisor classes annihilate the ambient ring (zero fundamental class)"
             )
         self.space = space
-        self.divisors = tuple(tuple(d) for d in divisors)
+        self.divisors = divisors
         self.dim = dim
         self._fundamental = fundamental
 
     def fundamental_class(self) -> CohomClass:
         """Product of the divisor classes; the unit class for no divisors."""
-        return self._fundamental
+        return CohomClass(self.space, self._fundamental)
 
     def intersection_number(self, factors: Sequence[CohomClass]) -> Fraction:
         """Integral over the intersection of a product of ambient classes.
@@ -63,22 +79,37 @@ class CompleteIntersection:
             total += d
         if total != self.dim:
             raise DegreeMismatchError(self.dim, total)
-        acc = self._fundamental
+        acc = self.fundamental_class()
         for f in factors:
             acc = acc * f
         return integrate(acc)
 
-    def kappa(self, a: CohomClass, b: CohomClass) -> Tuple[Fraction, ...]:
-        """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, in one pass."""
-        if any(c.degree() not in (None, 1) for c in (a, b)):
-            raise ValidationError("kappa needs two degree-1 classes")
-        b_powers = [self.space.one()]
-        for _ in range(self.dim):
-            b_powers.append(b_powers[-1] * b)
-        values, acc = [], self._fundamental
-        for b_power in reversed(b_powers):
-            values.append(integrate(acc * b_power))
-            acc = acc * a
+    def kappa(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+        """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
+
+        The integral is the top coefficient of F·a^j·b^m, F the fundamental
+        class, m = dim − j and h^n the top monomial.  A term c·h^e of F·a^j
+        reaches h^n only through h^k, k = n − e, of b^m, whose coefficient is
+        the multinomial m!/∏k_i! · ∏b_i^(k_i) (truncation drops monomials, it
+        changes no coefficient).  The weights b_i^(k_i)·n_i!/k_i! keep the sum
+        in integers over the common factor ∏n_i!.
+        """
+        dims = self.space.dims
+        a, b = (check_multidegree(self.space, d) for d in (a, b))
+        weights = [
+            [b_i ** k * (factorial(n) // factorial(k)) for k in range(n + 1)]
+            for n, b_i in zip(dims, b)
+        ]
+        denominator = prod(factorial(n) for n in dims)
+        values, poly = [], self._fundamental
+        for j in range(self.dim + 1):
+            if j:
+                poly = _times_linear(poly, a, dims)
+            top = sum(
+                c * prod(w[n - e] for w, n, e in zip(weights, dims, exp))
+                for exp, c in poly.items()
+            )
+            values.append(factorial(self.dim - j) * top // denominator)
         return tuple(values)
 
     def __eq__(self, other):

@@ -93,6 +93,20 @@ class TestScenarioLoading:
         assert code == 3
         assert "line 1" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(DEMO_SCENARIO_JSON.encode("utf-8").replace("α".encode("utf-8"), b"\xe1"))
+        code, _, err = run(capsys, "demo", "--scenario", str(path))
+        assert code == 3
+        assert "cannot read scenario file" in err
+
+    def test_json_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        code, _, err = run(capsys, "demo", "--scenario", str(path))
+        assert code == 3
+        assert "nesting" in err
+
     def test_semantic_error_path(self, capsys, tmp_path):
         doc = json.loads(DEMO_SCENARIO_JSON)
         doc["kahler_cone"] = [[0, 0], [0, 1]]

@@ -177,10 +177,23 @@ def test_document_round_trip(doc):
     }
 
 
-def test_kappa_rejects_classes_of_other_degree():
-    space = AmbientSpace([4, 1])
-    ci = CompleteIntersection(space, [(1, 1), (4, 1)])
-    alpha, beta = divisor_class(space, (0, 1)), divisor_class(space, (1, 0))
-    assert ci.kappa(alpha, beta) == (5, 4, 0, 0)
-    with pytest.raises(ValidationError, match="degree-1"):
-        ci.kappa(alpha, beta * beta)
+def test_kappa_rejects_malformed_multidegrees():
+    ci = CompleteIntersection(AmbientSpace([4, 1]), [(1, 1), (4, 1)])
+    assert ci.kappa((0, 1), (1, 0)) == (5, 4, 0, 0)
+    with pytest.raises(ValidationError, match="length"):
+        ci.kappa((0, 1), (1, 0, 0))
+    with pytest.raises(ValidationError, match="integer"):
+        ci.kappa((0, Fraction(1, 2)), (1, 0))
+
+
+def test_kappa_on_many_factors():
+    """(P^1)^8 cut by four (1,…,1) divisors, α and β on the two halves of the
+    factors: more factors than the random draws reach."""
+    space = AmbientSpace([1] * 8)
+    ci = CompleteIntersection(space, [(1,) * 8] * 4)
+    alpha, beta = (1,) * 4 + (0,) * 4, (0,) * 4 + (1,) * 4
+    kappa = ci.kappa(alpha, beta)
+    assert kappa == (576, 2304, 3456, 2304, 576)
+    assert all(type(k) is int for k in kappa)
+    a, b = divisor_class(space, alpha), divisor_class(space, beta)
+    assert kappa == tuple(ci.intersection_number([a] * j + [b] * (4 - j)) for j in range(5))

@@ -31,7 +31,7 @@ def with_effective(sc, cone):
     return Scenario(
         ci=sc.ci,
         h11_names=sc.h11_names,
-        h11_classes=sc.h11_classes,
+        h11_multidegrees=sc.h11_multidegrees,
         codim_names=sc.codim_names,
         codim_forms=sc.codim_forms,
         kahler_cone=sc.kahler_cone,
@@ -95,7 +95,7 @@ class TestBalancedImageClosure:
         scaled = Scenario(
             ci=sc.ci,
             h11_names=sc.h11_names,
-            h11_classes=sc.h11_classes,
+            h11_multidegrees=sc.h11_multidegrees,
             codim_names=sc.codim_names,
             codim_forms=sc.codim_forms,
             kahler_cone=cone_new((Fraction(7, 3), 0), (0, Fraction(2, 5))),
@@ -117,11 +117,10 @@ class TestBalancedCone:
     def test_identity_pairing_quadrant(self):
         space = AmbientSpace([1, 1])
         ci = CompleteIntersection(space, [])
-        h0, h1 = space.generator(0), space.generator(1)
         scenario = Scenario(
             ci=ci,
             h11_names=("h0", "h1"),
-            h11_classes=(h0, h1),
+            h11_multidegrees=((1, 0), (0, 1)),
             codim_names=("c0", "c1"),
             codim_forms=((1, 0), (0, 1)),  # h1 and h0: the pairing is the identity
             kahler_cone=cone_new((1, 0), (0, 1)),
@@ -249,7 +248,7 @@ def random_product_scenario(rng):
                 return Scenario(
                     ci=ci,
                     h11_names=("h0", "h1"),
-                    h11_classes=(h0, h1),
+                    h11_multidegrees=((1, 0), (0, 1)),
                     codim_names=(na, nb),
                     codim_forms=(ca, cb),
                     kahler_cone=quadrant,

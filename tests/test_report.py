@@ -79,8 +79,7 @@ class TestPayloads:
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_payloads_run_no_ring_products(n, monkeypatch):
-    """The ring runs once per scenario, at construction; every payload reads κ."""
-    sc = document_to_scenario(pn_document(n))
+    """Neither building the scenario nor any payload multiplies ring classes."""
     commands = [
         ["demo"], ["gap"], ["image"], ["balanced"], ["pairing"],
         ["dual", "--rays", "-1,4", "1,0"], ["bound", "E1", "1,1"],
@@ -90,6 +89,7 @@ def test_payloads_run_no_ring_products(n, monkeypatch):
     mul = CohomClass.__mul__
     monkeypatch.setattr(CohomClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
     parser = build_parser()
+    sc = document_to_scenario(pn_document(n))
     for argv in commands:
         run_command(sc, parser.parse_args(argv))
     assert calls == []

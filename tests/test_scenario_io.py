@@ -121,6 +121,9 @@ _DOCUMENT_ERRORS = [
         mutated(codim_basis=_codim("α*α*α + β*β")), "/codim_basis/0/expr",
         id="expr-mixed-degrees",
     ),
+    pytest.param(
+        mutated(codim_basis=_codim("1/0*α*β")), "/codim_basis/0/expr", id="expr-zero-denominator"
+    ),
     pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
@@ -195,12 +198,10 @@ class TestRoundTrip:
         assert scenario_to_document(quintic_conifold_scenario()) == \
             DEMO_SCENARIO_DOCUMENT
 
-    def test_rational_h11_class_not_serializable(self):
+    def test_rational_h11_multidegree_rejected(self):
         sc = quintic_conifold_scenario()
-        alpha, beta = sc.h11_classes
-        halved = dataclasses.replace(sc, h11_classes=(alpha, Fraction(1, 2) * beta))
         with pytest.raises(ValidationError, match="multidegree"):
-            scenario_to_document(halved)
+            dataclasses.replace(sc, h11_multidegrees=((0, 1), (Fraction(1, 2), 0)))
 
     def test_missing_codim_exprs_not_serializable(self):
         sc = dataclasses.replace(quintic_conifold_scenario(), codim_exprs=None)

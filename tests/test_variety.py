@@ -99,8 +99,12 @@ class TestIntersectionNumber:
             assert lhs == rhs
 
 
+# α and β of the quintic as multidegrees, in the order of ``basis``
+ALPHA_BETA = ((0, 1), (1, 0))
+
+
 def scenario(ci, h11, codim_forms):
-    """Scenario on ``ci`` whose pairing is read from κ at construction."""
+    """Scenario on ``ci`` with h11 multidegrees ``h11``; its pairing is read from κ."""
     quadrant = cone_new((1, 0), (0, 1))
     return Scenario(ci, ("h1", "h2"), tuple(h11), ("c1", "c2"), tuple(codim_forms),
                     quadrant, quadrant)
@@ -111,7 +115,7 @@ class TestPairingMatrix:
 
     def test_quintic_pairing(self, quintic_ci):
         # α∧β and β∧β as forms in (α, β)
-        pm = scenario(quintic_ci, basis(quintic_ci), [(0, 1, 0), (1, 0, 0)]).pairing_matrix
+        pm = scenario(quintic_ci, ALPHA_BETA, [(0, 1, 0), (1, 0, 0)]).pairing_matrix
         assert pm.entries == ((0, 4), (4, 5))
         assert pm.det == -16
         assert pm.det != 0
@@ -121,35 +125,34 @@ class TestPairingMatrix:
         h = ci.space.generator(0)
         assert ci.intersection_number([h, h]) == 1
         with pytest.raises(ValidationError, match="two degree-1"):
-            scenario(ci, [h], [(1, 0), (0, 1)])
+            scenario(ci, [(1,)], [(1, 0), (0, 1)])
 
     def test_p1_x_p1(self):
         ci = CompleteIntersection(AmbientSpace([1, 1]), [])
-        h0, h1 = ci.space.generator(0), ci.space.generator(1)
-        pm = scenario(ci, [h0, h1], [(0, 1), (1, 0)]).pairing_matrix
+        pm = scenario(ci, [(1, 0), (0, 1)], [(0, 1), (1, 0)]).pairing_matrix
         assert pm.entries == ((0, 1), (1, 0))
 
     def test_entries_recompute(self, quintic_ci):
         alpha, beta = basis(quintic_ci)
         forms = [(2, Fraction(-1, 3), 0), (Fraction(1, 2), 1, 7)]
-        pm = scenario(quintic_ci, [alpha, beta], forms).pairing_matrix
+        pm = scenario(quintic_ci, ALPHA_BETA, forms).pairing_matrix
         for j, f in enumerate(forms):
             c = f[0] * beta * beta + f[1] * alpha * beta + f[2] * alpha * alpha
             for i, r in enumerate((alpha, beta)):
                 assert pm.entries[i][j] == quintic_ci.intersection_number([r, c])
 
     def test_row_degree_validated(self, quintic_ci):
-        alpha, beta = basis(quintic_ci)
+        # the zero multidegree is the only one of another degree (none)
         with pytest.raises(ValidationError, match="row"):
-            scenario(quintic_ci, [alpha * beta, beta], [(0, 1, 0), (1, 0, 0)])
+            scenario(quintic_ci, [(0, 0), (1, 0)], [(0, 1, 0), (1, 0, 0)])
 
     def test_col_degree_validated(self, quintic_ci):
         with pytest.raises(ValidationError, match="column"):
-            scenario(quintic_ci, basis(quintic_ci), [(0, 1), (1, 0)])
+            scenario(quintic_ci, ALPHA_BETA, [(0, 1), (1, 0)])
 
     def test_degenerate_bases_rejected(self, quintic_ci):
         with pytest.raises(ValidationError, match="degenerate"):
-            scenario(quintic_ci, basis(quintic_ci), [(0, 1, 0), (0, 2, 0)])
+            scenario(quintic_ci, ALPHA_BETA, [(0, 1, 0), (0, 2, 0)])
 
 
 class TestDivisorRelations:
