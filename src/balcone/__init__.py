@@ -26,18 +26,11 @@ from .pipeline import (
     balanced_cone,
     balanced_image_closure,
     divisor_bound_functional,
-    express_in_basis,
     gap_report,
     integrate_forms,
     quintic_conifold_scenario,
 )
-from .ring import (
-    AmbientSpace,
-    CohomClass,
-    divisor_class,
-    integrate,
-    linear_combination,
-)
+from .ring import AmbientSpace
 from .scenario_io import (
     DEMO_SCENARIO_JSON,
     parse_scenario,
@@ -50,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientSpace",
-    "CohomClass",
     "CompleteIntersection",
     "Cone2D",
     "ComputationError",
@@ -70,14 +62,10 @@ __all__ = [
     "cone_new",
     "det2",
     "divisor_bound_functional",
-    "divisor_class",
     "dual_cone",
-    "express_in_basis",
     "gap_report",
-    "integrate",
     "integrate_forms",
     "is_subcone",
-    "linear_combination",
     "parse_scenario",
     "quintic_conifold_scenario",
     "ray_normalize",

@@ -37,9 +37,13 @@ def _resolve(name, entries, kind):
 
 
 def _pair_arg(text: str):
+    """Two rationals, each an integer, ``p/q`` or a decimal; exponent notation
+    is refused, since ``Fraction`` would expand ``1e999999999`` digit by digit."""
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'X,Y', got {text!r}")
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"exponent notation is not accepted, got {text!r}")
     try:
         return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError) as e:

@@ -7,10 +7,9 @@ cone.  The effective cone is input, not derived; what the pipeline verifies
 about it is arithmetic (pairing certificates), not geometry.
 
 Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
-computed once per scenario from the multidegrees of h1 and h2; no number
-needs a ring class.  Classes in h1 and h2, such as the codim basis, are
-binary forms: a form of degree d is a tuple of d+1 coefficients, entry j
-that of h1^j h2^(d−j).
+computed once per scenario from the multidegrees of h1 and h2.  Classes in
+h1 and h2, such as the codim basis, are binary forms: a form of degree d is
+a tuple of d+1 coefficients, entry j that of h1^j h2^(d−j).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Optional, Tuple
 
 from .cones import Cone2D, Pairing, Ray, cone_new, det2, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegreeMismatchError, ValidationError
-from .ring import CohomClass, divisor_class
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -82,11 +80,6 @@ class Scenario:
             )
         object.__setattr__(self, "pairing_matrix", pm)
 
-    @property
-    def h11_classes(self) -> Tuple[CohomClass, CohomClass]:
-        """The degree-1 basis as ring classes, for ``express_in_basis`` and ring-side checks."""
-        return tuple(divisor_class(self.ci.space, d) for d in self.h11_multidegrees)
-
     def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
         for n, coords in self.prime_divisors:
             if n == name:
@@ -108,17 +101,6 @@ class GapReport:
     strict: bool
     gap_generators: Tuple[Ray, ...]
     witness: Optional[Ray]
-
-
-def express_in_basis(scenario: Scenario, p) -> Tuple[Fraction, Fraction]:
-    """Coordinates of a degree dim-1 ring class in the scenario's codim basis.
-
-    Solves M c = w where M is the scenario's pairing matrix and
-    w_i = intersection number of h11_i with p.  The result c makes p
-    numerically equivalent to c1*codim1 + c2*codim2 on the intersection.
-    """
-    w = [scenario.ci.intersection_number([h, p]) for h in scenario.h11_classes]
-    return scenario.pairing_matrix.solve(w)
 
 
 def integrate_forms(scenario: Scenario, forms) -> Fraction:

@@ -9,9 +9,11 @@ aligned text derived from the same payload.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .cones import Cone2D, Ray, dual_cone
+from .errors import ComputationError
 from .pipeline import (
     GapReport,
     Scenario,
@@ -44,7 +46,13 @@ _VULGAR = {
 
 def fmt_rational(value) -> str:
     """Reduced ``p/q`` string with positive denominator; plain ``p`` for integers."""
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError:  # more digits than int's string conversion allows
+        raise ComputationError(
+            f"result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
 
 
 def _coeff_text(c: Fraction) -> str:
@@ -54,7 +62,7 @@ def _coeff_text(c: Fraction) -> str:
         return sign
     text = _VULGAR.get(mag)
     if text is None:
-        text = str(mag.numerator) if mag.denominator == 1 else f"{mag}·"
+        text = fmt_rational(mag) + ("" if mag.denominator == 1 else "·")
     return sign + text
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .cones import cone_new
@@ -58,6 +59,11 @@ DEMO_SCENARIO_DOCUMENT = {
 }
 
 DEMO_SCENARIO_JSON = json.dumps(DEMO_SCENARIO_DOCUMENT, indent=2, ensure_ascii=False) + "\n"
+
+
+def _too_long() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"number has more than {limit} digits, the limit for reading an integer"
 
 
 def _canonical(name: str) -> str:
@@ -154,6 +160,8 @@ def parse_class_expr(expr, names, path="expr"):
                     coeff *= Fraction(tok)
                 except ZeroDivisionError:
                     raise ScenarioError(f"zero denominator in {tok!r}", path=path) from None
+                except ValueError:  # more digits than int's string conversion allows
+                    raise ScenarioError(_too_long(), path=path) from None
             elif tok in names:
                 degree += 1
                 j += tok == names[0]
@@ -250,6 +258,12 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(e.msg, line=e.lineno, column=e.colno) from e
     except RecursionError:
         raise ScenarioError("JSON nesting is too deep") from None
+    except ValueError:  # an integer literal longer than int's string conversion allows
+        start = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text).start()
+        line = text.count("\n", 0, start) + 1
+        raise ScenarioError(
+            _too_long(), line=line, column=start - text.rfind("\n", 0, start)
+        ) from None
     return document_to_scenario(doc)
 
 

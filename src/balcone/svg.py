@@ -31,8 +31,9 @@ def _fmt(value: float) -> str:
 
 
 def _angle(ray) -> float:
-    theta = atan2(float(ray[1]), float(ray[0]))
-    return theta
+    # Shift huge integer coordinates down together, so that float() cannot overflow.
+    shift = max(0, abs(ray[0]).bit_length() - 1000, abs(ray[1]).bit_length() - 1000)
+    return atan2(float(ray[1] >> shift), float(ray[0] >> shift))
 
 
 def _angles(rays):

@@ -4,19 +4,20 @@ An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral against its
 fundamental class, the product of the divisor classes.  The fundamental class
-is kept as an integer polynomial in the hyperplane classes, so ``kappa``
-multiplies linear forms in integers and builds no ring class; a scenario
-reads every number it reports from that one pass.
+is kept as an integer polynomial in the hyperplane classes, and ``kappa``
+multiplies it by linear forms in integers; a scenario reads every number it
+reports from that one pass.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, prod
+from itertools import accumulate, repeat
+from math import prod
+from operator import mul
 from typing import Sequence, Tuple
 
-from .errors import DegreeMismatchError, ValidationError
-from .ring import AmbientSpace, CohomClass, check_multidegree, integrate
+from .errors import ValidationError
+from .ring import AmbientSpace, check_multidegree
 
 
 def _times_linear(poly, linear, dims):
@@ -31,6 +32,12 @@ def _times_linear(poly, linear, dims):
                 e = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
                 out[e] = out.get(e, 0) + c * d
     return out
+
+
+def _weights(n, b):
+    """b^k · n!/k! for k = 0..n, from running products."""
+    falling = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n!/k!
+    return [f * p for f, p in zip(falling, accumulate(repeat(b, n), mul, initial=1))]
 
 
 class CompleteIntersection:
@@ -58,32 +65,6 @@ class CompleteIntersection:
         self.dim = dim
         self._fundamental = fundamental
 
-    def fundamental_class(self) -> CohomClass:
-        """Product of the divisor classes; the unit class for no divisors."""
-        return CohomClass(self.space, self._fundamental)
-
-    def intersection_number(self, factors: Sequence[CohomClass]) -> Fraction:
-        """Integral over the intersection of a product of ambient classes.
-
-        Factors must be homogeneous ambient classes whose degrees sum to the
-        intersection's dimension.  A zero factor short-circuits to 0 since
-        the integral vanishes regardless of degree bookkeeping.
-        """
-        total = 0
-        for f in factors:
-            if f.space != self.space:
-                raise ValidationError("factor lives on a different ambient space")
-            d = f.degree()
-            if d is None:
-                return Fraction(0)
-            total += d
-        if total != self.dim:
-            raise DegreeMismatchError(self.dim, total)
-        acc = self.fundamental_class()
-        for f in factors:
-            acc = acc * f
-        return integrate(acc)
-
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
@@ -96,11 +77,9 @@ class CompleteIntersection:
         """
         dims = self.space.dims
         a, b = (check_multidegree(self.space, d) for d in (a, b))
-        weights = [
-            [b_i ** k * (factorial(n) // factorial(k)) for k in range(n + 1)]
-            for n, b_i in zip(dims, b)
-        ]
-        denominator = prod(factorial(n) for n in dims)
+        weights = [_weights(n, b_i) for n, b_i in zip(dims, b)]
+        denominator = prod(w[0] for w in weights)  # ∏n_i!
+        factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))
         values, poly = [], self._fundamental
         for j in range(self.dim + 1):
             if j:
@@ -109,7 +88,7 @@ class CompleteIntersection:
                 c * prod(w[n - e] for w, n, e in zip(weights, dims, exp))
                 for exp, c in poly.items()
             )
-            values.append(factorial(self.dim - j) * top // denominator)
+            values.append(factorials[self.dim - j] * top // denominator)
         return tuple(values)
 
     def __eq__(self, other):

@@ -6,8 +6,9 @@ from math import comb
 
 from balcone.cones import Cone2D, Pairing, cone_new, ray_normalize
 from balcone.errors import ComputationError, ValidationError
-from balcone.pipeline import express_in_basis
-from balcone.ring import AmbientSpace, CohomClass, linear_combination
+from balcone.ring import AmbientSpace
+
+from _ring_oracle import RingClass, express_in_basis, h11_classes, linear_combination
 
 
 def random_space(rng, max_total=8, max_factors=3):
@@ -27,7 +28,7 @@ def random_class(rng, space, max_terms=6):
     for _ in range(rng.randint(0, max_terms)):
         exp = tuple(rng.randint(0, n) for n in space.dims)
         terms[exp] = rng.randint(-9, 9)
-    return CohomClass(space, terms)
+    return RingClass(space, terms)
 
 
 def random_fraction(rng):
@@ -118,7 +119,7 @@ def reference_image_closure(sc):
     """
     n = sc.ci.dim - 1
     u, v = (
-        linear_combination(zip(r.coords, sc.h11_classes)) for r in sc.kahler_cone.generators()
+        linear_combination(zip(r.coords, h11_classes(sc))) for r in sc.kahler_cone.generators()
     )
     coords = [
         express_in_basis(sc, (u ** j) * (v ** (n - j)) * comb(n, j)) for j in range(n, -1, -1)

@@ -16,13 +16,14 @@ from pathlib import Path
 import balcone
 from balcone.cones import Ray, cone_new, det2, dual_cone, is_subcone
 from balcone.pipeline import (
+    H11_FORMS,
     balanced_cone,
     balanced_image_closure,
     divisor_bound_functional,
     gap_report,
+    integrate_forms,
     quintic_conifold_scenario,
 )
-from balcone.ring import divisor_class
 
 from _helpers import (
     dense_mul,
@@ -31,6 +32,7 @@ from _helpers import (
     random_pairing,
     random_space,
 )
+from _ring_oracle import divisor_class, h11_classes
 
 
 def report_line(num, ok, text):
@@ -40,10 +42,10 @@ def report_line(num, ok, text):
 
 def test_criterion_1_intersection_numbers():
     sc = quintic_conifold_scenario()
-    alpha, beta = sc.h11_classes
+    alpha, beta = H11_FORMS
     start = time.perf_counter()
-    abb = sc.ci.intersection_number([alpha, beta, beta])
-    bbb = sc.ci.intersection_number([beta, beta, beta])
+    abb = integrate_forms(sc, [alpha, beta, beta])
+    bbb = integrate_forms(sc, [beta, beta, beta])
     elapsed = time.perf_counter() - start
     ok = abb == 4 and bbb == 5 and elapsed < 0.1
     report_line(
@@ -100,7 +102,7 @@ def test_criterion_4_image_closure_and_gap_witness():
 def test_criterion_5_divisor_class_relations():
     sc = quintic_conifold_scenario()
     space = sc.ci.space
-    alpha, beta = sc.h11_classes
+    alpha, beta = h11_classes(sc)
     e1 = divisor_class(space, (1, 0)) - divisor_class(space, (0, 1))
     e2 = divisor_class(space, (4, 0)) - divisor_class(space, (0, 1))
     ok = e1 == beta - alpha and e2 == 4 * beta - alpha

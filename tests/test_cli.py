@@ -107,6 +107,30 @@ class TestScenarioLoading:
         assert code == 3
         assert "nesting" in err
 
+    @pytest.mark.parametrize("alpha, beta, failing", [
+        pytest.param([0, 1], [10 ** 1500, 0], {"demo", "pairing", "bound"},
+                     id="pairing-entries"),
+        # cone rays, and so their labels, past the limit as well
+        pytest.param([3, 10 ** 4000], [10 ** 4000, 0],
+                     {"demo", "pairing", "bound", "intersect", "dual", "balanced", "gap", "render"},
+                     id="cone-rays"),
+    ])
+    def test_results_too_long_to_print(self, capsys, tmp_path, alpha, beta, failing):
+        """Numbers longer than int's string conversion limit: every command
+        either answers or reports that limit with exit 4."""
+        doc = json.loads(DEMO_SCENARIO_JSON)
+        doc["h11_basis"][0]["multidegree"], doc["h11_basis"][1]["multidegree"] = alpha, beta
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        commands = [["demo"], ["intersect", "α", "β", "β"], ["pairing"], ["dual"], ["image"],
+                    ["balanced"], ["gap"], ["bound", "E1", "1,1"], ["render"]]
+        for argv in commands:
+            for fmt in ("text", "json"):
+                code, _, err = run(capsys, *argv, "--scenario", str(path), "--format", fmt,
+                                   "--out", str(tmp_path / "out"))
+                assert code == (4 if argv[0] in failing else 0), (argv, err)
+                assert code == 0 or f"more than {sys.get_int_max_str_digits()} digits" in err
+
     def test_semantic_error_path(self, capsys, tmp_path):
         doc = json.loads(DEMO_SCENARIO_JSON)
         doc["kahler_cone"] = [[0, 0], [0, 1]]
@@ -151,6 +175,17 @@ class TestCommands:
         code, _, err = run(capsys, "bound", "E1", "-1,2")
         assert code == 3
         assert "ample coordinates must be strictly positive" in err
+
+    def test_pair_in_exponent_notation_rejected(self, capsys):
+        # Fraction("1e999999999") would expand a billion digits; 1e5000 keeps a regression quick.
+        for argv in (["bound", "E1", "1e5000,1"], ["dual", "--rays", "1e5000,1", "0,1"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "exponent notation" in capsys.readouterr().err
+        code, out, _ = run(capsys, "bound", "E1", "3/2,0.5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ample"] == ["3/2", "1/2"]
 
     def test_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "E1", "3,4", "--format", "json")

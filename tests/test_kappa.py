@@ -21,7 +21,7 @@ from balcone.pipeline import (
     balanced_image_closure,
     divisor_bound_functional,
 )
-from balcone.ring import AmbientSpace, divisor_class, linear_combination
+from balcone.ring import AmbientSpace
 from balcone.scenario_io import (
     document_to_scenario,
     parse_scenario,
@@ -30,7 +30,14 @@ from balcone.scenario_io import (
 )
 from balcone.variety import CompleteIntersection
 
-from _helpers import reference_image_closure
+from _helpers import pn_document, reference_image_closure
+from _ring_oracle import (
+    divisor_class,
+    express_in_basis,
+    h11_classes,
+    intersection_number,
+    linear_combination,
+)
 
 _PAIR = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 _NEF_PAIR = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -94,9 +101,15 @@ def _scenario(doc):
 
 
 def _ring_class(sc, form):
-    h1, h2 = sc.h11_classes
+    h1, h2 = h11_classes(sc)
     d = len(form) - 1
     return linear_combination((c, (h1 ** j) * (h2 ** (d - j))) for j, c in enumerate(form))
+
+
+def _ring_kappa(sc):
+    h1, h2 = h11_classes(sc)
+    dim = sc.ci.dim
+    return tuple(intersection_number(sc.ci, [h1] * j + [h2] * (dim - j)) for j in range(dim + 1))
 
 
 def _image_outcome(image_closure, sc):
@@ -115,21 +128,18 @@ def _image_outcome(image_closure, sc):
 )
 def test_kappa_path_matches_ring_path(doc, prime, ample):
     sc = _scenario(doc)
-    h1, h2 = sc.h11_classes
-    dim = sc.ci.dim
-    assert sc.kappa == tuple(
-        sc.ci.intersection_number([h1] * j + [h2] * (dim - j)) for j in range(dim + 1)
-    )
+    h11 = h11_classes(sc)
+    assert sc.kappa == _ring_kappa(sc)
     codim = [_ring_class(sc, f) for f in sc.codim_forms]
     assert sc.pairing_matrix.entries == tuple(
-        tuple(sc.ci.intersection_number([h, c]) for c in codim) for h in sc.h11_classes
+        tuple(intersection_number(sc.ci, [h, c]) for c in codim) for h in h11
     )
     assert _image_outcome(balanced_image_closure, sc) == \
         _image_outcome(reference_image_closure, sc)
-    p = linear_combination(zip(prime, sc.h11_classes))
-    a_power = linear_combination(zip(ample, sc.h11_classes)) ** (dim - 2)
+    p = linear_combination(zip(prime, h11))
+    a_power = linear_combination(zip(ample, h11)) ** (sc.ci.dim - 2)
     assert divisor_bound_functional(sc, prime, ample) == tuple(
-        sc.ci.intersection_number([h, p, a_power]) for h in sc.h11_classes
+        intersection_number(sc.ci, [h, p, a_power]) for h in h11
     )
 
 
@@ -196,4 +206,18 @@ def test_kappa_on_many_factors():
     assert kappa == (576, 2304, 3456, 2304, 576)
     assert all(type(k) is int for k in kappa)
     a, b = divisor_class(space, alpha), divisor_class(space, beta)
-    assert kappa == tuple(ci.intersection_number([a] * j + [b] * (4 - j)) for j in range(5))
+    assert kappa == tuple(intersection_number(ci, [a] * j + [b] * (4 - j)) for j in range(5))
+
+
+def test_ring_reference_does_not_call_the_dp(monkeypatch):
+    """κ, codim coordinates and the image closure of the ring reference come
+    out right with ``CompleteIntersection.kappa`` switched off."""
+    sc = document_to_scenario(pn_document(5))
+
+    def refuse(*args):
+        raise AssertionError("the ring reference called CompleteIntersection.kappa")
+
+    monkeypatch.setattr(CompleteIntersection, "kappa", refuse)
+    assert _ring_kappa(sc) == sc.kappa
+    assert express_in_basis(sc, h11_classes(sc)[1] ** 3) == (0, 1)
+    assert reference_image_closure(sc) == balanced_image_closure(sc)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import balcone
 from balcone.cli import build_parser, run_command
 from balcone.cones import Ray
 from balcone.pipeline import balanced_cone, quintic_conifold_scenario
@@ -14,8 +15,8 @@ from balcone.report import (
     render_json,
     render_text,
 )
-from balcone.ring import CohomClass
 from balcone.scenario_io import document_to_scenario
+from balcone.variety import CompleteIntersection
 
 from _helpers import pn_document
 
@@ -79,17 +80,31 @@ class TestPayloads:
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_payloads_run_no_ring_products(n, monkeypatch):
-    """Neither building the scenario nor any payload multiplies ring classes."""
+    """Building the scenario runs the κ DP, the program's one pass of products in
+    the cohomology ring, once; no payload runs it again."""
     commands = [
         ["demo"], ["gap"], ["image"], ["balanced"], ["pairing"],
         ["dual", "--rays", "-1,4", "1,0"], ["bound", "E1", "1,1"],
         ["intersect", "α"] + ["β"] * (n - 2), ["intersect", "α", "c1"],
     ]
     calls = []
-    mul = CohomClass.__mul__
-    monkeypatch.setattr(CohomClass, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    kappa = CompleteIntersection.kappa
+    monkeypatch.setattr(CompleteIntersection, "kappa", lambda *a: calls.append(1) or kappa(*a))
     parser = build_parser()
     sc = document_to_scenario(pn_document(n))
     for argv in commands:
         run_command(sc, parser.parse_args(argv))
-    assert calls == []
+    assert calls == [1]
+
+
+def test_public_api():
+    """Cones, scenarios, results read from κ, and errors; no cohomology ring classes."""
+    assert balcone.__all__ == """
+        AmbientSpace CompleteIntersection Cone2D ComputationError DEMO_SCENARIO_JSON
+        DegeneratePairingError DegreeMismatchError GapReport GeometryError Pairing Ray
+        Scenario ScenarioError UnknownNameError ValidationError balanced_cone
+        balanced_image_closure cone_new det2 divisor_bound_functional dual_cone gap_report
+        integrate_forms is_subcone parse_scenario quintic_conifold_scenario ray_normalize
+        scenario_to_document serialize_scenario
+    """.split()
+    assert all(hasattr(balcone, name) for name in balcone.__all__)

@@ -18,6 +18,8 @@ from balcone.scenario_io import (
     serialize_scenario,
 )
 
+from _ring_oracle import h11_classes, intersection_number
+
 
 def mutated(**overrides):
     doc = json.loads(DEMO_SCENARIO_JSON)
@@ -124,6 +126,10 @@ _DOCUMENT_ERRORS = [
     pytest.param(
         mutated(codim_basis=_codim("1/0*α*β")), "/codim_basis/0/expr", id="expr-zero-denominator"
     ),
+    pytest.param(
+        mutated(codim_basis=_codim("1" * 5000 + "*α*β")), "/codim_basis/0/expr",
+        id="expr-number-too-long",
+    ),
     pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
@@ -158,6 +164,18 @@ def test_document_error_located(doc, path, tmp_path, capsys):
     assert f"at {path}:" in capsys.readouterr().err
 
 
+def test_json_integer_too_long_located(tmp_path, capsys):
+    """json.loads refuses an integer literal longer than int's string conversion limit."""
+    text = DEMO_SCENARIO_JSON.replace("[\n    4,", "[\n    " + "4" * 5000 + ",", 1)
+    with pytest.raises(ScenarioError, match="digits, the limit") as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.column) == (3, 5)
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(text, encoding="utf-8")
+    assert main(["demo", "--scenario", str(scenario_file)]) == 3
+    assert "line 3, column 5:" in capsys.readouterr().err
+
+
 class TestClassExpr:
     def test_rational_combination(self):
         names = ("α", "β")
@@ -175,10 +193,10 @@ class TestClassExpr:
 
     def test_sum_in_document(self):
         sc = document_to_scenario(mutated(codim_basis=_codim("α*β + β*β")))
-        alpha, beta = sc.h11_classes
+        alpha, beta = h11_classes(sc)
         assert sc.codim_forms[0] == (1, 1, 0)
         assert sc.pairing_matrix.entries[0][0] == \
-            sc.ci.intersection_number([alpha, alpha * beta + beta * beta])
+            intersection_number(sc.ci, [alpha, alpha * beta + beta * beta])
 
 
 class TestRoundTrip:
