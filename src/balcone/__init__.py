@@ -28,12 +28,12 @@ from .pipeline import (
     divisor_bound_functional,
     gap_report,
     integrate_forms,
-    quintic_conifold_scenario,
 )
 from .ring import AmbientSpace
 from .scenario_io import (
     DEMO_SCENARIO_JSON,
     parse_scenario,
+    quintic_conifold_scenario,
     scenario_to_document,
     serialize_scenario,
 )

@@ -22,8 +22,8 @@ from .errors import (
     UnknownNameError,
     ValidationError,
 )
-from .pipeline import H11_FORMS, quintic_conifold_scenario
-from .scenario_io import _canonical, parse_scenario
+from .pipeline import H11_FORMS
+from .scenario_io import _canonical, parse_scenario, quintic_conifold_scenario
 
 
 def _resolve(name, entries, kind):

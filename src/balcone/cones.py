@@ -111,16 +111,9 @@ def cone_new(a, b) -> Cone2D:
     return Cone2D(ray_normalize(a), ray_normalize(b))
 
 
-def is_subcone(inner: Cone2D, outer: Cone2D, strict: bool = False) -> bool:
-    """Whether every generator of ``inner`` lies in the closed ``outer`` cone.
-
-    With ``strict=True`` the inclusion must also be proper: some generator
-    of ``outer`` falls outside the closed ``inner`` cone.
-    """
-    included = outer.contains(inner.r1) and outer.contains(inner.r2)
-    if not strict or not included:
-        return included
-    return any(not inner.contains(g) for g in outer.generators())
+def is_subcone(inner: Cone2D, outer: Cone2D) -> bool:
+    """Whether both generators of ``inner`` lie in the closed ``outer`` cone."""
+    return outer.contains(inner.r1) and outer.contains(inner.r2)
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ class Pairing:
     """Non-degenerate 2x2 rational pairing p(x, y) = x^T M y.
 
     Row vectors x and column vectors y live in two a priori different
-    coordinate spaces.
+    coordinate spaces.  A singular matrix raises ``DegeneratePairingError``.
     """
 
     entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
@@ -138,15 +131,13 @@ class Pairing:
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("pairing matrix must be 2x2")
         object.__setattr__(self, "entries", rows)
+        if self.det == 0:
+            raise DegeneratePairingError("pairing matrix is singular")
 
     @property
     def det(self) -> Fraction:
         (m00, m01), (m10, m11) = self.entries
         return m00 * m11 - m01 * m10
-
-    def transpose(self) -> "Pairing":
-        (m00, m01), (m10, m11) = self.entries
-        return Pairing(((m00, m10), (m01, m11)))
 
     def functional(self, r) -> Tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
@@ -162,8 +153,6 @@ class Pairing:
     def solve(self, w) -> Tuple[Fraction, Fraction]:
         """The column vector c with M c = w, exactly."""
         det = self.det
-        if det == 0:
-            raise DegeneratePairingError("pairing matrix is singular; cannot solve M c = w")
         (m00, m01), (m10, m11) = self.entries
         return ((w[0] * m11 - m01 * w[1]) / det, (m00 * w[1] - w[0] * m10) / det)
 
@@ -185,8 +174,5 @@ def dual_cone(cone: Cone2D, pairing: Pairing) -> Cone2D:
     Each boundary ray of the result annihilates exactly one generator of the
     input under the pairing and is strictly positive against the other.
     """
-    if pairing.det == 0:
-        raise DegeneratePairingError("pairing matrix is singular; dual cone undefined")
-    f1 = pairing.functional(cone.r1)
-    f2 = pairing.functional(cone.r2)
+    f1, f2 = (pairing.functional(r) for r in cone.generators())
     return Cone2D(_edge_ray(f1, f2), _edge_ray(f2, f1))

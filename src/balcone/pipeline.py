@@ -7,9 +7,9 @@ cone.  The effective cone is input, not derived; what the pipeline verifies
 about it is arithmetic (pairing certificates), not geometry.
 
 Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
-computed once per scenario from the multidegrees of h1 and h2.  Classes in
-h1 and h2, such as the codim basis, are binary forms: a form of degree d is
-a tuple of d+1 coefficients, entry j that of h1^j h2^(d−j).
+computed once per scenario from the multidegrees of h1 and h2, through
+:func:`integrate_forms`.  Classes in h1 and h2, such as the codim basis, are
+binary forms: a tuple of d+1 coefficients, entry j that of h1^j h2^(d−j).
 """
 
 from __future__ import annotations
@@ -17,28 +17,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from itertools import accumulate, repeat
+from math import lcm
 from typing import Optional, Tuple
 
-from .cones import Cone2D, Pairing, Ray, cone_new, det2, dual_cone, is_subcone, ray_normalize
-from .errors import ComputationError, DegreeMismatchError, ValidationError
+from .cones import Cone2D, Pairing, Ray, cone_new, dual_cone, is_subcone, ray_normalize
+from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
 
 
 def _product(f, g):
-    """Product of two binary forms."""
+    """Product of two binary forms, skipping the zero coefficients of monomial forms."""
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] += a * b
     return out
-
-
-def _dot(form, kappa) -> Fraction:
-    """Σ_j form_j κ_j, skipping the zero coefficients that monomial forms are made of."""
-    return sum([c * k for c, k in zip(form, kappa) if c], Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -72,12 +70,13 @@ class Scenario:
                     f"column class {j} must have degree {dim - 1}, got {len(c) - 1}"
                 )
         object.__setattr__(self, "kappa", self.ci.kappa(*self.h11_multidegrees))
-        # ∫ h1·c = Σ c_j κ_(j+1) and ∫ h2·c = Σ c_j κ_j for a codim form c
-        pm = Pairing([[_dot(c, self.kappa[1 - i:]) for c in self.codim_forms] for i in (0, 1)])
-        if pm.det == 0:
+        try:
+            pm = Pairing([[integrate_forms(self, (h, c)) for c in self.codim_forms]
+                          for h in H11_FORMS])
+        except DegeneratePairingError:
             raise ValidationError(
                 "intersection pairing of the chosen bases is degenerate"
-            )
+            ) from None
         object.__setattr__(self, "pairing_matrix", pm)
 
     def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
@@ -108,7 +107,7 @@ def integrate_forms(scenario: Scenario, forms) -> Fraction:
     acc = reduce(_product, forms, [1])
     if len(acc) != len(scenario.kappa):
         raise DegreeMismatchError(scenario.ci.dim, len(acc) - 1)
-    return _dot(acc, scenario.kappa)
+    return sum([c * k for c, k in zip(acc, scenario.kappa) if c], Fraction(0))
 
 
 def balanced_image_closure(scenario: Scenario) -> Cone2D:
@@ -119,20 +118,15 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     v-dominant end.  Leading non-zero terms, not boundary samples: a
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
     next surviving mixed term, and the scan captures that exactly.  Up to its
-    positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j).
-    Here k_j = ∫ u^j v^(dim−j): Horner's rule expands κ(s, t) =
-    Σ_i C(dim, i) κ_i s^i t^(dim−i) at s·h1 + t·h2 = x·u + y·v in integers,
-    and x^j y^(dim−j) gets C(dim, j) k_j.
+    positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j),
+    where k_j = ∫ u^j v^(dim−j) comes from :func:`integrate_forms`.
     """
     rays = scenario.kahler_cone.generators()
-    (u1, u2), (v1, v2) = (r.coords for r in rays)
-    d, kappa = scenario.ci.dim, scenario.kappa
-    a = [comb(d, i) * q for i, q in enumerate(kappa)]
-    acc, t_power = [a[d]], [1]
-    for i in range(d - 1, -1, -1):
-        t_power = _product(t_power, [v2, u2])
-        acc = [x + a[i] * y for x, y in zip(_product(acc, [v1, u1]), t_power)]
-    k = [c // comb(d, j) for j, c in enumerate(acc)]
+    d = scenario.ci.dim
+    u_powers, v_powers = (
+        list(accumulate(repeat((r.y, r.x), d), _product, initial=(1,))) for r in rays
+    )
+    k = [integrate_forms(scenario, (u_powers[j], v_powers[d - j])) for j in range(d + 1)]
     live = [j for j in range(d) if k[j] or k[j + 1]]
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
@@ -174,11 +168,8 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fr
     kp = tuple(Fraction(x) for x in known_prime)
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
-    # s_e integrates h1^e h2^(2-e) A^m, expanding A^m binomially in h1, h2.
-    m = scenario.ci.dim - 2
-    weights = [comb(m, j) * a[0] ** j * a[1] ** (m - j) for j in range(m + 1)]
-    s0, s1, s2 = (sum(w * k for w, k in zip(weights, scenario.kappa[e:])) for e in range(3))
-    return (kp[0] * s2 + kp[1] * s1, kp[0] * s1 + kp[1] * s0)
+    rest = reduce(_product, [(a[1], a[0])] * (scenario.ci.dim - 2), (kp[1], kp[0]))
+    return tuple(integrate_forms(scenario, (h, rest)) for h in H11_FORMS)
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:
@@ -209,30 +200,13 @@ def gap_report(scenario: Scenario) -> GapReport:
             "balanced-map image is not contained in the balanced cone; "
             "the supplied effective cone is inconsistent with the pairing"
         )
-    if not is_subcone(image, bal, strict=True):
-        return GapReport(image, bal, False, (), None)
-    outside = [g for g in bal.generators() if not image.contains(g)]
-    gap_ray = next(
-        (g for g in outside if det2(image.r2.coords, g.coords) > 0), None
-    )
-    if gap_ray is not None:
-        pair = (image.r2, gap_ray)
+    # Both cones are counterclockwise and image ⊆ bal, so a balanced generator
+    # outside the image lies past the image generator on its own side.
+    if not image.contains(bal.r2):
+        pair = (image.r2, bal.r2)
+    elif not image.contains(bal.r1):
+        pair = (image.r1, bal.r1)
     else:
-        gap_ray = next(g for g in outside if det2(g.coords, image.r1.coords) > 0)
-        pair = (image.r1, gap_ray)
+        return GapReport(image, bal, False, (), None)
     return GapReport(image, bal, True, pair, _gap_witness(*pair))
 
-
-def quintic_conifold_scenario() -> Scenario:
-    """Built-in scenario: the small resolution of the quintic conifold.
-
-    The threefold sits in P^4 x P^1, cut out by equations of multidegree
-    (1,1) and (4,1).  The degree-1 basis is (α, β) with α pulled back from
-    P^1 and β from P^4; the degree-2 basis is (α∧β, β∧β).  The Kähler cone
-    is the coordinate quadrant and the effective cone is spanned by α and
-    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.  Built
-    from ``scenario_io.DEMO_SCENARIO_DOCUMENT``, the one copy of this data.
-    """
-    from .scenario_io import DEMO_SCENARIO_DOCUMENT, document_to_scenario
-
-    return document_to_scenario(DEMO_SCENARIO_DOCUMENT)

@@ -220,11 +220,19 @@ def document_to_scenario(doc) -> Scenario:
             raise ScenarioError(str(e), path=f"{here}/multidegree") from e
         h11_names.append(name)
 
-    codim_names, codim_forms, codim_exprs = [], [], []
-    for name, raw, here in _named_entries(doc, "codim_basis", "expr", seen):
-        codim_names.append(name)
-        codim_forms.append(parse_class_expr(raw, h11_names, path=f"{here}/expr"))
-        codim_exprs.append(raw)
+    # Count both bases before parsing any expr: it would read a third h11 name as h2.
+    codim = _named_entries(doc, "codim_basis", "expr", seen)
+    for key, entries in (("h11_basis", h11_names), ("codim_basis", codim)):
+        if len(entries) != 2:
+            raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
+    codim_forms = []
+    for _, raw, here in codim:
+        form = parse_class_expr(raw, h11_names, path=f"{here}/expr")
+        if len(form) != ci.dim:
+            raise ScenarioError(
+                f"degree must be {ci.dim - 1}, got {len(form) - 1}", path=f"{here}/expr"
+            )
+        codim_forms.append(form)
 
     kahler = _cone(_require(doc, "kahler_cone", ""), "/kahler_cone")
     effective = _cone(_require(doc, "effective_cone", ""), "/effective_cone")
@@ -239,15 +247,28 @@ def document_to_scenario(doc) -> Scenario:
             ci=ci,
             h11_names=tuple(h11_names),
             h11_multidegrees=tuple(h11_multidegrees),
-            codim_names=tuple(codim_names),
+            codim_names=tuple(name for name, _, _ in codim),
             codim_forms=tuple(codim_forms),
             kahler_cone=kahler,
             effective_cone=effective,
             prime_divisors=tuple(primes),
-            codim_exprs=tuple(codim_exprs),
+            codim_exprs=tuple(raw for _, raw, _ in codim),
         )
     except ValidationError as e:
         raise ScenarioError(str(e), path="/") from e
+
+
+def quintic_conifold_scenario() -> Scenario:
+    """Built-in scenario: the small resolution of the quintic conifold.
+
+    The threefold sits in P^4 x P^1, cut out by equations of multidegree
+    (1,1) and (4,1).  The degree-1 basis is (α, β) with α pulled back from
+    P^1 and β from P^4; the degree-2 basis is (α∧β, β∧β).  The Kähler cone
+    is the coordinate quadrant and the effective cone is spanned by α and
+    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.  Built
+    from ``DEMO_SCENARIO_DOCUMENT``, the one copy of this data.
+    """
+    return document_to_scenario(DEMO_SCENARIO_DOCUMENT)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 from balcone.cones import Cone2D, Pairing, cone_new, ray_normalize
-from balcone.errors import ComputationError, ValidationError
+from balcone.errors import ComputationError, DegeneratePairingError, ValidationError
 from balcone.ring import AmbientSpace
 
 from _ring_oracle import RingClass, express_in_basis, h11_classes, linear_combination
@@ -75,9 +75,10 @@ def random_pairing(rng) -> Pairing:
     while True:
         m = ((rng.randint(-9, 9), rng.randint(-9, 9)),
              (rng.randint(-9, 9), rng.randint(-9, 9)))
-        p = Pairing(m)
-        if p.det != 0:
-            return p
+        try:
+            return Pairing(m)
+        except DegeneratePairingError:
+            continue
 
 
 def pn_document(n):

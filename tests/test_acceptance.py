@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import balcone
-from balcone.cones import Ray, cone_new, det2, dual_cone, is_subcone
+from balcone.cones import Pairing, Ray, cone_new, det2, dual_cone, is_subcone
 from balcone.pipeline import (
     H11_FORMS,
     balanced_cone,
@@ -22,8 +22,8 @@ from balcone.pipeline import (
     divisor_bound_functional,
     gap_report,
     integrate_forms,
-    quintic_conifold_scenario,
 )
+from balcone.scenario_io import quintic_conifold_scenario
 
 from _helpers import (
     dense_mul,
@@ -86,7 +86,8 @@ def test_criterion_4_image_closure_and_gap_witness():
     witness = Ray(-1, 8)
     ok = (
         image == cone_new((1, 0), (0, 1))
-        and is_subcone(image, gr.balanced_cone, strict=True)
+        and is_subcone(image, gr.balanced_cone)
+        and not is_subcone(gr.balanced_cone, image)
         and gr.strict
         and gr.witness == witness
         and gr.balanced_cone.contains(witness, "open")
@@ -150,7 +151,7 @@ def test_criterion_7_property_suites():
         pairing = random_pairing(rng)
         dual = dual_cone(cone, pairing)
         assert det2(dual.r1.coords, dual.r2.coords) > 0
-        assert dual_cone(dual, pairing.transpose()) == cone
+        assert dual_cone(dual, Pairing(tuple(zip(*pairing.entries)))) == cone
         for r in cone.generators():
             assert any(pairing.pair(r, s) == 0 for s in dual.generators())
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from balcone.cones import cone_new, det2, dual_cone, is_subcone
+from balcone.cones import Pairing, cone_new, det2, dual_cone, is_subcone
 from balcone.errors import ComputationError, ScenarioError, ValidationError
 from balcone.pipeline import (
     balanced_cone,
@@ -148,7 +148,8 @@ def test_kappa_path_matches_ring_path(doc, prime, ample):
 def test_dual_cone_involution(doc):
     sc = _scenario(doc)
     pm = sc.pairing_matrix
-    assert dual_cone(dual_cone(sc.effective_cone, pm), pm.transpose()) == sc.effective_cone
+    transpose = Pairing(tuple(zip(*pm.entries)))
+    assert dual_cone(dual_cone(sc.effective_cone, pm), transpose) == sc.effective_cone
 
 
 @_FEWER

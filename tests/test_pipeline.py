@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from balcone.cones import Ray, cone_new, is_subcone
+from balcone.cones import Ray, cone_new, det2, is_subcone
 from balcone.errors import ComputationError, ValidationError
 from balcone.pipeline import (
     Scenario,
@@ -12,10 +12,9 @@ from balcone.pipeline import (
     balanced_image_closure,
     divisor_bound_functional,
     gap_report,
-    quintic_conifold_scenario,
 )
 from balcone.ring import AmbientSpace
-from balcone.scenario_io import document_to_scenario
+from balcone.scenario_io import document_to_scenario, quintic_conifold_scenario
 from balcone.variety import CompleteIntersection
 
 from _helpers import pn_document
@@ -273,5 +272,17 @@ class TestRandomScenarios:
             if gr.strict:
                 assert gr.balanced_cone.contains(gr.witness, "open")
                 assert not gr.image_closure.contains(gr.witness)
+                # a balanced generator outside the closed image, paired with the
+                # image generator on its side; the r2 side first when both qualify
+                inner, g = gr.gap_generators
+                outside = [h for h in bal.generators() if not image.contains(h)]
+                assert g in outside
+                past_r2 = [h for h in outside if det2(image.r2.coords, h.coords) > 0]
+                if past_r2:
+                    assert (inner, g) == (image.r2, past_r2[0])
+                else:
+                    assert inner == image.r1 and det2(g.coords, image.r1.coords) > 0
+            else:
+                assert all(image.contains(g) for g in bal.generators())
             checked += 1
         assert checked >= 40

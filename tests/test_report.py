@@ -6,7 +6,7 @@ import pytest
 import balcone
 from balcone.cli import build_parser, run_command
 from balcone.cones import Ray
-from balcone.pipeline import balanced_cone, quintic_conifold_scenario
+from balcone.pipeline import balanced_cone
 from balcone.report import (
     demo_payload,
     format_class_label,
@@ -15,7 +15,7 @@ from balcone.report import (
     render_json,
     render_text,
 )
-from balcone.scenario_io import document_to_scenario
+from balcone.scenario_io import document_to_scenario, quintic_conifold_scenario
 from balcone.variety import CompleteIntersection
 
 from _helpers import pn_document

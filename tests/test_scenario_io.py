@@ -7,13 +7,13 @@ import pytest
 
 from balcone.cli import main
 from balcone.errors import ScenarioError, ValidationError
-from balcone.pipeline import quintic_conifold_scenario
 from balcone.scenario_io import (
     DEMO_SCENARIO_DOCUMENT,
     DEMO_SCENARIO_JSON,
     document_to_scenario,
     parse_class_expr,
     parse_scenario,
+    quintic_conifold_scenario,
     scenario_to_document,
     serialize_scenario,
 )
@@ -130,6 +130,12 @@ _DOCUMENT_ERRORS = [
         mutated(codim_basis=_codim("1" * 5000 + "*α*β")), "/codim_basis/0/expr",
         id="expr-number-too-long",
     ),
+    pytest.param(mutated(codim_basis=_codim("α")), "/codim_basis/0/expr", id="expr-wrong-degree"),
+    pytest.param(
+        mutated(h11_basis=[*DEMO_SCENARIO_DOCUMENT["h11_basis"], dict(_BETA, name="γ")]),
+        "/h11_basis", id="h11-three-entries",
+    ),
+    pytest.param(mutated(codim_basis=_codim("α*β")[:1]), "/codim_basis", id="codim-one-entry"),
     pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),

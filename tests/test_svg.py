@@ -2,7 +2,7 @@ import pytest
 
 from balcone.cli import main
 from balcone.errors import ValidationError
-from balcone.pipeline import quintic_conifold_scenario
+from balcone.scenario_io import quintic_conifold_scenario
 from balcone.report import demo_payload, gap_payload, pairing_payload
 from balcone.svg import render_cone_diagram
 
