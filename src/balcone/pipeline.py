@@ -158,7 +158,9 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fr
     integrand has the top degree dim, and on a threefold it is the triple
     product D ^ P ^ A.  The integral is linear in D, so l_i is the integral
     of h_i ^ P ^ A^(dim-2).  Non-negativity of this form on valid (a1, a2)
-    certifies bounds on prime divisor classes.
+    certifies bounds on prime divisor classes.  P and A are scaled to integer
+    forms by the common denominator q, so P·A^(dim−2) is built in integers and
+    the integrals are divided by q^(dim−1) at the end.
     """
     a = tuple(Fraction(x) for x in ample)
     if len(a) != 2:
@@ -168,8 +170,11 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fr
     kp = tuple(Fraction(x) for x in known_prime)
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
-    rest = reduce(_product, [(a[1], a[0])] * (scenario.ci.dim - 2), (kp[1], kp[0]))
-    return tuple(integrate_forms(scenario, (h, rest)) for h in H11_FORMS)
+    q = lcm(*(x.denominator for x in a + kp))
+    (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
+    rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
+    return tuple(integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
+                 for h in H11_FORMS)
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:

@@ -20,17 +20,20 @@ from .errors import ValidationError
 from .ring import AmbientSpace, check_multidegree
 
 
-def _times_linear(poly, linear, dims):
-    """poly · Σ d_i h_i in the truncated ring, on exponent -> integer coefficient dicts.
+def _times_linear(poly, linear, digits):
+    """poly · Σ d_i h_i in the truncated ring, on code -> integer coefficient dicts.
 
-    Multidegrees are non-negative, so nothing cancels: the zero class is the empty dict.
+    An exponent vector e has the code Σ e_i·s_i, strides s_i = ∏_{j<i}(n_j+1);
+    ``digits`` holds (s_i, n_i+1, n_i) per factor.  Multiplying by h_i adds s_i
+    while the digit e_i = code // s_i % (n_i+1) is below n_i.  Multidegrees are
+    non-negative, so nothing cancels: the zero class is the empty dict.
     """
+    terms = [(d, s, base, n) for d, (s, base, n) in zip(linear, digits) if d]
     out = {}
-    for exp, c in poly.items():
-        for i, d in enumerate(linear):
-            if d and exp[i] < dims[i]:
-                e = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
-                out[e] = out.get(e, 0) + c * d
+    for code, c in poly.items():
+        for d, s, base, n in terms:
+            if code // s % base < n:
+                out[code + s] = out.get(code + s, 0) + c * d
     return out
 
 
@@ -43,7 +46,7 @@ def _weights(n, b):
 class CompleteIntersection:
     """Intersection of divisors of the given multidegrees in an ambient product."""
 
-    __slots__ = ("space", "divisors", "dim", "_fundamental")
+    __slots__ = ("space", "divisors", "dim", "_digits", "_fundamental")
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
         divisors = tuple(check_multidegree(space, d) for d in divisors)
@@ -53,9 +56,11 @@ class CompleteIntersection:
                 f"{len(divisors)} divisors in a {space.total_dim}-dimensional "
                 f"ambient space leave dimension {dim}; need at least 1"
             )
-        fundamental = {(0,) * space.nfactors: 1}
+        strides = accumulate((n + 1 for n in space.dims[:-1]), mul, initial=1)
+        digits = tuple((s, n + 1, n) for s, n in zip(strides, space.dims))
+        fundamental = {0: 1}
         for d in divisors:
-            fundamental = _times_linear(fundamental, d, space.dims)
+            fundamental = _times_linear(fundamental, d, digits)
         if not fundamental:
             raise ValidationError(
                 "divisor classes annihilate the ambient ring (zero fundamental class)"
@@ -63,6 +68,7 @@ class CompleteIntersection:
         self.space = space
         self.divisors = divisors
         self.dim = dim
+        self._digits = digits
         self._fundamental = fundamental
 
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
@@ -73,21 +79,27 @@ class CompleteIntersection:
         reaches h^n only through h^k, k = n − e, of b^m, whose coefficient is
         the multinomial m!/∏k_i! · ∏b_i^(k_i) (truncation drops monomials, it
         changes no coefficient).  The weights b_i^(k_i)·n_i!/k_i! keep the sum
-        in integers over the common factor ∏n_i!.
+        in integers over the common factor ∏n_i!; each exponent e_i is read
+        from the term's code as in :func:`_times_linear`.  The factors with
+        b_i = 0 come first: their weight vanishes for every k_i > 0, so a term
+        with e_i < n_i ends at its first zero.
         """
-        dims = self.space.dims
         a, b = (check_multidegree(self.space, d) for d in (a, b))
-        weights = [_weights(n, b_i) for n, b_i in zip(dims, b)]
-        denominator = prod(w[0] for w in weights)  # ∏n_i!
+        order = sorted(zip(b, self._digits), key=lambda f: f[0] > 0)  # b_i = 0 first
+        factors = [(_weights(n, b_i), s, base, n) for b_i, (s, base, n) in order]
+        denominator = prod(f[0][0] for f in factors)  # ∏n_i!
         factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))
         values, poly = [], self._fundamental
         for j in range(self.dim + 1):
             if j:
-                poly = _times_linear(poly, a, dims)
-            top = sum(
-                c * prod(w[n - e] for w, n, e in zip(weights, dims, exp))
-                for exp, c in poly.items()
-            )
+                poly = _times_linear(poly, a, self._digits)
+            top = 0
+            for code, c in poly.items():
+                for w, s, base, n in factors:
+                    c *= w[n - code // s % base]
+                    if not c:
+                        break
+                top += c
             values.append(factorials[self.dim - j] * top // denominator)
         return tuple(values)
 

@@ -10,6 +10,7 @@ same draws.
 
 import dataclasses
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -208,6 +209,47 @@ def test_kappa_on_many_factors():
     assert all(type(k) is int for k in kappa)
     a, b = divisor_class(space, alpha), divisor_class(space, beta)
     assert kappa == tuple(intersection_number(ci, [a] * j + [b] * (4 - j)) for j in range(5))
+
+
+@pytest.mark.parametrize("k", (8, 12, 16))
+def test_kappa_closed_form_on_p1_products(k):
+    """(P^1)^k cut by m = k/2 divisors (1,…,1), α on the first h = k/2 factors
+    and β on the rest: κ_j = m!·j!·(d−j)!·C(h,j)·C(k−h,d−j), d = k − m."""
+    m = h = k // 2
+    d = k - m
+    ci = CompleteIntersection(AmbientSpace([1] * k), [(1,) * k] * m)
+    assert ci.kappa((1,) * h + (0,) * (k - h), (0,) * h + (1,) * (k - h)) == tuple(
+        factorial(m) * factorial(j) * factorial(d - j) * comb(h, j) * comb(k - h, d - j)
+        for j in range(d + 1)
+    )
+
+
+@st.composite
+def intersections(draw):
+    """1–5 factors of dimension 1–3, random divisors and multidegrees a, b;
+    b has a zero entry, so κ's contraction meets a zero weight."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    multidegree = st.lists(st.integers(0, 2), min_size=len(dims), max_size=len(dims))
+    r = draw(st.integers(0, sum(dims) - 1))
+    divisors = draw(st.lists(multidegree, min_size=r, max_size=r))
+    b = draw(multidegree)
+    b[draw(st.integers(0, len(dims) - 1))] = 0
+    return dims, divisors, draw(multidegree), b
+
+
+@given(intersections())
+def test_kappa_matches_ring_on_products(case):
+    dims, divisors, a, b = case
+    space = AmbientSpace(dims)
+    try:
+        ci = CompleteIntersection(space, divisors)
+    except ValidationError:
+        event("zero fundamental class")
+        assume(False)
+    h1, h2 = divisor_class(space, a), divisor_class(space, b)
+    assert ci.kappa(a, b) == tuple(
+        intersection_number(ci, [h1] * j + [h2] * (ci.dim - j)) for j in range(ci.dim + 1)
+    )
 
 
 def test_ring_reference_does_not_call_the_dp(monkeypatch):

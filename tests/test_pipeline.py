@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -140,6 +140,22 @@ def test_pn_family_closed_forms(n):
     assert gap_report(sc).witness == Ray(-1, 2 * n)
     e1 = sc.prime_divisor_coords("E1")
     assert divisor_bound_functional(sc, e1, (1, 1)) == (n, n + 1 + n * (n - 4))
+
+
+@pytest.mark.parametrize("n", (4, 9, 30, 60))
+def test_pn_family_bound_closed_form(n):
+    """The bound functional on P^n × P^1 for rational amples A = (a1, a2) and
+    primes P = (p1, p2), with m = n − 3: l_α = p2·a2^m·n and
+    l_β = a2^(m−1)·(a2·(p1·n + p2·(n+1)) + p2·m·a1·n)."""
+    sc = document_to_scenario(pn_document(n))
+    m = n - 3
+    amples = ((Fraction(3, 2), Fraction(4, 3)), (Fraction(5, 7), Fraction(2, 9)), (3, 4))
+    primes = ((-1, 1), (2, 3), (Fraction(1, 2), -5))
+    for (a1, a2), (p1, p2) in product(amples, primes):
+        assert divisor_bound_functional(sc, (p1, p2), (a1, a2)) == (
+            p2 * a2**m * n,
+            a2 ** (m - 1) * (a2 * (p1 * n + p2 * (n + 1)) + p2 * m * a1 * n),
+        )
 
 
 class TestBoundFunctional:
