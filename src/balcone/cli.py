@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--scenario", metavar="FILE",
             help="scenario JSON file (default: built-in quintic conifold)",
         )
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if name != "render":  # render always writes SVG
+            sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument(
             "--out", metavar="FILE", help="write output to FILE instead of stdout"
         )
@@ -124,7 +125,7 @@ def run_command(scenario, args) -> dict:
     if cmd == "gap":
         return report.gap_payload(scenario)
     if cmd == "bound":
-        prime, _ = _resolve(args.prime, scenario.prime_divisors, "prime divisor")
+        prime = _resolve(args.prime, scenario.prime_divisors, "prime divisor")
         return report.bound_payload(scenario, prime, args.ample)
     raise AssertionError(f"unhandled command {cmd!r}")
 

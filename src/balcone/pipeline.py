@@ -79,12 +79,6 @@ class Scenario:
             ) from None
         object.__setattr__(self, "pairing_matrix", pm)
 
-    def prime_divisor_coords(self, name: str) -> Tuple[int, int]:
-        for n, coords in self.prime_divisors:
-            if n == name:
-                return coords
-        raise ValidationError(f"scenario declares no prime divisor named {name!r}")
-
 
 @dataclass(frozen=True)
 class GapReport:

@@ -115,18 +115,20 @@ def scenario_summary(sc: Scenario) -> dict:
     }
 
 
-def _gap_section(gr: GapReport) -> dict:
-    section = {
+def _gap_sections(sc: Scenario, gr: GapReport) -> dict:
+    gap = {
         "strict": gr.strict,
         "generators": [_ray_json(r) for r in gr.gap_generators],
         "witness": _ray_json(gr.witness) if gr.witness else None,
     }
     if gr.witness:
-        section["witness_in_balanced_open"] = gr.balanced_cone.contains(
-            gr.witness, "open"
-        )
-        section["witness_in_image_closure"] = gr.image_closure.contains(gr.witness)
-    return section
+        gap["witness_in_balanced_open"] = gr.balanced_cone.contains(gr.witness, "open")
+        gap["witness_in_image_closure"] = gr.image_closure.contains(gr.witness)
+    return {
+        "image_closure": _cone_section(gr.image_closure, sc.codim_names),
+        "balanced_cone": _cone_section(gr.balanced_cone, sc.codim_names),
+        "gap": gap,
+    }
 
 
 def intersect_payload(sc: Scenario, names, forms) -> dict:
@@ -178,23 +180,21 @@ def balanced_payload(sc: Scenario) -> dict:
 
 
 def gap_payload(sc: Scenario) -> dict:
-    gr = gap_report(sc)
     return {
         "command": "gap",
         "scenario": scenario_summary(sc),
-        "image_closure": _cone_section(gr.image_closure, sc.codim_names),
-        "balanced_cone": _cone_section(gr.balanced_cone, sc.codim_names),
-        "gap": _gap_section(gr),
+        **_gap_sections(sc, gap_report(sc)),
     }
 
 
-def bound_payload(sc: Scenario, prime_name: str, ample) -> dict:
-    coords = sc.prime_divisor_coords(prime_name)
+def bound_payload(sc: Scenario, prime, ample) -> dict:
+    """``prime`` is a declared (name, coords) entry of ``sc.prime_divisors``."""
+    name, coords = prime
     coeffs = divisor_bound_functional(sc, coords, ample)
     return {
         "command": "bound",
         "scenario": scenario_summary(sc),
-        "prime": prime_name,
+        "prime": name,
         "prime_coords": list(coords),
         "ample": [fmt_rational(x) for x in ample],
         "coefficients": [fmt_rational(v) for v in coeffs],
@@ -234,9 +234,7 @@ def demo_payload(sc: Scenario) -> dict:
         "intersection_numbers": numbers,
         "pairing_matrix": [[fmt_rational(v) for v in row] for row in pm.entries],
         "pairing_determinant": fmt_rational(pm.det),
-        "image_closure": _cone_section(gr.image_closure, sc.codim_names),
-        "balanced_cone": _cone_section(gr.balanced_cone, sc.codim_names),
-        "gap": _gap_section(gr),
+        **_gap_sections(sc, gr),
         "boundary_pairings": boundary,
         "bound_functionals": bounds,
     }
@@ -244,17 +242,6 @@ def demo_payload(sc: Scenario) -> dict:
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-
-def _is_int_pair_list(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(
-            isinstance(v, list) and len(v) == 2 and all(isinstance(x, int) for x in v)
-            for v in value
-        )
-    )
 
 
 def _is_matrix(value) -> bool:
@@ -268,13 +255,13 @@ def _is_matrix(value) -> bool:
     )
 
 
-def _scalar_text(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "none"
+def _inline(value) -> str:
+    """One-line text of a scalar, a list of scalars or a list of integer rows."""
+    if isinstance(value, list):
+        return ", ".join(f"({_inline(v)})" if isinstance(v, list) else _inline(v)
+                         for v in value)
+    if value is None or isinstance(value, bool):  # before the lookup: True == 1
+        return {None: "none", True: "true", False: "false"}[value]
     return str(value)
 
 
@@ -290,27 +277,16 @@ def _emit(lines, key, value, indent, color):
         width = max(len(x) for row in value for x in row)
         for row in value:
             lines.append(f"{pad}  [ " + "  ".join(x.rjust(width) for x in row) + " ]")
-    elif _is_int_pair_list(value):
-        pairs = ", ".join(f"({a}, {b})" for a, b in value)
-        lines.append(f"{pad}{label}: {pairs}")
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            lines.append(
-                f"{pad}{label}: " + ", ".join(_scalar_text(v) for v in value)
-            )
-        else:
-            lines.append(f"{pad}{label}:")
-            for item in value:
-                if isinstance(item, dict):
-                    sub: list = []
-                    for k, v in item.items():
-                        _emit(sub, k, v, 0, False)
-                    for i, text in enumerate(sub):
-                        lines.append(f"{pad}  {'- ' if i == 0 else '  '}{text}")
-                else:
-                    lines.append(f"{pad}  - {_scalar_text(item)}")
+    elif value and isinstance(value, list) and all(isinstance(v, dict) for v in value):
+        lines.append(f"{pad}{label}:")
+        for item in value:
+            sub: list = []
+            for k, v in item.items():
+                _emit(sub, k, v, 0, False)
+            for i, text in enumerate(sub):
+                lines.append(f"{pad}  {'- ' if i == 0 else '  '}{text}")
     else:
-        lines.append(f"{pad}{label}: {_scalar_text(value)}")
+        lines.append(f"{pad}{label}: {_inline(value)}")
 
 
 def render_text(payload: dict, color: bool = False) -> str:

@@ -37,7 +37,9 @@ _TRANSLIT = str.maketrans(
      "−": "-", "·": "*", "×": "*", " ": None, "\t": None}
 )
 _NUMBER = re.compile(r"\d+(?:/\d+)?$")
-_TOKEN = re.compile(r"\s*(\d+(?:/\d+)?|[+\-*]|[^\s+\-*/]+)")
+# An h11 name is one expr token: no whitespace or arithmetic sign, no leading digit.
+_H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
+_TOKEN = re.compile(rf"\s*(\d+(?:/\d+)?|[+\-*]|{_H11_NAME.pattern})")
 
 DEMO_SCENARIO_DOCUMENT = {
     "ambient": [4, 1],
@@ -204,9 +206,9 @@ def document_to_scenario(doc) -> Scenario:
 
     h11_names, h11_multidegrees, seen = [], [], {}
     for name, raw, here in _named_entries(doc, "h11_basis", "multidegree", seen):
-        if any(ch in name for ch in "+-*/ \t"):
+        if not _H11_NAME.fullmatch(name):
             raise ScenarioError(
-                "h11 names may not contain arithmetic characters or spaces",
+                "h11 names may not start with a digit or contain whitespace or + - * /",
                 path=f"{here}/name",
             )
         d = _int_list(raw, f"{here}/multidegree", minimum=0)

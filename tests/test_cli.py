@@ -125,8 +125,9 @@ class TestScenarioLoading:
         commands = [["demo"], ["intersect", "α", "β", "β"], ["pairing"], ["dual"], ["image"],
                     ["balanced"], ["gap"], ["bound", "E1", "1,1"], ["render"]]
         for argv in commands:
-            for fmt in ("text", "json"):
-                code, _, err = run(capsys, *argv, "--scenario", str(path), "--format", fmt,
+            formats = [()] if argv == ["render"] else [("--format", "text"), ("--format", "json")]
+            for fmt in formats:
+                code, _, err = run(capsys, *argv, "--scenario", str(path), *fmt,
                                    "--out", str(tmp_path / "out"))
                 assert code == (4 if argv[0] in failing else 0), (argv, err)
                 assert code == 0 or f"more than {sys.get_int_max_str_digits()} digits" in err
@@ -222,6 +223,29 @@ class TestCommands:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "demo"
+
+    def test_render_takes_no_format(self, capsys):
+        # render always writes SVG, so a requested format is a usage error, not ignored
+        with pytest.raises(SystemExit) as info:
+            main(["render", "--format", "json"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_text_divisors_of_many_factors(self, capsys, tmp_path):
+        # (P^1)^4 cut by (1,1,1,1): a divisor row of any length prints on one line
+        path = tmp_path / "p1x4.json"
+        path.write_text(json.dumps({
+            "ambient": [1, 1, 1, 1],
+            "divisors": [[1, 1, 1, 1]],
+            "h11_basis": [{"name": "α", "multidegree": [1, 1, 0, 0]},
+                          {"name": "β", "multidegree": [0, 0, 1, 1]}],
+            "codim_basis": [{"name": "a", "expr": "α*α"}, {"name": "b", "expr": "α*β"}],
+            "kahler_cone": [[1, 0], [0, 1]],
+            "effective_cone": [[1, 0], [0, 1]],
+        }), encoding="utf-8")
+        code, out, _ = run(capsys, "gap", "--scenario", str(path))
+        assert code == 0
+        assert "\n  divisors: (1, 1, 1, 1)\n" in out
 
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as info:

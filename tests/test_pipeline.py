@@ -54,10 +54,6 @@ class TestScenario:
         assert coords == (-1, 4)
         assert (4 * 0 + (-1), 4 * 1 + 0) == coords
 
-    def test_unknown_prime(self, sc):
-        with pytest.raises(ValidationError):
-            sc.prime_divisor_coords("E9")
-
 
 class TestExpressInBasis:
     def test_basis_element(self, sc):
@@ -138,7 +134,7 @@ def test_pn_family_closed_forms(n):
     assert balanced_cone(sc).generators() == (Ray(1, 0), Ray(-1, n))
     assert balanced_image_closure(sc).generators() == (Ray(1, 0), Ray(0, 1))
     assert gap_report(sc).witness == Ray(-1, 2 * n)
-    e1 = sc.prime_divisor_coords("E1")
+    e1 = dict(sc.prime_divisors)["E1"]
     assert divisor_bound_functional(sc, e1, (1, 1)) == (n, n + 1 + n * (n - 4))
 
 

@@ -78,6 +78,49 @@ class TestPayloads:
         assert "\x1b[1m" in render_text(payload, color=True)
 
 
+def test_text_form_by_value_type():
+    payload = {
+        "section": {"inner": {"x": "1/2"}, "flag": True},
+        "matrix": [["0", "-16"], ["4", "5"]],
+        "entries": [{"name": "E1", "coords": [-1, 1]}, {"name": "E2", "coords": [-1, 4]}],
+        "empty": [],
+        "none": None,
+        "yes": True,
+        "no": False,
+        "zero": 0,
+        "one": 1,
+        "pairs": [[1, 0], [-1, 4]],
+        "rows": [[1, 1, 1, 1], [2, 0, 1, 3]],
+        "names": ["α", "β"],
+        "mixed": [0, 1, True, None],
+    }
+    # An empty list keeps the trailing space after its colon, as the goldens hold.
+    assert render_text(payload) == """\
+section:
+  inner:
+    x: 1/2
+  flag: true
+matrix:
+  [   0  -16 ]
+  [   4    5 ]
+entries:
+  - name: E1
+    coords: -1, 1
+  - name: E2
+    coords: -1, 4
+empty: 
+none: none
+yes: true
+no: false
+zero: 0
+one: 1
+pairs: (1, 0), (-1, 4)
+rows: (1, 1, 1, 1), (2, 0, 1, 3)
+names: α, β
+mixed: 0, 1, true, none
+"""
+
+
 @pytest.mark.parametrize("n", [4, 7])
 def test_payloads_run_no_ring_products(n, monkeypatch):
     """Building the scenario runs the κ DP, the program's one pass of products in

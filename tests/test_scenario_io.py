@@ -105,6 +105,15 @@ _DOCUMENT_ERRORS = [
         mutated(h11_basis=[{"name": "", "multidegree": [0, 1]}, _BETA]),
         "/h11_basis/0/name", id="h11-empty-name",
     ),
+    # Names the expr tokenizer would split or read as a number.
+    *(
+        pytest.param(
+            mutated(h11_basis=[{"name": name, "multidegree": [0, 1]}, _BETA]),
+            "/h11_basis/0/name", id=f"h11-name-{case}",
+        )
+        for name, case in (("2", "digit"), ("1a", "leading-digit"),
+                           ("α\u00a0", "no-break-space"), ("α\n", "newline"))
+    ),
     pytest.param(
         mutated(h11_basis=[{"name": "α", "multidegree": [0, 0]}, _BETA]),
         "/h11_basis/0/multidegree", id="h11-zero-multidegree",
