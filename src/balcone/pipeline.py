@@ -10,13 +10,16 @@ Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
 computed once per scenario from the multidegrees of h1 and h2, through
 :func:`integrate_forms`.  Classes in h1 and h2, such as the codim basis, are
 binary forms: a tuple of d+1 coefficients, entry j that of h1^j h2^(d−j).
+A :class:`Scenario` computes κ and the pairing at construction and its gap
+report, ``sc.gap``, on first use; the demo and gap payloads of that object
+share the report, while :func:`gap_report` still computes it from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, repeat
 from math import lcm
 from typing import Optional, Tuple
@@ -78,6 +81,11 @@ class Scenario:
                 "intersection pairing of the chosen bases is degenerate"
             ) from None
         object.__setattr__(self, "pairing_matrix", pm)
+
+    @cached_property
+    def gap(self) -> GapReport:
+        """This scenario's :func:`gap_report`, computed on first use and kept."""
+        return gap_report(self)
 
 
 @dataclass(frozen=True)

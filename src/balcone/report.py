@@ -20,7 +20,6 @@ from .pipeline import (
     balanced_cone,
     balanced_image_closure,
     divisor_bound_functional,
-    gap_report,
     integrate_forms,
 )
 
@@ -183,7 +182,7 @@ def gap_payload(sc: Scenario) -> dict:
     return {
         "command": "gap",
         "scenario": scenario_summary(sc),
-        **_gap_sections(sc, gap_report(sc)),
+        **_gap_sections(sc, sc.gap),
     }
 
 
@@ -208,7 +207,7 @@ def demo_payload(sc: Scenario) -> dict:
         {"factors": [n1] * j + [n2] * (sc.ci.dim - j), "value": fmt_rational(sc.kappa[j])}
         for j in range(sc.ci.dim, -1, -1)
     ]
-    gr = gap_report(sc)
+    gr = sc.gap
     boundary = [
         {
             "effective_ray": _ray_json(e),

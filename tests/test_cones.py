@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -110,6 +111,26 @@ class TestContains:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             QUADRANT.contains((1, 1), "fuzzy")
+
+
+class TestBarycentric:
+    CONES = [QUADRANT, BALANCED, cone_new((2, -1), (-1, 1)), cone_new((3, 5), (-2, -1))]
+    INPUTS = [Ray(-1, 8), (3, -7), (Fraction(-1, 4), Fraction(5, 3)), (0, 0)]
+
+    @pytest.mark.parametrize("cone", CONES, ids=repr)
+    @pytest.mark.parametrize("v", INPUTS, ids=repr)
+    def test_exact_and_rebuilds_input(self, cone, v):
+        s, t = cone.barycentric(v)
+        assert type(s) is Fraction and type(t) is Fraction
+        x, y = v.coords if isinstance(v, Ray) else v
+        assert (s * cone.r1.x + t * cone.r2.x, s * cone.r1.y + t * cone.r2.y) == (x, y)
+
+    @pytest.mark.parametrize("cone", CONES, ids=repr)
+    def test_signs_decide_membership(self, cone):
+        for v in product(range(-4, 5), repeat=2):
+            s, t = cone.barycentric(v)
+            assert cone.contains(v) == (s >= 0 and t >= 0)
+            assert cone.contains(v, "open") == (s > 0 and t > 0)
 
 
 class TestIsSubcone:

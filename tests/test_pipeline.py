@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,8 +14,14 @@ from balcone.pipeline import (
     divisor_bound_functional,
     gap_report,
 )
+from balcone.report import gap_payload
 from balcone.ring import AmbientSpace
-from balcone.scenario_io import document_to_scenario, quintic_conifold_scenario
+from balcone.scenario_io import (
+    DEMO_SCENARIO_JSON,
+    document_to_scenario,
+    parse_scenario,
+    quintic_conifold_scenario,
+)
 from balcone.variety import CompleteIntersection
 
 from _helpers import pn_document
@@ -225,6 +232,37 @@ class TestGapReport:
         bad = with_effective(sc, cone_new((2, -1), (-1, 1)))
         with pytest.raises(ComputationError, match="not contained"):
             gap_report(bad)
+
+
+class TestGapMemo:
+    """``Scenario.gap`` keeps the report on the object and changes nothing else."""
+
+    def test_failure_is_not_stored(self, sc):
+        bad = with_effective(sc, cone_new((2, -1), (-1, 1)))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ComputationError, match="not contained") as e:
+                gap_payload(bad)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+        assert "gap" not in vars(bad)
+
+    def test_identity_unchanged(self):
+        sc = parse_scenario(DEMO_SCENARIO_JSON)
+        assert sc.gap == gap_report(sc)
+        fresh = parse_scenario(DEMO_SCENARIO_JSON)
+        assert sc == fresh
+        assert hash(sc) == hash(fresh)
+        assert repr(sc) == repr(fresh)
+
+    def test_replace_computes_its_own(self):
+        sc = parse_scenario(DEMO_SCENARIO_JSON)
+        report = sc.gap
+        copy = dataclasses.replace(sc)
+        assert "gap" not in vars(copy)
+        assert copy.gap == report
+        assert copy.gap is not report
+        assert sc.gap is report
 
 
 def random_product_scenario(rng):

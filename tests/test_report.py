@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import balcone
+import balcone.pipeline
 from balcone.cli import build_parser, run_command
 from balcone.cones import Ray
 from balcone.pipeline import balanced_cone
@@ -15,7 +16,8 @@ from balcone.report import (
     render_json,
     render_text,
 )
-from balcone.scenario_io import document_to_scenario, quintic_conifold_scenario
+from balcone.scenario_io import document_to_scenario, parse_scenario, quintic_conifold_scenario
+from balcone.svg import render_cone_diagram
 from balcone.variety import CompleteIntersection
 
 from _helpers import pn_document
@@ -138,6 +140,22 @@ def test_payloads_run_no_ring_products(n, monkeypatch):
     for argv in commands:
         run_command(sc, parser.parse_args(argv))
     assert calls == [1]
+
+
+def test_gap_report_computed_once_per_scenario(monkeypatch):
+    """demo, gap and the SVG of one scenario share one image closure; a second
+    parse of the same text is a new object and computes its own."""
+    calls = []
+    closure = balcone.pipeline.balanced_image_closure
+    monkeypatch.setattr(balcone.pipeline, "balanced_image_closure",
+                        lambda sc: calls.append(1) or closure(sc))
+    sc = parse_scenario(balcone.DEMO_SCENARIO_JSON)
+    demo_payload(sc)
+    gap_payload(sc)
+    render_cone_diagram(gap_payload(sc))
+    assert len(calls) == 1
+    gap_payload(parse_scenario(balcone.DEMO_SCENARIO_JSON))
+    assert len(calls) == 2
 
 
 def test_public_api():
