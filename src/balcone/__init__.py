@@ -5,7 +5,6 @@ from .cones import (
     Cone2D,
     Pairing,
     Ray,
-    cone_new,
     det2,
     dual_cone,
     is_subcone,
@@ -59,7 +58,6 @@ __all__ = [
     "ValidationError",
     "balanced_cone",
     "balanced_image_closure",
-    "cone_new",
     "det2",
     "divisor_bound_functional",
     "dual_cone",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import report
-from .cones import cone_new
+from .cones import Cone2D
 from .errors import (
     ComputationError,
     ScenarioError,
@@ -116,7 +116,7 @@ def run_command(scenario, args) -> dict:
     if cmd == "dual":
         cone = scenario.effective_cone
         if args.rays is not None:
-            cone = cone_new(args.rays[0], args.rays[1])
+            cone = Cone2D(*args.rays)
         return report.dual_payload(scenario, cone)
     if cmd == "image":
         return report.image_payload(scenario)

@@ -1,40 +1,39 @@
 """Salient rational cones in the plane, with duality under a bilinear pairing.
 
-Cones are stored as two primitive integer rays in counterclockwise order
-(positive determinant), so equality of cones is structural.  Openness is a
-membership mode rather than a separate type.  Rational input vectors are
-normalized to primitive integer rays on entry; after that all cone
-arithmetic is integer arithmetic.
+A ray is a primitive integer pair and a cone is the pair of its two rays in
+counterclockwise order (positive determinant), so equality of cones is
+structural and both compare, hash and unpack as the tuples they are.
+Openness is a membership mode rather than a separate type.  Rational input
+vectors are normalized to primitive integer rays on entry.  Determinants,
+barycentric coordinates and pairings are exact rational arithmetic in
+``Fraction``; nothing is rounded.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Tuple
 
 from .errors import DegeneratePairingError, ValidationError
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Primitive integer direction vector; gcd of the entries is 1."""
+class Ray(namedtuple("Ray", "x y")):
+    """Primitive integer direction vector: the pair ``(x, y)`` with gcd 1."""
 
-    x: int
-    y: int
+    __slots__ = ()
+    # namedtuple's _replace builds through _make, which would skip the checks.
+    _make = classmethod(lambda cls, pair: cls(*pair))
 
-    def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
-            raise ValidationError(f"ray entries must be integers, got ({self.x!r}, {self.y!r})")
-        if self.x == 0 and self.y == 0:
+    def __new__(cls, x, y):
+        if not isinstance(x, int) or not isinstance(y, int):
+            raise ValidationError(f"ray entries must be integers, got ({x!r}, {y!r})")
+        if x == 0 and y == 0:
             raise ValidationError("zero vector does not span a ray")
-        if gcd(self.x, self.y) != 1:
-            raise ValidationError(f"ray ({self.x}, {self.y}) is not primitive")
-
-    @property
-    def coords(self) -> Tuple[int, int]:
-        return (self.x, self.y)
+        if gcd(x, y) != 1:
+            raise ValidationError(f"ray ({x}, {y}) is not primitive")
+        return super().__new__(cls, x, y)
 
 
 def ray_normalize(v) -> Ray:
@@ -59,39 +58,33 @@ def det2(u, v) -> Fraction:
     return Fraction(u[0]) * Fraction(v[1]) - Fraction(u[1]) * Fraction(v[0])
 
 
-@dataclass(frozen=True)
-class Cone2D:
-    """Salient full-dimensional cone spanned by two independent rays.
+class Cone2D(namedtuple("Cone2D", "r1 r2")):
+    """Salient full-dimensional cone: the pair of rays ``(r1, r2)`` with det > 0.
 
-    The generators are stored with det(r1, r2) > 0; constructors swap the
-    input order when needed and reject parallel or antipodal rays.
+    Either input may be a ray or a rational vector; both are normalized,
+    swapped into counterclockwise order when needed, and rejected when
+    parallel or antipodal.
     """
 
-    r1: Ray
-    r2: Ray
+    __slots__ = ()
+    _make = classmethod(lambda cls, pair: cls(*pair))
 
-    def __post_init__(self):
-        d = det2(self.r1.coords, self.r2.coords)
+    def __new__(cls, r1, r2):
+        r1, r2 = ray_normalize(r1), ray_normalize(r2)
+        d = det2(r1, r2)
         if d == 0:
             raise ValidationError(
-                f"rays ({self.r1.x}, {self.r1.y}) and ({self.r2.x}, {self.r2.y}) "
+                f"rays ({r1.x}, {r1.y}) and ({r2.x}, {r2.y}) "
                 "are parallel or antipodal; the cone is degenerate"
             )
         if d < 0:
-            r1, r2 = self.r1, self.r2
-            object.__setattr__(self, "r1", r2)
-            object.__setattr__(self, "r2", r1)
+            r1, r2 = r2, r1
+        return super().__new__(cls, r1, r2)
 
-    def generators(self) -> Tuple[Ray, Ray]:
-        return (self.r1, self.r2)
-
-    def barycentric(self, v) -> Tuple[Fraction, Fraction]:
+    def barycentric(self, v) -> tuple[Fraction, Fraction]:
         """Coefficients (s, t) with v = s*r1 + t*r2, exactly."""
-        x, y = (v.x, v.y) if isinstance(v, Ray) else v
-        denom = det2(self.r1.coords, self.r2.coords)
-        s = det2((x, y), self.r2.coords) / denom
-        t = det2(self.r1.coords, (x, y)) / denom
-        return (s, t)
+        denom = det2(self.r1, self.r2)
+        return (det2(v, self.r2) / denom, det2(self.r1, v) / denom)
 
     def contains(self, v, mode: str = "closed") -> bool:
         """Membership of a rational vector, in closed or open mode."""
@@ -103,12 +96,7 @@ class Cone2D:
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
 
     def __repr__(self):
-        return f"Cone2D(({self.r1.x}, {self.r1.y}), ({self.r2.x}, {self.r2.y}))"
-
-
-def cone_new(a, b) -> Cone2D:
-    """Cone spanned by two rays or rational vectors, in canonical orientation."""
-    return Cone2D(ray_normalize(a), ray_normalize(b))
+        return f"Cone2D({tuple(self.r1)}, {tuple(self.r2)})"
 
 
 def is_subcone(inner: Cone2D, outer: Cone2D) -> bool:
@@ -124,7 +112,7 @@ class Pairing:
     coordinate spaces.  A singular matrix raises ``DegeneratePairingError``.
     """
 
-    entries: Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+    entries: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
@@ -139,18 +127,18 @@ class Pairing:
         (m00, m01), (m10, m11) = self.entries
         return m00 * m11 - m01 * m10
 
-    def functional(self, r) -> Tuple[Fraction, Fraction]:
+    def functional(self, r) -> tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
-        x, y = (r.x, r.y) if isinstance(r, Ray) else r
+        x, y = r
         (m00, m01), (m10, m11) = self.entries
         return (m00 * x + m10 * y, m01 * x + m11 * y)
 
     def pair(self, x, y) -> Fraction:
         fx = self.functional(x)
-        yx, yy = (y.x, y.y) if isinstance(y, Ray) else y
+        yx, yy = y
         return fx[0] * yx + fx[1] * yy
 
-    def solve(self, w) -> Tuple[Fraction, Fraction]:
+    def solve(self, w) -> tuple[Fraction, Fraction]:
         """The column vector c with M c = w, exactly."""
         det = self.det
         (m00, m01), (m10, m11) = self.entries
@@ -174,5 +162,5 @@ def dual_cone(cone: Cone2D, pairing: Pairing) -> Cone2D:
     Each boundary ray of the result annihilates exactly one generator of the
     input under the pairing and is strictly positive against the other.
     """
-    f1, f2 = (pairing.functional(r) for r in cone.generators())
+    f1, f2 = (pairing.functional(r) for r in cone)
     return Cone2D(_edge_ray(f1, f2), _edge_ray(f2, f1))

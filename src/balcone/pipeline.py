@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
 from math import lcm
-from typing import Optional, Tuple
 
-from .cones import Cone2D, Pairing, Ray, cone_new, dual_cone, is_subcone, ray_normalize
+from .cones import Cone2D, Pairing, Ray, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
 from .variety import CompleteIntersection
 
@@ -47,15 +46,15 @@ class Scenario:
     """Input datum for the cone pipeline; immutable after validation."""
 
     ci: CompleteIntersection
-    h11_names: Tuple[str, str]
-    h11_multidegrees: Tuple[Tuple[int, ...], Tuple[int, ...]]
-    codim_names: Tuple[str, str]
-    codim_forms: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
+    h11_names: tuple[str, str]
+    h11_multidegrees: tuple[tuple[int, ...], tuple[int, ...]]
+    codim_names: tuple[str, str]
+    codim_forms: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     kahler_cone: Cone2D
     effective_cone: Cone2D
-    prime_divisors: Tuple[Tuple[str, Tuple[int, int]], ...] = ()
-    codim_exprs: Optional[Tuple[str, str]] = None
-    kappa: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    prime_divisors: tuple[tuple[str, tuple[int, int]], ...] = ()
+    codim_exprs: tuple[str, str] | None = None
+    kappa: tuple[int, ...] = field(init=False, compare=False, repr=False)
     pairing_matrix: Pairing = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,8 +99,8 @@ class GapReport:
     image_closure: Cone2D
     balanced_cone: Cone2D
     strict: bool
-    gap_generators: Tuple[Ray, ...]
-    witness: Optional[Ray]
+    gap_generators: tuple[Ray, ...]
+    witness: Ray | None
 
 
 def integrate_forms(scenario: Scenario, forms) -> Fraction:
@@ -123,19 +122,19 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j),
     where k_j = ∫ u^j v^(dim−j) comes from :func:`integrate_forms`.
     """
-    rays = scenario.kahler_cone.generators()
     d = scenario.ci.dim
     u_powers, v_powers = (
-        list(accumulate(repeat((r.y, r.x), d), _product, initial=(1,))) for r in rays
+        list(accumulate(repeat((y, x), d), _product, initial=(1,)))
+        for x, y in scenario.kahler_cone
     )
     k = [integrate_forms(scenario, (u_powers[j], v_powers[d - j])) for j in range(d + 1)]
     live = [j for j in range(d) if k[j] or k[j + 1]]
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
-    uv_pairing = Pairing(tuple(scenario.pairing_matrix.functional(r) for r in rays))
+    uv_pairing = Pairing(tuple(map(scenario.pairing_matrix.functional, scenario.kahler_cone)))
     first, last = (uv_pairing.solve((k[j + 1], k[j])) for j in (live[-1], live[0]))
     try:
-        return cone_new(first, last)
+        return Cone2D(first, last)
     except ValidationError as e:
         raise ComputationError(
             f"balanced-map image closure is not a planar cone: {e}"
@@ -151,7 +150,7 @@ def balanced_cone(scenario: Scenario) -> Cone2D:
     return dual_cone(scenario.effective_cone, scenario.pairing_matrix)
 
 
-def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> Tuple[Fraction, Fraction]:
+def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fraction, Fraction]:
     """Coefficients (l1, l2) of a1, a2 in the bound functional of a known prime.
 
     For D = a1*h1 + a2*h2 the integral of D ^ P ^ A^(dim-2) over the

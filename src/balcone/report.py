@@ -71,7 +71,7 @@ def format_class_label(ray: Ray, names) -> str:
     Normalized monic in the second name when possible, so ``(-1, 4)`` over
     ``("α∧β", "β∧β")`` reads ``β∧β−¼α∧β``.
     """
-    a, b = ray.coords
+    a, b = ray
     n1, n2 = names
     if b == 0:
         return n1 if a > 0 else f"{_MINUS}{n1}"
@@ -81,27 +81,23 @@ def format_class_label(ray: Ray, names) -> str:
         return f"{n2}{_coeff_text(Fraction(a, b))}{n1}"
     if a > 0:
         return f"{n1}{_coeff_text(Fraction(b, a))}{n2}"
-    return f"{_MINUS}({format_class_label(Ray(-a, -b), names)})"
-
-
-def _ray_json(ray: Ray):
-    return [ray.x, ray.y]
+    return f"{_MINUS}({format_class_label((-a, -b), names)})"
 
 
 def _cone_json(cone: Cone2D):
-    return [_ray_json(cone.r1), _ray_json(cone.r2)]
+    return [list(r) for r in cone]
 
 
 def _cone_section(cone: Cone2D, names) -> dict:
     return {
         "rays": _cone_json(cone),
-        "labels": [format_class_label(r, names) for r in cone.generators()],
+        "labels": [format_class_label(r, names) for r in cone],
     }
 
 
 def scenario_summary(sc: Scenario) -> dict:
     return {
-        "ambient": list(sc.ci.space.dims),
+        "ambient": list(sc.ci.space),
         "divisors": [list(d) for d in sc.ci.divisors],
         "dim": sc.ci.dim,
         "h11_basis": list(sc.h11_names),
@@ -117,8 +113,8 @@ def scenario_summary(sc: Scenario) -> dict:
 def _gap_sections(sc: Scenario, gr: GapReport) -> dict:
     gap = {
         "strict": gr.strict,
-        "generators": [_ray_json(r) for r in gr.gap_generators],
-        "witness": _ray_json(gr.witness) if gr.witness else None,
+        "generators": [list(r) for r in gr.gap_generators],
+        "witness": list(gr.witness) if gr.witness else None,
     }
     if gr.witness:
         gap["witness_in_balanced_open"] = gr.balanced_cone.contains(gr.witness, "open")
@@ -210,12 +206,12 @@ def demo_payload(sc: Scenario) -> dict:
     gr = sc.gap
     boundary = [
         {
-            "effective_ray": _ray_json(e),
-            "balanced_ray": _ray_json(b),
+            "effective_ray": list(e),
+            "balanced_ray": list(b),
             "value": fmt_rational(pm.pair(e, b)),
         }
-        for e in sc.effective_cone.generators()
-        for b in gr.balanced_cone.generators()
+        for e in sc.effective_cone
+        for b in gr.balanced_cone
     ]
     bounds = [
         {

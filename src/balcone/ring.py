@@ -8,53 +8,41 @@ pulled back from the i-th factor; it is recorded by its multidegree
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from .errors import ValidationError
 
 
-class AmbientSpace:
-    """A product of projective spaces, one positive dimension per factor."""
+class AmbientSpace(tuple):
+    """A product of projective spaces: the tuple of its factor dimensions.
 
-    __slots__ = ("dims",)
+    ``len(space)`` is the number of factors and ``sum(space)`` the dimension;
+    every factor dimension is a positive integer.
+    """
 
-    def __init__(self, dims: Sequence[int]):
-        dims = tuple(dims)
-        if not dims:
+    __slots__ = ()
+
+    def __new__(cls, dims: Sequence[int]):
+        space = super().__new__(cls, dims)
+        if not space:
             raise ValidationError("ambient space needs at least one projective factor")
-        for i, n in enumerate(dims):
+        for i, n in enumerate(space):
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ValidationError(
                     f"factor {i}: dimension must be a positive integer, got {n!r}"
                 )
-        self.dims = dims
-
-    @property
-    def nfactors(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def __eq__(self, other):
-        if not isinstance(other, AmbientSpace):
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self):
-        return hash(self.dims)
+        return space
 
     def __repr__(self):
-        return f"AmbientSpace({list(self.dims)})"
+        return f"AmbientSpace({list(self)})"
 
 
-def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> Tuple[int, ...]:
+def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> tuple[int, ...]:
     """The multidegree as a tuple, after checking its length and entries."""
     d = tuple(multidegree)
-    if len(d) != space.nfactors:
+    if len(d) != len(space):
         raise ValidationError(
-            f"multidegree {d} has length {len(d)}, expected {space.nfactors}"
+            f"multidegree {d} has length {len(d)}, expected {len(space)}"
         )
     for i, di in enumerate(d):
         if not isinstance(di, int) or isinstance(di, bool) or di < 0:

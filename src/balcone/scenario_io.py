@@ -26,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cones import cone_new
+from .cones import Cone2D
 from .errors import ScenarioError, ValidationError
 from .pipeline import Scenario
 from .ring import AmbientSpace, check_multidegree
@@ -100,7 +100,7 @@ def _cone(value, path):
         raise ScenarioError("expected two integer pairs", path=path)
     rays = [_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)]
     try:
-        return cone_new(rays[0], rays[1])
+        return Cone2D(*rays)
     except ValidationError as e:
         raise ScenarioError(str(e), path=path) from e
 
@@ -295,7 +295,7 @@ def scenario_to_document(s: Scenario) -> dict:
     if s.codim_exprs is None:
         raise ValidationError("scenario carries no codim basis expressions to serialize")
     doc = {
-        "ambient": list(s.ci.space.dims),
+        "ambient": list(s.ci.space),
         "divisors": [list(d) for d in s.ci.divisors],
         "h11_basis": [
             {"name": n, "multidegree": list(d)}
@@ -304,11 +304,8 @@ def scenario_to_document(s: Scenario) -> dict:
         "codim_basis": [
             {"name": n, "expr": e} for n, e in zip(s.codim_names, s.codim_exprs)
         ],
-        "kahler_cone": [list(s.kahler_cone.r1.coords), list(s.kahler_cone.r2.coords)],
-        "effective_cone": [
-            list(s.effective_cone.r1.coords),
-            list(s.effective_cone.r2.coords),
-        ],
+        "kahler_cone": [list(r) for r in s.kahler_cone],
+        "effective_cone": [list(r) for r in s.effective_cone],
     }
     if s.prime_divisors:
         doc["prime_divisors"] = [

@@ -77,19 +77,19 @@ def _caption(x: float, y: float, text: str) -> str:
     )
 
 
-def _cone_rays(section) -> tuple:
-    return tuple(Ray(x, y) for x, y in section["rays"])
+def _rays(pairs) -> list:
+    return [Ray(x, y) for x, y in pairs]
 
 
 def render_cone_diagram(report) -> str:
     """SVG text for a report carrying scenario, image and balanced cone data."""
     try:
         scenario = report["scenario"]
-        kahler = [tuple(v) for v in scenario["kahler_cone"]]
+        kahler = _rays(scenario["kahler_cone"])
         h11_names = scenario["h11_basis"]
         codim_names = scenario["codim_basis"]
-        image = _cone_rays(report["image_closure"])
-        balanced = _cone_rays(report["balanced_cone"])
+        image = _rays(report["image_closure"]["rays"])
+        balanced = _rays(report["balanced_cone"]["rays"])
     except (KeyError, TypeError) as e:
         raise ValidationError(
             "report lacks cone data (need scenario, image_closure and "
@@ -97,8 +97,8 @@ def render_cone_diagram(report) -> str:
         ) from e
 
     kt1, kt2 = _angles(kahler)
-    it1, it2 = _angles([r.coords for r in image])
-    bt1, bt2 = _angles([r.coords for r in balanced])
+    it1, it2 = _angles(image)
+    bt1, bt2 = _angles(balanced)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -114,8 +114,8 @@ def render_cone_diagram(report) -> str:
     )
     parts.append(_ray_line(kt1, _RADIUS))
     parts.append(_ray_line(kt2, _RADIUS))
-    parts.append(_ray_label(kt1, format_class_label(Ray(*kahler[0]), h11_names)))
-    parts.append(_ray_label(kt2, format_class_label(Ray(*kahler[1]), h11_names)))
+    parts.append(_ray_label(kt1, format_class_label(kahler[0], h11_names)))
+    parts.append(_ray_label(kt2, format_class_label(kahler[1], h11_names)))
     parts.append(_caption(60.0, 105.0, "Kähler cone"))
     parts.append("</g>")
 
@@ -152,7 +152,7 @@ def render_cone_diagram(report) -> str:
     parts.append(_ray_label(bt1, format_class_label(balanced[0], codim_names)))
     parts.append(_ray_label(bt2, format_class_label(balanced[1], codim_names)))
     for theta, ray in ((it1, image[0]), (it2, image[1])):
-        if ray.coords not in (balanced[0].coords, balanced[1].coords):
+        if ray not in balanced:
             parts.append(
                 _ray_label(theta, format_class_label(ray, codim_names), dist=0.58)
             )

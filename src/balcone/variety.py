@@ -11,10 +11,10 @@ reports from that one pass.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate, repeat
 from math import prod
 from operator import mul
-from typing import Sequence, Tuple
 
 from .errors import ValidationError
 from .ring import AmbientSpace, check_multidegree
@@ -50,14 +50,14 @@ class CompleteIntersection:
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
         divisors = tuple(check_multidegree(space, d) for d in divisors)
-        dim = space.total_dim - len(divisors)
+        dim = sum(space) - len(divisors)
         if dim < 1:
             raise ValidationError(
-                f"{len(divisors)} divisors in a {space.total_dim}-dimensional "
+                f"{len(divisors)} divisors in a {sum(space)}-dimensional "
                 f"ambient space leave dimension {dim}; need at least 1"
             )
-        strides = accumulate((n + 1 for n in space.dims[:-1]), mul, initial=1)
-        digits = tuple((s, n + 1, n) for s, n in zip(strides, space.dims))
+        strides = accumulate((n + 1 for n in space[:-1]), mul, initial=1)
+        digits = tuple((s, n + 1, n) for s, n in zip(strides, space))
         fundamental = {0: 1}
         for d in divisors:
             fundamental = _times_linear(fundamental, d, digits)
@@ -71,7 +71,7 @@ class CompleteIntersection:
         self._digits = digits
         self._fundamental = fundamental
 
-    def kappa(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+    def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
         The integral is the top coefficient of F·a^j·b^m, F the fundamental

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from balcone.cones import Cone2D, Pairing, cone_new, ray_normalize
+from balcone.cones import Cone2D, Pairing, ray_normalize
 from balcone.errors import ComputationError, DegeneratePairingError, ValidationError
 from balcone.ring import AmbientSpace
 
@@ -26,7 +26,7 @@ def random_space(rng, max_total=8, max_factors=3):
 def random_class(rng, space, max_terms=6):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        exp = tuple(rng.randint(0, n) for n in space.dims)
+        exp = tuple(rng.randint(0, n) for n in space)
         terms[exp] = rng.randint(-9, 9)
     return RingClass(space, terms)
 
@@ -44,7 +44,7 @@ def dense_mul(space, p, q):
     a = p.terms()
     b = q.terms()
     out = {}
-    grid = list(product(*(range(n + 1) for n in space.dims)))
+    grid = list(product(*(range(n + 1) for n in space)))
     for e in grid:
         total = Fraction(0)
         for e1 in product(*(range(x + 1) for x in e)):
@@ -120,7 +120,7 @@ def reference_image_closure(sc):
     """
     n = sc.ci.dim - 1
     u, v = (
-        linear_combination(zip(r.coords, h11_classes(sc))) for r in sc.kahler_cone.generators()
+        linear_combination(zip(r, h11_classes(sc))) for r in sc.kahler_cone
     )
     coords = [
         express_in_basis(sc, (u ** j) * (v ** (n - j)) * comb(n, j)) for j in range(n, -1, -1)
@@ -129,6 +129,6 @@ def reference_image_closure(sc):
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
     try:
-        return cone_new(live[0], live[-1])
+        return Cone2D(live[0], live[-1])
     except ValidationError as e:
         raise ComputationError(f"balanced-map image closure is not a planar cone: {e}") from e

@@ -23,7 +23,7 @@ class RingClass:
         self.space = space
         self._terms = {
             tuple(e): Fraction(c) for e, c in terms.items()
-            if c and all(a <= n for a, n in zip(e, space.dims))
+            if c and all(a <= n for a, n in zip(e, space))
         }
 
     def terms(self):
@@ -68,12 +68,12 @@ class RingClass:
 
 
 def one(space):
-    return RingClass(space, {(0,) * len(space.dims): 1})
+    return RingClass(space, {(0,) * len(space): 1})
 
 
 def generator(space, i):
     """The hyperplane class ``h_i`` of the i-th factor."""
-    return RingClass(space, {tuple(int(j == i) for j in range(len(space.dims))): 1})
+    return RingClass(space, {tuple(int(j == i) for j in range(len(space))): 1})
 
 
 def linear_combination(terms):
@@ -88,7 +88,7 @@ def divisor_class(space, multidegree):
 
 def integrate(p):
     """Coefficient of the top monomial, which integrates to 1 over the ambient space."""
-    return p.terms().get(p.space.dims, Fraction(0))
+    return p.terms().get(p.space, Fraction(0))
 
 
 def fundamental_class(ci):

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import balcone
-from balcone.cones import Pairing, Ray, cone_new, det2, dual_cone, is_subcone
+from balcone.cones import Cone2D, Pairing, Ray, det2, dual_cone, is_subcone
 from balcone.pipeline import (
     H11_FORMS,
     balanced_cone,
@@ -68,8 +68,8 @@ def test_criterion_2_pairing_matrix():
 
 def test_criterion_3_balanced_cone_rays():
     sc = quintic_conifold_scenario()
-    expected = cone_new((1, 0), (-1, 4))
-    direct = dual_cone(cone_new((1, 0), (-1, 1)), sc.pairing_matrix)
+    expected = Cone2D((1, 0), (-1, 4))
+    direct = dual_cone(Cone2D((1, 0), (-1, 1)), sc.pairing_matrix)
     via_pipeline = balanced_cone(sc)
     ok = direct == expected and via_pipeline == expected
     report_line(
@@ -85,7 +85,7 @@ def test_criterion_4_image_closure_and_gap_witness():
     gr = gap_report(sc)
     witness = Ray(-1, 8)
     ok = (
-        image == cone_new((1, 0), (0, 1))
+        image == Cone2D((1, 0), (0, 1))
         and is_subcone(image, gr.balanced_cone)
         and not is_subcone(gr.balanced_cone, image)
         and gr.strict
@@ -137,7 +137,7 @@ def test_criterion_7_property_suites():
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
         assert all(
-            e <= n for exp in (p * q).terms() for e, n in zip(exp, space.dims)
+            e <= n for exp in (p * q).terms() for e, n in zip(exp, space)
         )
 
     for _ in range(1000):
@@ -150,10 +150,10 @@ def test_criterion_7_property_suites():
         cone = random_cone(rng)
         pairing = random_pairing(rng)
         dual = dual_cone(cone, pairing)
-        assert det2(dual.r1.coords, dual.r2.coords) > 0
+        assert det2(dual.r1, dual.r2) > 0
         assert dual_cone(dual, Pairing(tuple(zip(*pairing.entries)))) == cone
-        for r in cone.generators():
-            assert any(pairing.pair(r, s) == 0 for s in dual.generators())
+        for r in cone:
+            assert any(pairing.pair(r, s) == 0 for s in dual)
 
     elapsed = time.perf_counter() - start
     ok = elapsed < 30

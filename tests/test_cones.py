@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +10,6 @@ from balcone.cones import (
     Cone2D,
     Pairing,
     Ray,
-    cone_new,
     det2,
     dual_cone,
     is_subcone,
@@ -18,8 +19,8 @@ from balcone.errors import DegeneratePairingError, ValidationError
 
 from _helpers import nonneg_combination, random_cone, random_pairing
 
-QUADRANT = cone_new((1, 0), (0, 1))
-BALANCED = cone_new((1, 0), (-1, 4))
+QUADRANT = Cone2D((1, 0), (0, 1))
+BALANCED = Cone2D((1, 0), (-1, 4))
 QUINTIC_PAIRING = Pairing(((0, 4), (4, 5)))
 
 
@@ -42,26 +43,61 @@ class TestRay:
             Ray(2, 4)
 
 
+class TestValueSemantics:
+    """Rays and cones are the tuples they validate."""
+
+    @pytest.mark.parametrize(
+        "value, pair, text",
+        [
+            (Ray(-1, 8), (-1, 8), "Ray(x=-1, y=8)"),
+            (BALANCED, ((1, 0), (-1, 4)), "Cone2D((1, 0), (-1, 4))"),
+        ],
+        ids=["Ray", "Cone2D"],
+    )
+    def test_is_its_tuple(self, value, pair, text):
+        assert value == pair and hash(value) == hash(pair)
+        first, second = value
+        assert (first, second) == pair
+        assert repr(value) == text
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and type(twin) is type(value)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValidationError, match="primitive"):
+            Ray(1, 0)._replace(x=2)
+        with pytest.raises(ValidationError, match="parallel or antipodal"):
+            QUADRANT._replace(r2=Ray(1, 0))
+        assert QUADRANT._replace(r2=(-2, 8)) == BALANCED
+
+
 class TestConeNew:
     def test_quadrant(self):
-        c = cone_new((1, 0), (0, 1))
-        assert c.generators() == (Ray(1, 0), Ray(0, 1))
+        c = Cone2D((1, 0), (0, 1))
+        assert tuple(c) == (Ray(1, 0), Ray(0, 1))
+
+    @pytest.mark.parametrize(
+        "a, b", [((2, 0), (0, 3)), ((0, Fraction(2, 5)), (Fraction(7, 3), 0))], ids=repr
+    )
+    def test_vectors_normalized(self, a, b):
+        cone = Cone2D(a, b)
+        assert cone == (Ray(1, 0), Ray(0, 1))
+        assert all(type(r) is Ray for r in cone)
 
     def test_orientation_fixed(self):
-        assert cone_new((0, 1), (1, 0)) == QUADRANT
+        assert Cone2D((0, 1), (1, 0)) == QUADRANT
 
     def test_antipodal_rejected(self):
         with pytest.raises(ValidationError, match="parallel or antipodal"):
-            cone_new((1, 0), (-1, 0))
+            Cone2D((1, 0), (-1, 0))
 
     def test_parallel_rejected(self):
         with pytest.raises(ValidationError):
-            cone_new((1, 2), (2, 4))
+            Cone2D((1, 2), (2, 4))
 
 
 class TestDualCone:
     def test_quintic_effective_dual(self):
-        effective = cone_new((1, 0), (-1, 1))
+        effective = Cone2D((1, 0), (-1, 1))
         assert dual_cone(effective, QUINTIC_PAIRING) == BALANCED
 
     def test_identity_self_dual_quadrant(self):
@@ -70,7 +106,7 @@ class TestDualCone:
 
     def test_derived_example(self):
         p = Pairing(((2, 1), (1, 2)))
-        assert dual_cone(QUADRANT, p) == cone_new((2, -1), (-1, 2))
+        assert dual_cone(QUADRANT, p) == Cone2D((2, -1), (-1, 2))
 
     def test_derived_example_against_grid_sampling(self):
         # Dense cross-check: membership in the computed dual must agree
@@ -114,7 +150,7 @@ class TestContains:
 
 
 class TestBarycentric:
-    CONES = [QUADRANT, BALANCED, cone_new((2, -1), (-1, 1)), cone_new((3, 5), (-2, -1))]
+    CONES = [QUADRANT, BALANCED, Cone2D((2, -1), (-1, 1)), Cone2D((3, 5), (-2, -1))]
     INPUTS = [Ray(-1, 8), (3, -7), (Fraction(-1, 4), Fraction(5, 3)), (0, 0)]
 
     @pytest.mark.parametrize("cone", CONES, ids=repr)
@@ -122,7 +158,7 @@ class TestBarycentric:
     def test_exact_and_rebuilds_input(self, cone, v):
         s, t = cone.barycentric(v)
         assert type(s) is Fraction and type(t) is Fraction
-        x, y = v.coords if isinstance(v, Ray) else v
+        x, y = v
         assert (s * cone.r1.x + t * cone.r2.x, s * cone.r1.y + t * cone.r2.y) == (x, y)
 
     @pytest.mark.parametrize("cone", CONES, ids=repr)
@@ -140,7 +176,7 @@ class TestIsSubcone:
 
     def test_self_inclusion_not_strict(self):
         assert is_subcone(QUADRANT, QUADRANT)
-        assert all(QUADRANT.contains(g) for g in QUADRANT.generators())
+        assert all(QUADRANT.contains(g) for g in QUADRANT)
 
     def test_reverse_fails(self):
         assert not is_subcone(BALANCED, QUADRANT)
@@ -155,14 +191,14 @@ class TestConeProperties:
             dual = dual_cone(cone, pairing)
 
             # canonical form
-            assert det2(dual.r1.coords, dual.r2.coords) > 0
+            assert det2(dual.r1, dual.r2) > 0
 
             # involution under the transposed pairing
             assert dual_cone(dual, Pairing(tuple(zip(*pairing.entries)))) == cone
 
             # each generator of the input is annihilated by some dual ray
-            for r in cone.generators():
-                assert any(pairing.pair(r, s) == 0 for s in dual.generators())
+            for r in cone:
+                assert any(pairing.pair(r, s) == 0 for s in dual)
 
             # exact positivity on random members
             for _ in range(5):

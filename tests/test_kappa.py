@@ -15,7 +15,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from balcone.cones import Pairing, cone_new, det2, dual_cone, is_subcone
+from balcone.cones import Cone2D, Pairing, det2, dual_cone, is_subcone
 from balcone.errors import ComputationError, ScenarioError, ValidationError
 from balcone.pipeline import (
     balanced_cone,
@@ -157,8 +157,8 @@ def test_dual_cone_involution(doc):
 @given(documents())
 def test_balanced_rays_annihilate_one_effective_ray(doc):
     sc = _scenario(doc)
-    effective = sc.effective_cone.generators()
-    for b in balanced_cone(sc).generators():
+    effective = sc.effective_cone
+    for b in balanced_cone(sc):
         assert sum(sc.pairing_matrix.pair(e, b) == 0 for e in effective) == 1
 
 
@@ -168,7 +168,7 @@ def test_image_inside_balanced_on_nef_kahler(doc):
     """Products of nef classes integrate to non-negative numbers, so on a
     Kähler cone in the h1, h2 quadrant the image pairs non-negatively with
     the effective divisors h1 and h2."""
-    sc = dataclasses.replace(_scenario(doc), effective_cone=cone_new((1, 0), (0, 1)))
+    sc = dataclasses.replace(_scenario(doc), effective_cone=Cone2D((1, 0), (0, 1)))
     try:
         image = balanced_image_closure(sc)
     except ComputationError:
@@ -184,8 +184,8 @@ def test_document_round_trip(doc):
     assert parse_scenario(serialize_scenario(sc)) == sc
     assert scenario_to_document(sc) == {
         **doc,
-        "kahler_cone": [list(r.coords) for r in sc.kahler_cone.generators()],
-        "effective_cone": [list(r.coords) for r in sc.effective_cone.generators()],
+        "kahler_cone": [list(r) for r in sc.kahler_cone],
+        "effective_cone": [list(r) for r in sc.effective_cone],
     }
 
 

@@ -65,9 +65,9 @@ class TestPayloads:
         pairing = sc.pairing_matrix
         bal = balanced_cone(sc)
         values = {
-            (e.coords, b.coords): pairing.pair(e, b)
-            for e in sc.effective_cone.generators()
-            for b in bal.generators()
+            (e, b): pairing.pair(e, b)
+            for e in sc.effective_cone
+            for b in bal
         }
         assert all(v >= 0 for v in values.values())
         assert values[((1, 0), (1, 0))] == 0
@@ -164,7 +164,7 @@ def test_public_api():
         AmbientSpace CompleteIntersection Cone2D ComputationError DEMO_SCENARIO_JSON
         DegeneratePairingError DegreeMismatchError GapReport GeometryError Pairing Ray
         Scenario ScenarioError UnknownNameError ValidationError balanced_cone
-        balanced_image_closure cone_new det2 divisor_bound_functional dual_cone gap_report
+        balanced_image_closure det2 divisor_bound_functional dual_cone gap_report
         integrate_forms is_subcone parse_scenario quintic_conifold_scenario ray_normalize
         scenario_to_document serialize_scenario
     """.split()

@@ -1,6 +1,8 @@
 """The library's AmbientSpace and check_multidegree, and the tests' sparse
 rational ring (``_ring_oracle``) against the ring axioms and a dense product."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,8 +37,8 @@ def alpha(space):
 
 class TestAmbientSpace:
     def test_total_dim(self):
-        assert AmbientSpace([4, 1]).total_dim == 5
-        assert AmbientSpace([2]).total_dim == 2
+        assert sum(AmbientSpace([4, 1])) == 5
+        assert sum(AmbientSpace([2])) == 2
 
     def test_zero_dimensional_factor_rejected(self):
         with pytest.raises(ValidationError, match="factor 1"):
@@ -53,6 +55,14 @@ class TestAmbientSpace:
     def test_value_equality(self):
         assert AmbientSpace([4, 1]) == AmbientSpace([4, 1])
         assert AmbientSpace([4, 1]) != AmbientSpace([1, 4])
+
+    def test_is_its_tuple(self, p41):
+        assert p41 == (4, 1) and hash(p41) == hash((4, 1))
+        n, m = p41
+        assert (n, m, len(p41)) == (4, 1, 2)
+        assert repr(p41) == "AmbientSpace([4, 1])"
+        for twin in (pickle.loads(pickle.dumps(p41)), copy.deepcopy(p41)):
+            assert twin == p41 and type(twin) is AmbientSpace
 
 
 class TestDivisorClass:
@@ -132,7 +142,7 @@ class TestRingProperties:
             assert p * (q + r) == p * q + p * r
             for cls in (p * q, p + q, p - q):
                 assert all(
-                    e <= n for exp in cls.terms() for e, n in zip(exp, space.dims)
+                    e <= n for exp in cls.terms() for e, n in zip(exp, space)
                 )
 
     def test_integrate_linear(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from balcone.cones import cone_new
+from balcone.cones import Cone2D
 from balcone.errors import DegreeMismatchError, ValidationError
 from balcone.pipeline import Scenario
 from balcone.ring import AmbientSpace
@@ -115,7 +115,7 @@ ALPHA_BETA = ((0, 1), (1, 0))
 
 def scenario(ci, h11, codim_forms):
     """Scenario on ``ci`` with h11 multidegrees ``h11``; its pairing is read from κ."""
-    quadrant = cone_new((1, 0), (0, 1))
+    quadrant = Cone2D((1, 0), (0, 1))
     return Scenario(ci, ("h1", "h2"), tuple(h11), ("c1", "c2"), tuple(codim_forms),
                     quadrant, quadrant)
 
