@@ -12,7 +12,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import report
 from .cones import Cone2D
@@ -95,7 +94,8 @@ def _load_scenario(path):
     if path is None:
         return quintic_conifold_scenario()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read scenario file: {e}") from e
     return parse_scenario(text)
@@ -142,7 +142,8 @@ def _write_output(text: str, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ class Ray(namedtuple("Ray", "x y")):
     _make = classmethod(lambda cls, pair: cls(*pair))
 
     def __new__(cls, x, y):
-        if not isinstance(x, int) or not isinstance(y, int):
+        if not isinstance(x, int) or not isinstance(y, int) or bool in (type(x), type(y)):
             raise ValidationError(f"ray entries must be integers, got ({x!r}, {y!r})")
         if x == 0 and y == 0:
             raise ValidationError("zero vector does not span a ray")

@@ -8,8 +8,10 @@ about it is arithmetic (pairing certificates), not geometry.
 
 Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
 computed once per scenario from the multidegrees of h1 and h2, through
-:func:`integrate_forms`.  Classes in h1 and h2, such as the codim basis, are
-binary forms: a tuple of d+1 coefficients, entry j that of h1^j h2^(d−j).
+:func:`integrate_forms` (the pairing, ``intersect``, the bound functional) or
+:func:`kappa_in_basis` (the image closure, in O(dim²) integer products).  Classes
+in h1 and h2, such as the codim basis, are binary forms: a tuple of d+1
+coefficients, entry j that of h1^j h2^(d−j).
 A :class:`Scenario` computes κ and the pairing at construction and its gap
 report, ``sc.gap``, on first use; the demo and gap payloads of that object
 share the report, while :func:`gap_report` still computes it from scratch.
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
-from math import lcm
+from math import comb, lcm
 
 from .cones import Cone2D, Pairing, Ray, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
@@ -111,6 +113,19 @@ def integrate_forms(scenario: Scenario, forms) -> Fraction:
     return sum([c * k for c, k in zip(acc, scenario.kappa) if c], Fraction(0))
 
 
+def kappa_in_basis(scenario: Scenario, u, v) -> list[int]:
+    """k_j = ∫ u^j v^(dim−j) for j = 0..dim, u and v integer pairs in (h1, h2) coordinates.
+
+    With L1 = X·u₀ + Y·v₀ and L2 = X·u₁ + Y·v₁, Σ C(dim,j)·k_j·X^j·Y^(dim−j) equals
+    Σ C(dim,i)·κ_i·L1^i·L2^(dim−i): one Horner pass in L1, O(dim²) integer products."""
+    d = scenario.ci.dim
+    h, l2_powers = [], list(accumulate(repeat((v[1], u[1]), d), _product, initial=(1,)))
+    for i in range(d, -1, -1):
+        h, c = _product(h, (v[0], u[0])), comb(d, i) * scenario.kappa[i]
+        h = [a + c * b for a, b in zip(h, l2_powers[d - i])] if c else h
+    return [a // comb(d, j) for j, a in enumerate(h)]  # exact: each k_j is an integer
+
+
 def balanced_image_closure(scenario: Scenario) -> Cone2D:
     """Closure of the image of the open Kähler cone under x -> x^(dim-1).
 
@@ -120,14 +135,10 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
     next surviving mixed term, and the scan captures that exactly.  Up to its
     positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j),
-    where k_j = ∫ u^j v^(dim−j) comes from :func:`integrate_forms`.
+    where k_j = ∫ u^j v^(dim−j) comes from :func:`kappa_in_basis`.
     """
     d = scenario.ci.dim
-    u_powers, v_powers = (
-        list(accumulate(repeat((y, x), d), _product, initial=(1,)))
-        for x, y in scenario.kahler_cone
-    )
-    k = [integrate_forms(scenario, (u_powers[j], v_powers[d - j])) for j in range(d + 1)]
+    k = kappa_in_basis(scenario, *scenario.kahler_cone)
     live = [j for j in range(d) if k[j] or k[j + 1]]
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")

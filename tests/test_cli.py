@@ -261,12 +261,13 @@ class TestCommands:
 
 def test_cli_import_leaves_rendering_modules_unloaded():
     # balcone.svg, html and xml cost start-up time and memory on every command
-    # that draws no figure, so only `render` may load them.  typing is loaded by
-    # nothing in balcone; -S keeps site-packages' .pth files from loading it.
+    # that draws no figure, so only `render` may load them.  typing and pathlib
+    # are loaded by nothing in balcone; -S keeps site-packages' .pth files from
+    # loading them.
     src = str(Path(balcone.__file__).resolve().parent.parent)
     code = (
         "import sys; import balcone.cli; print(sorted(m for m in "
-        "('balcone.svg', 'html', 'xml', 'typing') if m in sys.modules))"
+        "('balcone.svg', 'html', 'xml', 'typing', 'pathlib') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,

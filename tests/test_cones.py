@@ -42,6 +42,12 @@ class TestRay:
         with pytest.raises(ValidationError, match="primitive"):
             Ray(2, 4)
 
+    @pytest.mark.parametrize("pair", [(True, 0), (1, False), (1.0, 0), (Fraction(1), 0)])
+    def test_non_integer_entries_rejected(self, pair):
+        # bool is an int subclass: a JSON `true` must not pass as the entry 1
+        with pytest.raises(ValidationError, match="ray entries must be integers"):
+            Ray(*pair)
+
 
 class TestValueSemantics:
     """Rays and cones are the tuples they validate."""

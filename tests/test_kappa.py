@@ -1,11 +1,11 @@
 """The κ path of the pipeline against the ring path, on random scenario documents.
 
 The pairing, the image closure, the bound functional and the demo's
-intersection numbers read κ_j = ∫ h1^j h2^(dim−j); here each is compared
-with the same quantity computed term by term in the cohomology ring.  The
-cone properties of a scenario (duality, annihilating boundary rays, the image
-inside the balanced cone) and the document round trip are checked on the
-same draws.
+intersection numbers read κ_j = ∫ h1^j h2^(dim−j), directly or moved into
+another basis; here each is compared with the same quantity computed term
+by term in the cohomology ring.  The cone properties of a scenario (duality,
+annihilating boundary rays, the image inside the balanced cone) and the
+document round trip are checked on the same draws.
 """
 
 import dataclasses
@@ -21,6 +21,7 @@ from balcone.pipeline import (
     balanced_cone,
     balanced_image_closure,
     divisor_bound_functional,
+    kappa_in_basis,
 )
 from balcone.ring import AmbientSpace
 from balcone.scenario_io import (
@@ -126,11 +127,20 @@ def _image_outcome(image_closure, sc):
     documents(),
     _PAIR,
     st.tuples(*[st.fractions(Fraction(1, 4), 4, max_denominator=6)] * 2),
+    _PAIR,
+    _PAIR,
 )
-def test_kappa_path_matches_ring_path(doc, prime, ample):
+def test_kappa_path_matches_ring_path(doc, prime, ample, u, v):
     sc = _scenario(doc)
     h11 = h11_classes(sc)
+    dim = sc.ci.dim
     assert sc.kappa == _ring_kappa(sc)
+    # every k_j of κ in the basis (u, v), not only those the image closure keeps;
+    # the draws include axis rays, negative entries, parallel and zero pairs
+    big_u, big_v = (linear_combination(zip(r, h11)) for r in (u, v))
+    assert kappa_in_basis(sc, u, v) == [
+        intersection_number(sc.ci, [big_u] * j + [big_v] * (dim - j)) for j in range(dim + 1)
+    ]
     codim = [_ring_class(sc, f) for f in sc.codim_forms]
     assert sc.pairing_matrix.entries == tuple(
         tuple(intersection_number(sc.ci, [h, c]) for c in codim) for h in h11
@@ -138,7 +148,7 @@ def test_kappa_path_matches_ring_path(doc, prime, ample):
     assert _image_outcome(balanced_image_closure, sc) == \
         _image_outcome(reference_image_closure, sc)
     p = linear_combination(zip(prime, h11))
-    a_power = linear_combination(zip(ample, h11)) ** (sc.ci.dim - 2)
+    a_power = linear_combination(zip(ample, h11)) ** (dim - 2)
     assert divisor_bound_functional(sc, prime, ample) == tuple(
         intersection_number(sc.ci, [h, p, a_power]) for h in h11
     )

@@ -13,6 +13,7 @@ from balcone.pipeline import (
     balanced_image_closure,
     divisor_bound_functional,
     gap_report,
+    kappa_in_basis,
 )
 from balcone.report import gap_payload
 from balcone.ring import AmbientSpace
@@ -143,6 +144,18 @@ def test_pn_family_closed_forms(n):
     assert gap_report(sc).witness == Ray(-1, 2 * n)
     e1 = dict(sc.prime_divisors)["E1"]
     assert divisor_bound_functional(sc, e1, (1, 1)) == (n, n + 1 + n * (n - 4))
+
+
+@pytest.mark.parametrize("n", (4, 5, 9, 101, 200))
+def test_pn_family_off_axis_kahler_closed_form(n):
+    """P^n × P^1 with Kähler rays u = α and v = α + 2β, d = n − 1: α² = 0, κ_0 = n + 1
+    and κ_1 = n, so k_0 = 2^d·(n+1) + d·2^(d−1)·n, k_1 = 2^(d−1)·n and k_j = 0 for j ≥ 2."""
+    sc = document_to_scenario(dict(pn_document(n), kahler_cone=[[1, 0], [1, 2]]))
+    d = n - 1
+    assert kappa_in_basis(sc, *sc.kahler_cone) == (
+        [2**d * (n + 1) + d * 2 ** (d - 1) * n, 2 ** (d - 1) * n] + [0] * (d - 1)
+    )
+    assert balanced_image_closure(sc) == Cone2D((1, 0), (d - 1, 2))
 
 
 @pytest.mark.parametrize("n", (4, 9, 30, 60))

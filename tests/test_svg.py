@@ -40,6 +40,11 @@ class TestRender:
         with pytest.raises(ValidationError, match="cone data"):
             render_cone_diagram(pairing_payload(quintic_conifold_scenario()))
 
+    def test_boolean_ray_entry_rejected(self, gap_doc):
+        doc = dict(gap_doc, image_closure=dict(gap_doc["image_closure"], rays=[[True, 0], [0, 1]]))
+        with pytest.raises(ValidationError, match="ray entries must be integers"):
+            render_cone_diagram(doc)
+
 
 class TestRenderCommand:
     def test_bytes_identical_across_runs(self, tmp_path, capsys):
