@@ -4,9 +4,9 @@ A ray is a primitive integer pair and a cone is the pair of its two rays in
 counterclockwise order (positive determinant), so equality of cones is
 structural and both compare, hash and unpack as the tuples they are.
 Openness is a membership mode rather than a separate type.  Rational input
-vectors are normalized to primitive integer rays on entry.  Determinants,
-barycentric coordinates and pairings are exact rational arithmetic in
-``Fraction``; nothing is rounded.
+vectors are normalized to primitive integer rays on entry.  Determinants and
+membership are exact arithmetic in the input's own type (``int`` on rays);
+barycentric coordinates and pairings are ``Fraction``.  Nothing is rounded.
 """
 
 from __future__ import annotations
@@ -53,9 +53,14 @@ def ray_normalize(v) -> Ray:
     return Ray(x // g, y // g)
 
 
-def det2(u, v) -> Fraction:
-    """Determinant of a 2x2 matrix with the given rows."""
-    return Fraction(u[0]) * Fraction(v[1]) - Fraction(u[1]) * Fraction(v[0])
+def det2(u, v) -> int | Fraction:
+    """Determinant of a 2x2 matrix with the given rows, exact in their own type:
+    ``int`` on integers, ``Fraction`` on rationals.  Any other result (a rounded
+    float product) is redone in ``Fraction``, which reads a float exactly."""
+    d = u[0] * v[1] - u[1] * v[0]
+    if not isinstance(d, (int, Fraction)):
+        d = Fraction(u[0]) * Fraction(v[1]) - Fraction(u[1]) * Fraction(v[0])
+    return d
 
 
 class Cone2D(namedtuple("Cone2D", "r1 r2")):
@@ -84,11 +89,12 @@ class Cone2D(namedtuple("Cone2D", "r1 r2")):
     def barycentric(self, v) -> tuple[Fraction, Fraction]:
         """Coefficients (s, t) with v = s*r1 + t*r2, exactly."""
         denom = det2(self.r1, self.r2)
-        return (det2(v, self.r2) / denom, det2(self.r1, v) / denom)
+        return (Fraction(det2(v, self.r2), denom), Fraction(det2(self.r1, v), denom))
 
     def contains(self, v, mode: str = "closed") -> bool:
         """Membership of a rational vector, in closed or open mode."""
-        s, t = self.barycentric(v)
+        # det2(r1, r2) > 0, so the numerators of barycentric(v) carry its signs
+        s, t = det2(v, self.r2), det2(self.r1, v)
         if mode == "closed":
             return s >= 0 and t >= 0
         if mode == "open":

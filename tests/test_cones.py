@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from balcone.cones import (
     Cone2D,
@@ -154,6 +155,26 @@ class TestContains:
         with pytest.raises(ValueError):
             QUADRANT.contains((1, 1), "fuzzy")
 
+    def test_float_entries_read_exactly(self):
+        # 0.1 * 3 rounds to 0.30000000000000004, but the binary value of 0.1
+        # times 3 lies below it, so the vector is just outside the cone.
+        cone, v = Cone2D((1, 0), (1, 3)), (0.1, 0.30000000000000004)
+        assert not cone.contains(v)
+        exact = tuple(map(Fraction, v))
+        assert cone.barycentric(v) == cone.barycentric(exact)
+        assert cone.barycentric(v)[0] < 0
+
+
+class TestDet2:
+    def test_exact_in_the_input_type(self):
+        assert type(det2((1, 2), (3, 4))) is int and det2((1, 2), (3, 4)) == -2
+        assert det2((Fraction(1, 2), 1), (1, 1)) == Fraction(-1, 2)
+
+    def test_past_float_precision(self):
+        # the products agree in their first 30 digits; a float reads 0
+        big = 10**30
+        assert det2((big + 1, big), (big, big - 1)) == -1
+
 
 class TestBarycentric:
     CONES = [QUADRANT, BALANCED, Cone2D((2, -1), (-1, 1)), Cone2D((3, 5), (-2, -1))]
@@ -173,6 +194,36 @@ class TestBarycentric:
             s, t = cone.barycentric(v)
             assert cone.contains(v) == (s >= 0 and t >= 0)
             assert cone.contains(v, "open") == (s > 0 and t > 0)
+
+
+# Ray entries near 10**30 make products that agree past a float's 53 bits.
+_ENTRY = st.one_of(
+    st.integers(-6, 6),
+    st.builds(lambda sign, d: sign * (10**30 + d), st.sampled_from((1, -1)), st.integers(-3, 3)),
+)
+_VECTOR_ENTRY = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+
+
+@st.composite
+def cones_and_vectors(draw):
+    """A cone and a vector: a free vector, or a combination of the rays with
+    a zero, positive or negative coefficient, so boundaries are drawn too."""
+    a, b = draw(st.tuples(_ENTRY, _ENTRY)), draw(st.tuples(_ENTRY, _ENTRY))
+    assume(det2(a, b) != 0)
+    cone = Cone2D(a, b)
+    if draw(st.booleans()):
+        return cone, draw(st.tuples(_VECTOR_ENTRY, _VECTOR_ENTRY))
+    s, t = draw(_VECTOR_ENTRY), draw(_VECTOR_ENTRY)
+    return cone, (s * cone.r1.x + t * cone.r2.x, s * cone.r1.y + t * cone.r2.y)
+
+
+@given(cones_and_vectors())
+def test_membership_is_the_sign_rule_on_barycentric(case):
+    cone, v = case
+    s, t = cone.barycentric(v)
+    assert (s * cone.r1.x + t * cone.r2.x, s * cone.r1.y + t * cone.r2.y) == v
+    assert cone.contains(v) == (s >= 0 and t >= 0)
+    assert cone.contains(v, "open") == (s > 0 and t > 0)
 
 
 class TestIsSubcone:

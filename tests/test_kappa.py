@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import Phase, assume, event, given, settings, strategies as st
 
 from balcone.cones import Cone2D, Pairing, det2, dual_cone, is_subcone
 from balcone.errors import ComputationError, ScenarioError, ValidationError
@@ -47,6 +47,9 @@ _COEFF = st.fractions(-3, 3, max_denominator=4)
 # The cone and round-trip properties are cheap to check; most of their time
 # goes into drawing documents, so they run on fewer draws.
 _FEWER = settings(max_examples=50)
+# The ring oracle is slow, and shrinking re-runs it on every candidate: a wrong
+# κ took minutes to report.  The draws are the same without the shrink phase.
+_NO_SHRINK = settings(phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def _cone_rays(draw, pairs):
@@ -123,6 +126,7 @@ def _image_outcome(image_closure, sc):
         return type(e)
 
 
+@_NO_SHRINK
 @given(
     documents(),
     _PAIR,
@@ -247,6 +251,7 @@ def intersections(draw):
     return dims, divisors, draw(multidegree), b
 
 
+@_NO_SHRINK
 @given(intersections())
 def test_kappa_matches_ring_on_products(case):
     dims, divisors, a, b = case
