@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage error, 3 validation error (bad scenario
-data), 4 computation error.  Set the NO_COLOR environment variable to
-disable ANSI styling in text output.
+data), 4 computation error or output I/O failure.  Set the NO_COLOR
+environment variable to disable ANSI styling in text output.
 """
 
 from __future__ import annotations

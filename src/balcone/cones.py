@@ -2,7 +2,8 @@
 
 A ray is a primitive integer pair and a cone is the pair of its two rays in
 counterclockwise order (positive determinant), so equality of cones is
-structural and both compare, hash and unpack as the tuples they are.
+structural and both compare, hash and unpack as the tuples they are; so
+does a pairing, the pair of its matrix rows.
 Openness is a membership mode rather than a separate type.  Rational input
 vectors are normalized to primitive integer rays on entry.  Determinants and
 membership are exact arithmetic in the input's own type (``int`` on rays);
@@ -12,7 +13,6 @@ barycentric coordinates and pairings are ``Fraction``.  Nothing is rounded.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -110,33 +110,34 @@ def is_subcone(inner: Cone2D, outer: Cone2D) -> bool:
     return outer.contains(inner.r1) and outer.contains(inner.r2)
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """Non-degenerate 2x2 rational pairing p(x, y) = x^T M y.
+class Pairing(tuple):
+    """Non-degenerate 2x2 rational pairing p(x, y) = x^T M y: the rows of M as
+    ``Fraction`` pairs.
 
     Row vectors x and column vectors y live in two a priori different
     coordinate spaces.  A singular matrix raises ``DegeneratePairingError``.
     """
 
-    entries: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
+    def __new__(cls, rows):
+        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("pairing matrix must be 2x2")
-        object.__setattr__(self, "entries", rows)
-        if self.det == 0:
+        pairing = super().__new__(cls, rows)
+        if pairing.det == 0:
             raise DegeneratePairingError("pairing matrix is singular")
+        return pairing
 
     @property
     def det(self) -> Fraction:
-        (m00, m01), (m10, m11) = self.entries
+        (m00, m01), (m10, m11) = self
         return m00 * m11 - m01 * m10
 
     def functional(self, r) -> tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
         x, y = r
-        (m00, m01), (m10, m11) = self.entries
+        (m00, m01), (m10, m11) = self
         return (m00 * x + m10 * y, m01 * x + m11 * y)
 
     def pair(self, x, y) -> Fraction:
@@ -147,8 +148,11 @@ class Pairing:
     def solve(self, w) -> tuple[Fraction, Fraction]:
         """The column vector c with M c = w, exactly."""
         det = self.det
-        (m00, m01), (m10, m11) = self.entries
+        (m00, m01), (m10, m11) = self
         return ((w[0] * m11 - m01 * w[1]) / det, (m00 * w[1] - w[0] * m10) / det)
+
+    def __repr__(self):
+        return "Pairing((%s))" % ", ".join("(%s, %s)" % row for row in self)
 
 
 def _edge_ray(zero_on, positive_on) -> Ray:

@@ -19,7 +19,7 @@ share the report, while :func:`gap_report` still computes it from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
@@ -27,7 +27,6 @@ from math import comb, lcm
 
 from .cones import Cone2D, Pairing, Ray, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
-from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
 
@@ -43,23 +42,20 @@ def _product(f, g):
     return out
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Input datum for the cone pipeline; immutable after validation."""
+class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names codim_forms "
+                            "kahler_cone effective_cone prime_divisors codim_exprs",
+                            defaults=((), None))):
+    """Input datum for the cone pipeline; immutable after validation.
 
-    ci: CompleteIntersection
-    h11_names: tuple[str, str]
-    h11_multidegrees: tuple[tuple[int, ...], tuple[int, ...]]
-    codim_names: tuple[str, str]
-    codim_forms: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    kahler_cone: Cone2D
-    effective_cone: Cone2D
-    prime_divisors: tuple[tuple[str, tuple[int, int]], ...] = ()
-    codim_exprs: tuple[str, str] | None = None
-    kappa: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    pairing_matrix: Pairing = field(init=False, compare=False, repr=False)
+    It compares, hashes and prints as the tuple of its nine inputs.  κ and the
+    pairing are computed from them at construction and kept beside the tuple.
+    """
 
-    def __post_init__(self):
+    # namedtuple's _replace builds through _make, which would skip the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         dim = self.ci.dim
         if len(self.h11_names) != 2 or len(self.h11_multidegrees) != 2:
             raise ValidationError("scenario needs exactly two degree-1 basis classes")
@@ -73,15 +69,20 @@ class Scenario:
                 raise ValidationError(
                     f"column class {j} must have degree {dim - 1}, got {len(c) - 1}"
                 )
-        object.__setattr__(self, "kappa", self.ci.kappa(*self.h11_multidegrees))
+        vars(self)["kappa"] = self.ci.kappa(*self.h11_multidegrees)
         try:
-            pm = Pairing([[integrate_forms(self, (h, c)) for c in self.codim_forms]
-                          for h in H11_FORMS])
+            vars(self)["pairing_matrix"] = Pairing(
+                [[integrate_forms(self, (h, c)) for c in self.codim_forms] for h in H11_FORMS])
         except DegeneratePairingError:
             raise ValidationError(
                 "intersection pairing of the chosen bases is degenerate"
             ) from None
-        object.__setattr__(self, "pairing_matrix", pm)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Scenario is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def gap(self) -> GapReport:
@@ -89,8 +90,8 @@ class Scenario:
         return gap_report(self)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(namedtuple("GapReport",
+                           "image_closure balanced_cone strict gap_generators witness")):
     """Comparison of the balanced-map image closure with the balanced cone.
 
     ``gap_generators`` are the two rays bounding the difference region,
@@ -98,11 +99,7 @@ class GapReport:
     the inclusion is not strict.
     """
 
-    image_closure: Cone2D
-    balanced_cone: Cone2D
-    strict: bool
-    gap_generators: tuple[Ray, ...]
-    witness: Ray | None
+    __slots__ = ()
 
 
 def integrate_forms(scenario: Scenario, forms) -> Fraction:

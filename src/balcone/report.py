@@ -142,7 +142,7 @@ def pairing_payload(sc: Scenario) -> dict:
         "scenario": scenario_summary(sc),
         "rows": list(sc.h11_names),
         "cols": list(sc.codim_names),
-        "matrix": [[fmt_rational(v) for v in row] for row in pm.entries],
+        "matrix": [[fmt_rational(v) for v in row] for row in pm],
         "determinant": fmt_rational(pm.det),
         "nondegenerate": pm.det != 0,
     }
@@ -227,7 +227,7 @@ def demo_payload(sc: Scenario) -> dict:
         "command": "demo",
         "scenario": scenario_summary(sc),
         "intersection_numbers": numbers,
-        "pairing_matrix": [[fmt_rational(v) for v in row] for row in pm.entries],
+        "pairing_matrix": [[fmt_rational(v) for v in row] for row in pm],
         "pairing_determinant": fmt_rational(pm.det),
         **_gap_sections(sc, gr),
         "boundary_pairings": boundary,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import atan2, cos, pi, sin
 
-from .cones import Ray
+from .cones import Cone2D, Ray
 from .errors import ValidationError
 from .report import format_class_label
 
@@ -37,8 +37,7 @@ def _angle(ray) -> float:
 
 
 def _angles(rays):
-    t1 = _angle(rays[0])
-    t2 = _angle(rays[1])
+    t1, t2 = map(_angle, rays)
     if t2 <= t1:
         t2 += 2 * pi
     return t1, t2
@@ -77,28 +76,28 @@ def _caption(x: float, y: float, text: str) -> str:
     )
 
 
-def _rays(pairs) -> list:
-    return [Ray(x, y) for x, y in pairs]
+def _cone(pairs) -> Cone2D:
+    return Cone2D(*(Ray(*p) for p in pairs))
 
 
 def render_cone_diagram(report) -> str:
     """SVG text for a report carrying scenario, image and balanced cone data."""
     try:
         scenario = report["scenario"]
-        kahler = _rays(scenario["kahler_cone"])
-        h11_names = scenario["h11_basis"]
-        codim_names = scenario["codim_basis"]
-        image = _rays(report["image_closure"]["rays"])
-        balanced = _rays(report["balanced_cone"]["rays"])
+        kahler = _cone(scenario["kahler_cone"])
+        h11_names, codim_names = (tuple(scenario[k]) for k in ("h11_basis", "codim_basis"))
+        image = _cone(report["image_closure"]["rays"])
+        balanced = _cone(report["balanced_cone"]["rays"])
     except (KeyError, TypeError) as e:
         raise ValidationError(
             "report lacks cone data (need scenario, image_closure and "
-            "balanced_cone sections)"
+            "balanced_cone sections, each cone as two rays)"
         ) from e
+    if any(len(ns) != 2 or not all(isinstance(n, str) for n in ns)
+           for ns in (h11_names, codim_names)):
+        raise ValidationError("report needs two string names in h11_basis and in codim_basis")
 
-    kt1, kt2 = _angles(kahler)
-    it1, it2 = _angles(image)
-    bt1, bt2 = _angles(balanced)
+    (kt1, kt2), (it1, it2), (bt1, bt2) = map(_angles, (kahler, image, balanced))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

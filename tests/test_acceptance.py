@@ -58,10 +58,10 @@ def test_criterion_1_intersection_numbers():
 def test_criterion_2_pairing_matrix():
     sc = quintic_conifold_scenario()
     pm = sc.pairing_matrix
-    ok = pm.entries == ((0, 4), (4, 5)) and pm.det == -16
+    ok = pm == ((0, 4), (4, 5)) and pm.det == -16
     report_line(
         2, ok,
-        f"pairing matrix {[[int(v) for v in row] for row in pm.entries]} "
+        f"pairing matrix {[[int(v) for v in row] for row in pm]} "
         f"with determinant {pm.det}",
     )
 
@@ -151,7 +151,7 @@ def test_criterion_7_property_suites():
         pairing = random_pairing(rng)
         dual = dual_cone(cone, pairing)
         assert det2(dual.r1, dual.r2) > 0
-        assert dual_cone(dual, Pairing(tuple(zip(*pairing.entries)))) == cone
+        assert dual_cone(dual, Pairing(tuple(zip(*pairing)))) == cone
         for r in cone:
             assert any(pairing.pair(r, s) == 0 for s in dual)
 

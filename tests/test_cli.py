@@ -261,13 +261,14 @@ class TestCommands:
 
 def test_cli_import_leaves_rendering_modules_unloaded():
     # balcone.svg, html and xml cost start-up time and memory on every command
-    # that draws no figure, so only `render` may load them.  typing and pathlib
-    # are loaded by nothing in balcone; -S keeps site-packages' .pth files from
-    # loading them.
+    # that draws no figure, so only `render` may load them.  typing, pathlib,
+    # dataclasses and inspect are loaded by nothing in balcone; -S keeps
+    # site-packages' .pth files from loading them.
     src = str(Path(balcone.__file__).resolve().parent.parent)
     code = (
         "import sys; import balcone.cli; print(sorted(m for m in "
-        "('balcone.svg', 'html', 'xml', 'typing', 'pathlib') if m in sys.modules))"
+        "('balcone.svg', 'html', 'xml', 'typing', 'pathlib', 'dataclasses', 'inspect') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,

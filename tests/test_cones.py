@@ -51,15 +51,18 @@ class TestRay:
 
 
 class TestValueSemantics:
-    """Rays and cones are the tuples they validate."""
+    """Rays, cones and pairings are the tuples they validate."""
 
     @pytest.mark.parametrize(
         "value, pair, text",
         [
             (Ray(-1, 8), (-1, 8), "Ray(x=-1, y=8)"),
             (BALANCED, ((1, 0), (-1, 4)), "Cone2D((1, 0), (-1, 4))"),
+            (QUINTIC_PAIRING, ((0, 4), (4, 5)), "Pairing(((0, 4), (4, 5)))"),
+            (Pairing(((Fraction(-1, 4), 1), (1, 0))), ((Fraction(-1, 4), 1), (1, 0)),
+             "Pairing(((-1/4, 1), (1, 0)))"),
         ],
-        ids=["Ray", "Cone2D"],
+        ids=["Ray", "Cone2D", "Pairing", "Pairing-fraction"],
     )
     def test_is_its_tuple(self, value, pair, text):
         assert value == pair and hash(value) == hash(pair)
@@ -251,7 +254,7 @@ class TestConeProperties:
             assert det2(dual.r1, dual.r2) > 0
 
             # involution under the transposed pairing
-            assert dual_cone(dual, Pairing(tuple(zip(*pairing.entries)))) == cone
+            assert dual_cone(dual, Pairing(tuple(zip(*pairing)))) == cone
 
             # each generator of the input is annihilated by some dual ray
             for r in cone:

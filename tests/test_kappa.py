@@ -8,7 +8,6 @@ annihilating boundary rays, the image inside the balanced cone) and the
 document round trip are checked on the same draws.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import comb, factorial
 
@@ -146,7 +145,7 @@ def test_kappa_path_matches_ring_path(doc, prime, ample, u, v):
         intersection_number(sc.ci, [big_u] * j + [big_v] * (dim - j)) for j in range(dim + 1)
     ]
     codim = [_ring_class(sc, f) for f in sc.codim_forms]
-    assert sc.pairing_matrix.entries == tuple(
+    assert sc.pairing_matrix == tuple(
         tuple(intersection_number(sc.ci, [h, c]) for c in codim) for h in h11
     )
     assert _image_outcome(balanced_image_closure, sc) == \
@@ -163,7 +162,7 @@ def test_kappa_path_matches_ring_path(doc, prime, ample, u, v):
 def test_dual_cone_involution(doc):
     sc = _scenario(doc)
     pm = sc.pairing_matrix
-    transpose = Pairing(tuple(zip(*pm.entries)))
+    transpose = Pairing(tuple(zip(*pm)))
     assert dual_cone(dual_cone(sc.effective_cone, pm), transpose) == sc.effective_cone
 
 
@@ -182,7 +181,7 @@ def test_image_inside_balanced_on_nef_kahler(doc):
     """Products of nef classes integrate to non-negative numbers, so on a
     Kähler cone in the h1, h2 quadrant the image pairs non-negatively with
     the effective divisors h1 and h2."""
-    sc = dataclasses.replace(_scenario(doc), effective_cone=Cone2D((1, 0), (0, 1)))
+    sc = _scenario(doc)._replace(effective_cone=Cone2D((1, 0), (0, 1)))
     try:
         image = balanced_image_closure(sc)
     except ComputationError:

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -35,26 +36,52 @@ def sc():
 
 
 def with_effective(sc, cone):
-    return Scenario(
-        ci=sc.ci,
-        h11_names=sc.h11_names,
-        h11_multidegrees=sc.h11_multidegrees,
-        codim_names=sc.codim_names,
-        codim_forms=sc.codim_forms,
-        kahler_cone=sc.kahler_cone,
-        effective_cone=cone,
-        prime_divisors=sc.prime_divisors,
-        codim_exprs=sc.codim_exprs,
-    )
+    return sc._replace(effective_cone=cone)
 
 
 class TestScenario:
     def test_pairing_matrix(self, sc):
-        assert sc.pairing_matrix.entries == ((0, 4), (4, 5))
+        assert sc.pairing_matrix == ((0, 4), (4, 5))
         assert sc.pairing_matrix.det == -16
 
     def test_dimension(self, sc):
         assert sc.ci.dim == 3
+
+    def test_is_its_nine_inputs(self):
+        sc = quintic_conifold_scenario()
+        # compares and hashes as its inputs; kappa, the pairing and gap sit beside them
+        assert len(sc) == 9 and sc == tuple(sc) and hash(sc) == hash(tuple(sc))
+        assert sc._fields[-2:] == ("prime_divisors", "codim_exprs")
+        assert sorted(vars(sc)) == ["kappa", "pairing_matrix"]
+
+    def test_replace_revalidates(self, sc):
+        with pytest.raises(ValidationError, match="degenerate"):
+            sc._replace(codim_forms=(sc.codim_forms[0],) * 2)
+        with pytest.raises(ValidationError, match="exactly two degree-1"):
+            sc._replace(h11_names=("α",))
+        assert with_effective(sc, sc.effective_cone) == sc
+
+    @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
+    def test_immutable(self, name):
+        sc = quintic_conifold_scenario()
+        before = getattr(sc, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(sc, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(sc, name)
+        assert getattr(sc, name) is before
+
+    def test_copies_keep_derived_data(self):
+        sc = quintic_conifold_scenario()
+        report = sc.gap
+        twins = (pickle.loads(pickle.dumps(sc)), copy.copy(sc), copy.deepcopy(sc))
+        for twin in twins:
+            assert twin == sc and hash(twin) == hash(sc) and type(twin) is Scenario
+            assert twin.kappa == sc.kappa
+            assert twin.pairing_matrix == sc.pairing_matrix
+            assert type(twin.pairing_matrix) is type(sc.pairing_matrix)
+            assert vars(twin)["gap"] == report
+        assert twins[1].gap is report
 
     def test_exceptional_divisor_coords_consistent(self, sc):
         # 4*(0,1) + 1*(-1,0) = (-1,4), matching class(4,0) - class(0,1)
@@ -95,17 +122,7 @@ class TestBalancedImageClosure:
         assert Ray(*(int(c) for c in coords)) in balanced_image_closure(sc)
 
     def test_scaling_generators_is_invariant(self, sc):
-        scaled = Scenario(
-            ci=sc.ci,
-            h11_names=sc.h11_names,
-            h11_multidegrees=sc.h11_multidegrees,
-            codim_names=sc.codim_names,
-            codim_forms=sc.codim_forms,
-            kahler_cone=Cone2D((Fraction(7, 3), 0), (0, Fraction(2, 5))),
-            effective_cone=sc.effective_cone,
-            prime_divisors=sc.prime_divisors,
-            codim_exprs=sc.codim_exprs,
-        )
+        scaled = sc._replace(kahler_cone=Cone2D((Fraction(7, 3), 0), (0, Fraction(2, 5))))
         assert balanced_image_closure(scaled) == balanced_image_closure(sc)
 
 
@@ -129,7 +146,7 @@ class TestBalancedCone:
             kahler_cone=Cone2D((1, 0), (0, 1)),
             effective_cone=Cone2D((1, 0), (0, 1)),
         )
-        assert scenario.pairing_matrix.entries == ((1, 0), (0, 1))
+        assert scenario.pairing_matrix == ((1, 0), (0, 1))
         assert balanced_cone(scenario) == Cone2D((1, 0), (0, 1))
 
 
@@ -137,7 +154,7 @@ class TestBalancedCone:
 def test_pn_family_closed_forms(n):
     sc = document_to_scenario(pn_document(n))
     assert sc.ci.dim == n - 1
-    assert sc.pairing_matrix.entries == ((0, n), (n, n + 1))
+    assert sc.pairing_matrix == ((0, n), (n, n + 1))
     assert sc.pairing_matrix.det == -n * n
     assert tuple(balanced_cone(sc)) == (Ray(1, 0), Ray(-1, n))
     assert tuple(balanced_image_closure(sc)) == (Ray(1, 0), Ray(0, 1))
@@ -271,10 +288,10 @@ class TestGapMemo:
     def test_replace_computes_its_own(self):
         sc = parse_scenario(DEMO_SCENARIO_JSON)
         report = sc.gap
-        copy = dataclasses.replace(sc)
-        assert "gap" not in vars(copy)
-        assert copy.gap == report
-        assert copy.gap is not report
+        twin = sc._replace()
+        assert "gap" not in vars(twin)
+        assert twin.gap == report
+        assert twin.gap is not report
         assert sc.gap is report
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -210,7 +209,7 @@ class TestClassExpr:
         sc = document_to_scenario(mutated(codim_basis=_codim("α*β + β*β")))
         alpha, beta = h11_classes(sc)
         assert sc.codim_forms[0] == (1, 1, 0)
-        assert sc.pairing_matrix.entries[0][0] == \
+        assert sc.pairing_matrix[0][0] == \
             intersection_number(sc.ci, [alpha, alpha * beta + beta * beta])
 
 
@@ -234,9 +233,9 @@ class TestRoundTrip:
     def test_rational_h11_multidegree_rejected(self):
         sc = quintic_conifold_scenario()
         with pytest.raises(ValidationError, match="multidegree"):
-            dataclasses.replace(sc, h11_multidegrees=((0, 1), (Fraction(1, 2), 0)))
+            sc._replace(h11_multidegrees=((0, 1), (Fraction(1, 2), 0)))
 
     def test_missing_codim_exprs_not_serializable(self):
-        sc = dataclasses.replace(quintic_conifold_scenario(), codim_exprs=None)
+        sc = quintic_conifold_scenario()._replace(codim_exprs=None)
         with pytest.raises(ValidationError, match="codim basis expressions"):
             scenario_to_document(sc)

@@ -36,9 +36,30 @@ class TestRender:
         svg = render_cone_diagram(demo_payload(quintic_conifold_scenario()))
         assert svg.startswith("<svg")
 
-    def test_report_without_cone_data_rejected(self):
-        with pytest.raises(ValidationError, match="cone data"):
-            render_cone_diagram(pairing_payload(quintic_conifold_scenario()))
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (None, "cone data"),
+            ({"scenario": {"kahler_cone": [[1, 0]]}}, "cone data"),
+            ({"scenario": {"kahler_cone": [[1, 0], [0, 1, 0]]}}, "cone data"),
+            ({"scenario": {"h11_basis": ["α"]}}, "two string names"),
+            ({"scenario": {"codim_basis": ["α∧β", "β∧β", "α∧α"]}}, "two string names"),
+            ({"scenario": {"h11_basis": [1, None]}}, "two string names"),
+            ({"balanced_cone": {"rays": [[1, 0]] * 3}}, "cone data"),
+            ({"image_closure": {"rays": [[1, 0], [1, 0]]}}, "parallel or antipodal"),
+            ({"image_closure": {"rays": [[0, 1], [0, -1]]}}, "parallel or antipodal"),
+        ],
+        ids=["pairing-report", "one-ray", "three-entry-ray", "one-name-basis",
+             "three-name-basis", "non-string-names",
+             "three-ray-cone", "parallel-image", "antipodal-image"],
+    )
+    def test_report_without_cone_data_rejected(self, gap_doc, change, match):
+        if change is None:
+            doc = pairing_payload(quintic_conifold_scenario())
+        else:
+            doc = dict(gap_doc, **{k: dict(gap_doc[k], **v) for k, v in change.items()})
+        with pytest.raises(ValidationError, match=match):
+            render_cone_diagram(doc)
 
     def test_boolean_ray_entry_rejected(self, gap_doc):
         doc = dict(gap_doc, image_closure=dict(gap_doc["image_closure"], rays=[[True, 0], [0, 1]]))

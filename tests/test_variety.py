@@ -126,7 +126,7 @@ class TestPairingMatrix:
     def test_quintic_pairing(self, quintic_ci):
         # α∧β and β∧β as forms in (α, β)
         pm = scenario(quintic_ci, ALPHA_BETA, [(0, 1, 0), (1, 0, 0)]).pairing_matrix
-        assert pm.entries == ((0, 4), (4, 5))
+        assert pm == ((0, 4), (4, 5))
         assert pm.det == -16
         assert pm.det != 0
 
@@ -140,7 +140,7 @@ class TestPairingMatrix:
     def test_p1_x_p1(self):
         ci = CompleteIntersection(AmbientSpace([1, 1]), [])
         pm = scenario(ci, [(1, 0), (0, 1)], [(0, 1), (1, 0)]).pairing_matrix
-        assert pm.entries == ((0, 1), (1, 0))
+        assert pm == ((0, 1), (1, 0))
 
     def test_entries_recompute(self, quintic_ci):
         alpha, beta = basis(quintic_ci)
@@ -149,7 +149,7 @@ class TestPairingMatrix:
         for j, f in enumerate(forms):
             c = f[0] * beta * beta + f[1] * alpha * beta + f[2] * alpha * alpha
             for i, r in enumerate((alpha, beta)):
-                assert pm.entries[i][j] == intersection_number(quintic_ci, [r, c])
+                assert pm[i][j] == intersection_number(quintic_ci, [r, c])
 
     def test_row_degree_validated(self, quintic_ci):
         # the zero multidegree is the only one of another degree (none)
