@@ -35,10 +35,6 @@ def sc():
     return quintic_conifold_scenario()
 
 
-def with_effective(sc, cone):
-    return sc._replace(effective_cone=cone)
-
-
 class TestScenario:
     def test_pairing_matrix(self, sc):
         assert sc.pairing_matrix == ((0, 4), (4, 5))
@@ -59,7 +55,7 @@ class TestScenario:
             sc._replace(codim_forms=(sc.codim_forms[0],) * 2)
         with pytest.raises(ValidationError, match="exactly two degree-1"):
             sc._replace(h11_names=("α",))
-        assert with_effective(sc, sc.effective_cone) == sc
+        assert sc._replace(effective_cone=sc.effective_cone) == sc
 
     @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
     def test_immutable(self, name):
@@ -131,7 +127,7 @@ class TestBalancedCone:
         assert balanced_cone(sc) == Cone2D((1, 0), (-1, 4))
 
     def test_nef_closure_as_effective(self, sc):
-        got = balanced_cone(with_effective(sc, Cone2D((1, 0), (0, 1))))
+        got = balanced_cone(sc._replace(effective_cone=Cone2D((1, 0), (0, 1))))
         assert got == Cone2D((1, 0), (-5, 4))
 
     def test_identity_pairing_quadrant(self):
@@ -249,7 +245,7 @@ class TestGapReport:
         assert not gr.image_closure.contains(gr.witness)
 
     def test_nef_closure_gap(self, sc):
-        gr = gap_report(with_effective(sc, Cone2D((1, 0), (0, 1))))
+        gr = gap_report(sc._replace(effective_cone=Cone2D((1, 0), (0, 1))))
         assert gr.strict
         assert gr.gap_generators == (Ray(0, 1), Ray(-5, 4))
 
@@ -259,7 +255,7 @@ class TestGapReport:
 
     def test_inconsistent_effective_cone_rejected(self, sc):
         # 2*alpha - beta pairs negatively with the image ray alpha^beta
-        bad = with_effective(sc, Cone2D((2, -1), (-1, 1)))
+        bad = sc._replace(effective_cone=Cone2D((2, -1), (-1, 1)))
         with pytest.raises(ComputationError, match="not contained"):
             gap_report(bad)
 
@@ -268,7 +264,7 @@ class TestGapMemo:
     """``Scenario.gap`` keeps the report on the object and changes nothing else."""
 
     def test_failure_is_not_stored(self, sc):
-        bad = with_effective(sc, Cone2D((2, -1), (-1, 1)))
+        bad = sc._replace(effective_cone=Cone2D((2, -1), (-1, 1)))
         messages = []
         for _ in range(2):
             with pytest.raises(ComputationError, match="not contained") as e:
