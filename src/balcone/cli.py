@@ -25,7 +25,7 @@ from .pipeline import H11_FORMS
 from .scenario_io import _canonical, parse_scenario, quintic_conifold_scenario
 
 
-def _resolve(name, entries, kind):
+def _lookup(name, entries, kind):
     """The (declared name, value) entry a user-supplied name refers to, compared
     in lower case with Greek letters and wedge signs in ASCII: ``alpha*beta`` finds ``α∧β``."""
     hit = {_canonical(n): (n, v) for n, v in entries}.get(_canonical(name))
@@ -109,7 +109,7 @@ def run_command(scenario, args) -> dict:
     if cmd == "intersect":
         classes = list(zip(scenario.h11_names + scenario.codim_names,
                            H11_FORMS + scenario.codim_forms))
-        names, forms = zip(*[_resolve(n, classes, "class name") for n in args.factors])
+        names, forms = zip(*[_lookup(n, classes, "class name") for n in args.factors])
         return report.intersect_payload(scenario, names, forms)
     if cmd == "pairing":
         return report.pairing_payload(scenario)
@@ -125,7 +125,7 @@ def run_command(scenario, args) -> dict:
     if cmd == "gap":
         return report.gap_payload(scenario)
     if cmd == "bound":
-        prime = _resolve(args.prime, scenario.prime_divisors, "prime divisor")
+        prime = _lookup(args.prime, scenario.prime_divisors, "prime divisor")
         return report.bound_payload(scenario, prime, args.ample)
     raise AssertionError(f"unhandled command {cmd!r}")
 

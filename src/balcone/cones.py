@@ -131,8 +131,7 @@ class Pairing(tuple):
 
     @property
     def det(self) -> Fraction:
-        (m00, m01), (m10, m11) = self
-        return m00 * m11 - m01 * m10
+        return det2(*self)
 
     def functional(self, r) -> tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
@@ -145,25 +144,18 @@ class Pairing(tuple):
         yx, yy = y
         return fx[0] * yx + fx[1] * yy
 
-    def solve(self, w) -> tuple[Fraction, Fraction]:
-        """The column vector c with M c = w, exactly."""
-        det = self.det
-        (m00, m01), (m10, m11) = self
-        return ((w[0] * m11 - m01 * w[1]) / det, (m00 * w[1] - w[0] * m10) / det)
-
     def __repr__(self):
         return "Pairing((%s))" % ", ".join("(%s, %s)" % row for row in self)
 
 
-def _edge_ray(zero_on, positive_on) -> Ray:
-    ray = ray_normalize((-zero_on[1], zero_on[0]))
-    value = positive_on[0] * ray.x + positive_on[1] * ray.y
-    if value == 0:
-        raise AssertionError(
-            "pairing functionals of independent rays are dependent; "
-            "salient input and invertible pairing exclude this"
-        )
-    return ray if value > 0 else Ray(-ray.x, -ray.y)
+def _dual_edges(cone: Cone2D, pairing: Pairing):
+    """Unnormalized edges (e1, e2) of the dual cone: with f_i the functional of
+    r_i, p(r1, e1) = p(r2, e2) = 0 and p(r2, e1) = p(r1, e2) = |det2(f1, f2)| > 0.
+
+    det2(f1, f2) = det M · det2(r1, r2), so its sign s is never 0."""
+    f1, f2 = (pairing.functional(r) for r in cone)
+    s = 1 if det2(f1, f2) > 0 else -1
+    return (-s * f1[1], s * f1[0]), (s * f2[1], -s * f2[0])
 
 
 def dual_cone(cone: Cone2D, pairing: Pairing) -> Cone2D:
@@ -172,5 +164,4 @@ def dual_cone(cone: Cone2D, pairing: Pairing) -> Cone2D:
     Each boundary ray of the result annihilates exactly one generator of the
     input under the pairing and is strictly positive against the other.
     """
-    f1, f2 = (pairing.functional(r) for r in cone)
-    return Cone2D(_edge_ray(f1, f2), _edge_ray(f2, f1))
+    return Cone2D(*_dual_edges(cone, pairing))

@@ -9,7 +9,8 @@ about it is arithmetic (pairing certificates), not geometry.
 Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
 computed once per scenario from the multidegrees of h1 and h2, through
 :func:`integrate_forms` (the pairing, ``intersect``, the bound functional) or
-:func:`kappa_in_basis` (the image closure, in O(dim²) integer products).  Classes
+:func:`kappa_in_basis` (the image closure, in O(dim²) integer products, its rays
+k_(j+1)·ev + k_j·eu with (eu, ev) the ``cones._dual_edges`` of the Kähler cone).  Classes
 in h1 and h2, such as the codim basis, are binary forms: a tuple of d+1
 coefficients, entry j that of h1^j h2^(d−j).
 A :class:`Scenario` computes κ and the pairing at construction and its gap
@@ -25,7 +26,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, repeat
 from math import comb, lcm
 
-from .cones import Cone2D, Pairing, Ray, dual_cone, is_subcone, ray_normalize
+from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
 from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -132,15 +133,17 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     generator with u^(dim-1) = 0 still sends the boundary to the ray of the
     next surviving mixed term, and the scan captures that exactly.  Up to its
     positive binomial factor, u^j v^(dim-1-j) pairs with (u, v) to (k_(j+1), k_j),
-    where k_j = ∫ u^j v^(dim−j) comes from :func:`kappa_in_basis`.
+    k_j = ∫ u^j v^(dim−j) from :func:`kappa_in_basis`; so its ray is
+    k_(j+1)·ev + k_j·eu, where the edges (eu, ev) of the Kähler cone's dual
+    pair with (u, v) to (0, δ) and (δ, 0) for one δ > 0.
     """
     d = scenario.ci.dim
     k = kappa_in_basis(scenario, *scenario.kahler_cone)
     live = [j for j in range(d) if k[j] or k[j + 1]]
     if not live:
         raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
-    uv_pairing = Pairing(tuple(map(scenario.pairing_matrix.functional, scenario.kahler_cone)))
-    first, last = (uv_pairing.solve((k[j + 1], k[j])) for j in (live[-1], live[0]))
+    eu, ev = _dual_edges(scenario.kahler_cone, scenario.pairing_matrix)
+    first, last = ([k[j + 1] * a + k[j] * b for a, b in zip(ev, eu)] for j in (live[-1], live[0]))
     try:
         return Cone2D(first, last)
     except ValidationError as e:

@@ -40,6 +40,8 @@ _NUMBER = re.compile(r"\d+(?:/\d+)?$")
 # An h11 name is one expr token: no whitespace or arithmetic sign, no leading digit.
 _H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
 _TOKEN = re.compile(rf"\s*(\d+(?:/\d+)?|[+\-*]|{_H11_NAME.pattern})")
+# A JSON string, or a JSON number: its integer digits, then its fraction and exponent.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 DEMO_SCENARIO_DOCUMENT = {
     "ambient": [4, 1],
@@ -118,6 +120,8 @@ def _named_entries(doc, key, value_key, seen):
         name = _require(item, "name", here)
         if not isinstance(name, str) or not name:
             raise ScenarioError("name must be a non-empty string", path=f"{here}/name")
+        if any("\ud800" <= c <= "\udfff" for c in name):  # JSON's "\ud800" decodes to one
+            raise ScenarioError("name has a lone surrogate, not UTF-8 text", path=f"{here}/name")
         earlier, where = seen.setdefault(_canonical(name), (name, here))
         if where != here:
             raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=f"{here}/name")
@@ -282,7 +286,8 @@ def parse_scenario(text: str) -> Scenario:
     except RecursionError:
         raise ScenarioError("JSON nesting is too deep") from None
     except ValueError:  # an integer literal longer than int's string conversion allows
-        start = re.search(r"\d{%d}" % (sys.get_int_max_str_digits() + 1), text).start()
+        start = next(m.start(1) for m in _JSON_TOKEN.finditer(text)
+                     if m[1] and not m[2] and len(m[1]) > sys.get_int_max_str_digits())
         line = text.count("\n", 0, start) + 1
         raise ScenarioError(
             _too_long(), line=line, column=start - text.rfind("\n", 0, start)

@@ -111,4 +111,7 @@ def h11_classes(sc):
 
 def express_in_basis(sc, p):
     """Coordinates c of a degree dim−1 class with M c = (∫ h1·p, ∫ h2·p), M the pairing."""
-    return sc.pairing_matrix.solve([intersection_number(sc.ci, [h, p]) for h in h11_classes(sc)])
+    w0, w1 = (intersection_number(sc.ci, [h, p]) for h in h11_classes(sc))
+    (m00, m01), (m10, m11) = sc.pairing_matrix
+    det = m00 * m11 - m01 * m10  # Cramer's rule, sharing no 2x2 code with balcone.cones
+    return ((w0 * m11 - m01 * w1) / det, (m00 * w1 - w0 * m10) / det)

@@ -11,6 +11,7 @@ from balcone.cones import (
     Cone2D,
     Pairing,
     Ray,
+    _dual_edges,
     det2,
     dual_cone,
     is_subcone,
@@ -227,6 +228,19 @@ def test_membership_is_the_sign_rule_on_barycentric(case):
     assert (s * cone.r1.x + t * cone.r2.x, s * cone.r1.y + t * cone.r2.y) == v
     assert cone.contains(v) == (s >= 0 and t >= 0)
     assert cone.contains(v, "open") == (s > 0 and t > 0)
+
+
+@given(st.tuples(_ENTRY, _ENTRY), st.tuples(_ENTRY, _ENTRY),
+       st.tuples(*[_VECTOR_ENTRY] * 4))
+def test_dual_edges_annihilate_one_ray_and_share_one_positive_value(a, b, m):
+    assume(det2(a, b) != 0 and det2(m[:2], m[2:]) != 0)
+    cone, pairing = Cone2D(a, b), Pairing((m[:2], m[2:]))
+    e1, e2 = _dual_edges(cone, pairing)
+    delta = abs(det2(*(pairing.functional(r) for r in cone)))
+    assert delta > 0
+    assert pairing.pair(cone.r1, e1) == pairing.pair(cone.r2, e2) == 0
+    assert pairing.pair(cone.r2, e1) == pairing.pair(cone.r1, e2) == delta
+    assert dual_cone(cone, pairing) == Cone2D(e1, e2)
 
 
 class TestIsSubcone:

@@ -164,6 +164,19 @@ _DOCUMENT_ERRORS = [
                                 {"name": "E1", "coords": [-1, 4]}]),
         "/prime_divisors/1/name", id="prime-names-repeat",
     ),
+    # JSON's "\ud800" decodes to a lone surrogate, which no output encoding can write.
+    pytest.param(
+        mutated(h11_basis=[{"name": "α\ud800", "multidegree": [0, 1]}, _BETA]),
+        "/h11_basis/0/name", id="h11-name-lone-surrogate",
+    ),
+    pytest.param(
+        mutated(codim_basis=[{"name": "a", "expr": "α*β"}, {"name": "\udfff", "expr": "β*β"}]),
+        "/codim_basis/1/name", id="codim-name-lone-surrogate",
+    ),
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E\ud800", "coords": [-1, 1]}]),
+        "/prime_divisors/0/name", id="prime-name-lone-surrogate",
+    ),
 ]
 
 
@@ -188,6 +201,19 @@ def test_json_integer_too_long_located(tmp_path, capsys):
     scenario_file.write_text(text, encoding="utf-8")
     assert main(["demo", "--scenario", str(scenario_file)]) == 3
     assert "line 3, column 5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", [
+    pytest.param(('"name": "α"', '"name": "E' + "7" * 5000 + '"'), id="long-string"),
+    pytest.param(("[\n    4,", "[\n    4." + "7" * 5000 + ","), id="long-fraction"),
+])
+def test_json_integer_too_long_located_past_other_digit_runs(before):
+    """Digits in a string or after a decimal point belong to no integer literal."""
+    text = DEMO_SCENARIO_JSON.replace(*before, 1).replace(
+        '"kahler_cone": [\n    [\n      1,', '"kahler_cone": [\n    [\n      ' + "1" * 5000 + ",")
+    with pytest.raises(ScenarioError, match="digits, the limit") as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.column) == (44, 7)
 
 
 class TestClassExpr:
