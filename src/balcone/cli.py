@@ -101,33 +101,30 @@ def _load_scenario(path):
     return parse_scenario(text)
 
 
+def _intersect_payload(scenario, args) -> dict:
+    classes = list(zip(scenario.h11_names + scenario.codim_names,
+                       H11_FORMS + scenario.codim_forms))
+    names, forms = zip(*[_lookup(n, classes, "class name") for n in args.factors])
+    return report.intersect_payload(scenario, names, forms)
+
+
+_PAYLOADS = {  # command -> payload builder of (scenario, args); render has none
+    "demo": lambda sc, args: report.demo_payload(sc),
+    "intersect": _intersect_payload,
+    "pairing": lambda sc, args: report.pairing_payload(sc),
+    "dual": lambda sc, args: report.dual_payload(
+        sc, sc.effective_cone if args.rays is None else Cone2D(*args.rays)),
+    "image": lambda sc, args: report.image_payload(sc),
+    "balanced": lambda sc, args: report.balanced_payload(sc),
+    "gap": lambda sc, args: report.gap_payload(sc),
+    "bound": lambda sc, args: report.bound_payload(
+        sc, _lookup(args.prime, sc.prime_divisors, "prime divisor"), args.ample),
+}
+
+
 def run_command(scenario, args) -> dict:
     """Dispatch a parsed command to its payload builder."""
-    cmd = args.command
-    if cmd == "demo":
-        return report.demo_payload(scenario)
-    if cmd == "intersect":
-        classes = list(zip(scenario.h11_names + scenario.codim_names,
-                           H11_FORMS + scenario.codim_forms))
-        names, forms = zip(*[_lookup(n, classes, "class name") for n in args.factors])
-        return report.intersect_payload(scenario, names, forms)
-    if cmd == "pairing":
-        return report.pairing_payload(scenario)
-    if cmd == "dual":
-        cone = scenario.effective_cone
-        if args.rays is not None:
-            cone = Cone2D(*args.rays)
-        return report.dual_payload(scenario, cone)
-    if cmd == "image":
-        return report.image_payload(scenario)
-    if cmd == "balanced":
-        return report.balanced_payload(scenario)
-    if cmd == "gap":
-        return report.gap_payload(scenario)
-    if cmd == "bound":
-        prime = _lookup(args.prime, scenario.prime_divisors, "prime divisor")
-        return report.bound_payload(scenario, prime, args.ample)
-    raise AssertionError(f"unhandled command {cmd!r}")
+    return _PAYLOADS[args.command](scenario, args)
 
 
 def _color_enabled(args) -> bool:

@@ -40,17 +40,19 @@ def ray_normalize(v) -> Ray:
     """Primitive integer ray in the direction of a rational vector.
 
     Clears denominators, divides out the gcd, and preserves orientation.
+    An ``int`` pair only divides by its gcd.
     """
     if isinstance(v, Ray):
         return v
-    a, b = (Fraction(t) for t in v)
-    if a == 0 and b == 0:
+    a, b = v
+    if not (type(a) is int and type(b) is int):  # a bool takes this path too
+        a, b = Fraction(a), Fraction(b)
+        scale = lcm(a.denominator, b.denominator)
+        a, b = int(a * scale), int(b * scale)
+    g = gcd(a, b)
+    if g == 0:
         raise ValidationError("zero vector does not span a ray")
-    scale = lcm(a.denominator, b.denominator)
-    x = int(a * scale)
-    y = int(b * scale)
-    g = gcd(x, y)
-    return Ray(x // g, y // g)
+    return Ray(a // g, b // g)
 
 
 def det2(u, v) -> int | Fraction:

@@ -139,9 +139,8 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     """
     d = scenario.ci.dim
     k = kappa_in_basis(scenario, *scenario.kahler_cone)
+    # Some term is live: all k_j = 0 would make κ ≡ 0, whose pairing Scenario refuses.
     live = [j for j in range(d) if k[j] or k[j + 1]]
-    if not live:
-        raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
     eu, ev = _dual_edges(scenario.kahler_cone, scenario.pairing_matrix)
     first, last = ([k[j + 1] * a + k[j] * b for a, b in zip(ev, eu)] for j in (live[-1], live[0]))
     try:

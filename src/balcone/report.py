@@ -2,15 +2,18 @@
 
 The machine form is a JSON object with deterministic key order; rationals
 are serialized as reduced ``"p/q"`` strings with positive denominator and
-rays as integer pairs, so re-parsing loses nothing.  The human form is
-aligned text derived from the same payload.
+rays as integer pairs, so re-parsing loses nothing.  :func:`render_json`
+writes it byte for byte as the standard library's JSON encoder does with an
+indent of 2 and non-ASCII text kept, for the value types payloads hold.  The
+human form is aligned text derived from the same payload.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
+from math import gcd
 
 from .cones import Cone2D, Ray, dual_cone
 from .errors import ComputationError
@@ -24,29 +27,18 @@ from .pipeline import (
 )
 
 _MINUS = "−"
-_VULGAR = {
-    Fraction(1, 2): "½",
-    Fraction(1, 3): "⅓",
-    Fraction(2, 3): "⅔",
-    Fraction(1, 4): "¼",
-    Fraction(3, 4): "¾",
-    Fraction(1, 5): "⅕",
-    Fraction(2, 5): "⅖",
-    Fraction(3, 5): "⅗",
-    Fraction(4, 5): "⅘",
-    Fraction(1, 6): "⅙",
-    Fraction(5, 6): "⅚",
-    Fraction(1, 8): "⅛",
-    Fraction(3, 8): "⅜",
-    Fraction(5, 8): "⅝",
-    Fraction(7, 8): "⅞",
+_VULGAR = {  # (p, q) of p/q in lowest terms
+    (1, 2): "½", (1, 3): "⅓", (2, 3): "⅔", (1, 4): "¼", (3, 4): "¾", (1, 5): "⅕",
+    (2, 5): "⅖", (3, 5): "⅗", (4, 5): "⅘", (1, 6): "⅙", (5, 6): "⅚", (1, 8): "⅛",
+    (3, 8): "⅜", (5, 8): "⅝", (7, 8): "⅞",
 }
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def fmt_rational(value) -> str:
     """Reduced ``p/q`` string with positive denominator; plain ``p`` for integers."""
     try:
-        return str(Fraction(value))
+        return str(value) if type(value) is int else str(Fraction(value))
     except ValueError:  # more digits than int's string conversion allows
         raise ComputationError(
             f"result has more than {sys.get_int_max_str_digits()} digits, "
@@ -54,14 +46,14 @@ def fmt_rational(value) -> str:
         ) from None
 
 
-def _coeff_text(c: Fraction) -> str:
-    sign = "+" if c > 0 else _MINUS
-    mag = abs(c)
-    if mag == 1:
+def _coeff_text(p: int, q: int) -> str:
+    """Signed coefficient p/q, in lowest terms with q > 0, as it stands before a name."""
+    sign, p = ("+", p) if p > 0 else (_MINUS, -p)
+    if p == q:
         return sign
-    text = _VULGAR.get(mag)
+    text = _VULGAR.get((p, q))
     if text is None:
-        text = fmt_rational(mag) + ("" if mag.denominator == 1 else "·")
+        text = fmt_rational(p) if q == 1 else f"{fmt_rational(p)}/{fmt_rational(q)}·"
     return sign + text
 
 
@@ -77,10 +69,11 @@ def format_class_label(ray: Ray, names) -> str:
         return n1 if a > 0 else f"{_MINUS}{n1}"
     if a == 0:
         return n2 if b > 0 else f"{_MINUS}{n2}"
+    g = gcd(a, b)
     if b > 0:
-        return f"{n2}{_coeff_text(Fraction(a, b))}{n1}"
+        return f"{n2}{_coeff_text(a // g, b // g)}{n1}"
     if a > 0:
-        return f"{n1}{_coeff_text(Fraction(b, a))}{n2}"
+        return f"{n1}{_coeff_text(b // g, a // g)}{n2}"
     return f"{_MINUS}({format_class_label((-a, -b), names)})"
 
 
@@ -235,8 +228,44 @@ def demo_payload(sc: Scenario) -> dict:
     }
 
 
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is "\\n" and the indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None or value is True or value is False:
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, dict)):
+        raise TypeError(f"{type(value).__name__} is not a JSON payload value")
+    elif not value:
+        out.append("[]" if isinstance(value, list) else "{}")
+    elif isinstance(value, list):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    else:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # encode_basestring raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring(key) + ": ")
+            sep = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "}")
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """Indented JSON text of a payload of dicts with str keys, lists, str, int,
+    bool and None; any other value raises ``TypeError``."""
+    out: list = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _is_matrix(value) -> bool:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .cones import Cone2D
 from .errors import ScenarioError, ValidationError
 from .pipeline import Scenario
+from .report import render_json
 from .ring import AmbientSpace, check_multidegree
 from .variety import CompleteIntersection
 
@@ -62,7 +63,7 @@ DEMO_SCENARIO_DOCUMENT = {
     ],
 }
 
-DEMO_SCENARIO_JSON = json.dumps(DEMO_SCENARIO_DOCUMENT, indent=2, ensure_ascii=False) + "\n"
+DEMO_SCENARIO_JSON = render_json(DEMO_SCENARIO_DOCUMENT)
 
 
 def _too_long() -> str:
@@ -320,4 +321,4 @@ def scenario_to_document(s: Scenario) -> dict:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    return json.dumps(scenario_to_document(s), indent=2, ensure_ascii=False) + "\n"
+    return render_json(scenario_to_document(s))

@@ -126,9 +126,37 @@ def reference_image_closure(sc):
         express_in_basis(sc, (u ** j) * (v ** (n - j)) * comb(n, j)) for j in range(n, -1, -1)
     ]
     live = [c for c in coords if any(c)]
-    if not live:
-        raise ComputationError("balanced map degenerate on this cone (all terms vanish)")
     try:
         return Cone2D(live[0], live[-1])
     except ValidationError as e:
         raise ComputationError(f"balanced-map image closure is not a planar cone: {e}") from e
+
+
+REFERENCE_VULGAR = {
+    Fraction(1, 2): "½", Fraction(1, 3): "⅓", Fraction(2, 3): "⅔", Fraction(1, 4): "¼",
+    Fraction(3, 4): "¾", Fraction(1, 5): "⅕", Fraction(2, 5): "⅖", Fraction(3, 5): "⅗",
+    Fraction(4, 5): "⅘", Fraction(1, 6): "⅙", Fraction(5, 6): "⅚", Fraction(1, 8): "⅛",
+    Fraction(3, 8): "⅜", Fraction(5, 8): "⅝", Fraction(7, 8): "⅞",
+}
+
+
+def reference_class_label(ray, names):
+    """``report.format_class_label`` as written with ``Fraction`` coefficients."""
+
+    def coeff(c):
+        sign, mag = ("+" if c > 0 else "−"), abs(c)
+        if mag == 1:
+            return sign
+        return sign + REFERENCE_VULGAR.get(mag, str(mag) + ("" if mag.denominator == 1 else "·"))
+
+    a, b = ray
+    n1, n2 = names
+    if b == 0:
+        return n1 if a > 0 else f"−{n1}"
+    if a == 0:
+        return n2 if b > 0 else f"−{n2}"
+    if b > 0:
+        return f"{n2}{coeff(Fraction(a, b))}{n1}"
+    if a > 0:
+        return f"{n1}{coeff(Fraction(b, a))}{n2}"
+    return f"−({reference_class_label((-a, -b), names)})"

@@ -188,6 +188,14 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["ample"] == ["3/2", "1/2"]
 
+    @pytest.mark.parametrize("pair, message", [("1,2,3", "expected 'X,Y'"),
+                                               ("1/0,1", "bad rational pair")])
+    def test_malformed_rays_are_usage_errors(self, capsys, pair, message):
+        with pytest.raises(SystemExit) as info:
+            main(["dual", "--rays", pair, "0,1"])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "E1", "3,4", "--format", "json")
         doc = json.loads(out)

@@ -40,6 +40,15 @@ class TestRay:
     def test_direction_preserved(self):
         assert ray_normalize((-6, -9)) == Ray(-2, -3)
 
+    @pytest.mark.parametrize("pair", [(6, -4), (0, -5), (-7, 0), (-6, -9), (1, 1),
+                                      (3 * 10**30, -2 * 10**30), (10**30 + 1, 10**30)])
+    def test_int_pairs_match_the_fraction_path(self, pair):
+        assert ray_normalize(pair) == ray_normalize(tuple(map(Fraction, pair)))
+
+    def test_zero_ray_rejected(self):
+        with pytest.raises(ValidationError, match="zero vector"):
+            Ray(0, 0)
+
     def test_non_primitive_constructor_rejected(self):
         with pytest.raises(ValidationError, match="primitive"):
             Ray(2, 4)
@@ -138,6 +147,11 @@ class TestDualCone:
     def test_degenerate_pairing_rejected(self):
         with pytest.raises(DegeneratePairingError):
             Pairing(((1, 2), (2, 4)))
+
+    @pytest.mark.parametrize("rows", [((1, 2, 3), (4, 5, 6)), ((1, 0),), ((1, 0), (0, 1), (1, 1))])
+    def test_non_square_pairing_rejected(self, rows):
+        with pytest.raises(ValidationError, match="2x2"):
+            Pairing(rows)
 
 
 class TestContains:

@@ -55,6 +55,8 @@ class TestScenario:
             sc._replace(codim_forms=(sc.codim_forms[0],) * 2)
         with pytest.raises(ValidationError, match="exactly two degree-1"):
             sc._replace(h11_names=("α",))
+        with pytest.raises(ValidationError, match="exactly two degree-2"):
+            sc._replace(codim_forms=sc.codim_forms + (sc.codim_forms[0],))
         assert sc._replace(effective_cone=sc.effective_cone) == sc
 
     @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
@@ -200,6 +202,12 @@ class TestBoundFunctional:
     def test_nonpositive_ample_rejected(self, sc):
         with pytest.raises(ValidationError, match="positive"):
             divisor_bound_functional(sc, (-1, 1), (3, 0))
+
+    def test_three_entry_classes_rejected(self, sc):
+        with pytest.raises(ValidationError, match="ample class needs exactly two"):
+            divisor_bound_functional(sc, (-1, 1), (3, 4, 5))
+        with pytest.raises(ValidationError, match="prime divisor class needs exactly two"):
+            divisor_bound_functional(sc, (-1, 1, 0), (3, 4))
 
     def test_linear_in_prime(self, sc):
         rng = random.Random(17)

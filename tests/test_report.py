@@ -2,11 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import balcone
 import balcone.pipeline
 from balcone.cli import build_parser, run_command
 from balcone.cones import Ray
+from balcone.errors import ComputationError
 from balcone.pipeline import balanced_cone
 from balcone.report import (
     demo_payload,
@@ -20,7 +22,7 @@ from balcone.scenario_io import document_to_scenario, parse_scenario, quintic_co
 from balcone.svg import render_cone_diagram
 from balcone.variety import CompleteIntersection
 
-from _helpers import pn_document
+from _helpers import REFERENCE_VULGAR, pn_document, reference_class_label
 
 CODIM = ("α∧β", "β∧β")
 
@@ -31,6 +33,12 @@ class TestRationalSerialization:
         assert fmt_rational(Fraction(2, -8)) == "-1/4"
         assert fmt_rational(Fraction(4, 1)) == "4"
         assert fmt_rational(0) == "0"
+
+    def test_integers_printed_by_str_within_the_digit_limit(self):
+        assert fmt_rational(-10**30) == "-1" + "0" * 30
+        assert fmt_rational(True) == "1"  # a bool is read as a number, not as its name
+        with pytest.raises(ComputationError, match="digits"):
+            fmt_rational(10**5000)
 
 
 class TestClassLabels:
@@ -53,6 +61,51 @@ class TestClassLabels:
 
     def test_both_negative(self):
         assert format_class_label(Ray(-1, -1), CODIM) == "−(β∧β+α∧β)"
+
+
+_RAY_ENTRY = st.integers(-9, 9) | st.integers(10**30 - 9, 10**30 + 9) \
+    | st.integers(-10**30 - 9, -10**30 + 9)
+
+
+class TestLabelsMatchFractionReference:
+    """The gcd path of ``format_class_label`` writes what its ``Fraction`` form wrote."""
+
+    @pytest.mark.parametrize("value", sorted(REFERENCE_VULGAR))
+    def test_every_vulgar_coefficient_in_every_branch(self, value):
+        p, q = value.numerator, value.denominator
+        for ray in [(p, q), (-p, q), (q, -p), (-q, p), (-p, -q), (2 * p, 2 * q), (3 * q, -3 * p)]:
+            assert format_class_label(ray, CODIM) == reference_class_label(ray, CODIM), ray
+        assert REFERENCE_VULGAR[value] in format_class_label((-p, q), CODIM)
+
+    @settings(max_examples=300)
+    @given(_RAY_ENTRY, _RAY_ENTRY)
+    def test_random_rays_in_all_quadrants(self, a, b):
+        if (a, b) != (0, 0):
+            assert format_class_label((a, b), CODIM) == reference_class_label((a, b), CODIM)
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=())  # with lone surrogates
+                     | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff😀'))
+_JSON_TREE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**4000, 10**4000) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100)
+    @given(_JSON_TREE)
+    def test_bytes_of_the_standard_encoder(self, tree):
+        assert render_json(tree) == json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        1.5, 0.0, (1, 2), Fraction(1, 2), {1: "a"}, {None: "a"}, {("a",): 1},
+        {"rays": [[1, 0], (0, 1)]}, [{"x": [float("nan")]}], b"bytes",
+    ])
+    def test_other_values_refused(self, value):
+        with pytest.raises(TypeError):
+            render_json(value)
 
 
 class TestPayloads:

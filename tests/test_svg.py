@@ -1,8 +1,12 @@
+import json
+import re
+
 import pytest
 
 from balcone.cli import main
+from balcone.cones import det2
 from balcone.errors import ValidationError
-from balcone.scenario_io import quintic_conifold_scenario
+from balcone.scenario_io import DEMO_SCENARIO_JSON, quintic_conifold_scenario
 from balcone.report import demo_payload, gap_payload, pairing_payload
 from balcone.svg import render_cone_diagram
 
@@ -85,3 +89,20 @@ class TestRenderCommand:
         code = main(["render", "--out", str(tmp_path / "missing-dir" / "x.svg")])
         capsys.readouterr()
         assert code == 4
+
+
+def test_wedge_across_the_negative_x_axis(tmp_path, capsys):
+    # The quintic with codim basis (−β∧β, α∧β): a quarter turn of the shipped
+    # coordinates, so the balanced cone runs from (0, 1) past (−1, 0) to (−4, −1).
+    doc = json.loads(DEMO_SCENARIO_JSON)
+    doc["codim_basis"] = [{"name": "c1", "expr": "-β*β"}, {"name": "c2", "expr": "α*β"}]
+    scenario, out = tmp_path / "turned.json", tmp_path / "turned.svg"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["gap", "--scenario", str(scenario), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["balanced_cone"]["rays"] == [[0, 1], [-4, -1]]
+    assert main(["render", "--scenario", str(scenario), "--out", str(out)]) == 0
+    balanced_wedge = re.findall(r'class="wedge" d="M 0 0 L ([^"]*) Z"', out.read_text())[1]
+    # SVG's y axis points down, so the arc point (x, y) is the vector (x, −y).
+    arc = [(x, -y) for x, y in (map(float, p.split()) for p in balanced_wedge.split(" L "))]
+    assert all(det2((0, 1), v) > -1e-6 and det2(v, (-4, -1)) > -1e-6 for v in arc)
+    assert min(x for x, _ in arc) < -149  # the arc passes (−150, 0)
