@@ -40,10 +40,13 @@ class TestRay:
     def test_direction_preserved(self):
         assert ray_normalize((-6, -9)) == Ray(-2, -3)
 
-    @pytest.mark.parametrize("pair", [(6, -4), (0, -5), (-7, 0), (-6, -9), (1, 1),
-                                      (3 * 10**30, -2 * 10**30), (10**30 + 1, 10**30)])
-    def test_int_pairs_match_the_fraction_path(self, pair):
-        assert ray_normalize(pair) == ray_normalize(tuple(map(Fraction, pair)))
+    @pytest.mark.parametrize("pair, ray", [
+        ((6, -4), (3, -2)), ((0, -5), (0, -1)), ((-7, 0), (-1, 0)), ((-6, -9), (-2, -3)),
+        ((1, 1), (1, 1)), ((3 * 10**30, -2 * 10**30), (3, -2)),
+        ((10**30 + 1, -10**30), (10**30 + 1, -10**30)),
+    ])
+    def test_int_pairs_match_the_fraction_path(self, pair, ray):
+        assert ray_normalize(pair) == ray_normalize(tuple(map(Fraction, pair))) == Ray(*ray)
 
     def test_zero_ray_rejected(self):
         with pytest.raises(ValidationError, match="zero vector"):
