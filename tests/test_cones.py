@@ -36,6 +36,8 @@ class TestRay:
     def test_zero_rejected(self):
         with pytest.raises(ValidationError, match="zero vector"):
             ray_normalize((0, 0))
+        with pytest.raises(ValidationError, match="zero vector"):
+            Ray(0, 0)
 
     def test_direction_preserved(self):
         assert ray_normalize((-6, -9)) == Ray(-2, -3)
@@ -47,10 +49,6 @@ class TestRay:
     ])
     def test_int_pairs_match_the_fraction_path(self, pair, ray):
         assert ray_normalize(pair) == ray_normalize(tuple(map(Fraction, pair))) == Ray(*ray)
-
-    def test_zero_ray_rejected(self):
-        with pytest.raises(ValidationError, match="zero vector"):
-            Ray(0, 0)
 
     def test_non_primitive_constructor_rejected(self):
         with pytest.raises(ValidationError, match="primitive"):
