@@ -1,7 +1,7 @@
 """Per-stage benchmarks of the pipeline, one ``benchmark`` call per stage.
 
-Three scenarios: the quintic conifold, P^16 × P^1 cut by (1,1) and (16,1),
-and (P^2)^5 cut by five divisors (1,…,1).  ``perf/`` is outside the tier-1
+Four scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
+n = 16 and 100, and (P^2)^5 cut by five divisors (1,…,1).  ``perf/`` is outside the tier-1
 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
@@ -13,9 +13,15 @@ and reduce ``run.json`` with ``perf/reduce.py``.
 import pytest
 
 from balcone.cones import Cone2D
-from balcone.pipeline import gap_report
+from balcone.pipeline import (
+    H11_FORMS,
+    balanced_cone,
+    balanced_image_closure,
+    gap_report,
+    integrate_forms,
+)
 from balcone.report import demo_payload, format_class_label, gap_payload, render_json, render_text
-from balcone.scenario_io import DEMO_SCENARIO_JSON, parse_scenario
+from balcone.scenario_io import DEMO_SCENARIO_JSON, parse_class_expr, parse_scenario
 from balcone.svg import render_cone_diagram
 
 
@@ -35,7 +41,8 @@ def _document(ambient, divisors, alpha, beta, effective):
 
 SCENARIOS = {
     "quintic": DEMO_SCENARIO_JSON,
-    "pn16": render_json(_document([16, 1], [[1, 1], [16, 1]], [0, 1], [1, 0], [[1, 0], [-1, 1]])),
+    **{f"pn{n}": render_json(_document([n, 1], [[1, 1], [n, 1]], [0, 1], [1, 0],
+                                        [[1, 0], [-1, 1]])) for n in (16, 100)},
     "p2x5": render_json(_document([2] * 5, [[1] * 5] * 5, [1, 1, 0, 0, 0], [0, 0, 1, 1, 1],
                                   [[1, 0], [0, 1]])),
 }
@@ -53,6 +60,26 @@ def sc(text):
 
 def test_parse_and_build(benchmark, text):
     benchmark(parse_scenario, text)
+
+
+def test_class_exprs(benchmark, sc):
+    benchmark(lambda: [parse_class_expr(e, sc.h11_names) for e in sc.codim_exprs])
+
+
+def test_kappa(benchmark, sc):
+    benchmark(sc.ci.kappa, *sc.h11_multidegrees)
+
+
+def test_pairing(benchmark, sc):
+    benchmark(lambda: [integrate_forms(sc, (h, c)) for h in H11_FORMS for c in sc.codim_forms])
+
+
+def test_image_closure(benchmark, sc):
+    benchmark(balanced_image_closure, sc)
+
+
+def test_balanced_cone(benchmark, sc):
+    benchmark(balanced_cone, sc)
 
 
 def test_gap_report(benchmark, sc):

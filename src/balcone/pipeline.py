@@ -27,7 +27,8 @@ from itertools import accumulate, repeat
 from math import comb, lcm
 
 from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
-from .errors import ComputationError, DegeneratePairingError, DegreeMismatchError, ValidationError
+from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
+                     ValidationError)
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
 
@@ -56,28 +57,30 @@ class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
+        # The fields are the document's keys, so each refusal names the path it reads.
         self = super().__new__(cls, *args, **kwargs)
         dim = self.ci.dim
         if len(self.h11_names) != 2 or len(self.h11_multidegrees) != 2:
-            raise ValidationError("scenario needs exactly two degree-1 basis classes")
+            raise ScenarioError("scenario needs exactly two degree-1 basis classes",
+                                path="/h11_basis")
         if len(self.codim_names) != 2 or len(self.codim_forms) != 2:
-            raise ValidationError(f"scenario needs exactly two degree-{dim - 1} basis classes")
+            raise ScenarioError(f"scenario needs exactly two degree-{dim - 1} basis classes",
+                                path="/codim_basis")
         for i, h in enumerate(self.h11_multidegrees):
             if not any(h):
-                raise ValidationError(f"row class {i} must have degree 1")
+                raise ScenarioError(f"row class {i} must have degree 1",
+                                    path=f"/h11_basis/{i}/multidegree")
         for j, c in enumerate(self.codim_forms):
             if len(c) != dim:
-                raise ValidationError(
-                    f"column class {j} must have degree {dim - 1}, got {len(c) - 1}"
-                )
+                raise ScenarioError(f"column class {j} must have degree {dim - 1}, "
+                                    f"got {len(c) - 1}", path=f"/codim_basis/{j}/expr")
         vars(self)["kappa"] = self.ci.kappa(*self.h11_multidegrees)
         try:
             vars(self)["pairing_matrix"] = Pairing(
                 [[integrate_forms(self, (h, c)) for c in self.codim_forms] for h in H11_FORMS])
         except DegeneratePairingError:
-            raise ValidationError(
-                "intersection pairing of the chosen bases is degenerate"
-            ) from None
+            raise ScenarioError("intersection pairing of the chosen bases is degenerate",
+                                path="/") from None
         return self
 
     def __setattr__(self, name, value=None):
@@ -206,16 +209,19 @@ def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:
 def gap_report(scenario: Scenario) -> GapReport:
     """Image closure, balanced cone, and the gap between them.
 
-    Raises a computation error if the image escapes the balanced cone,
-    which signals an effective cone inconsistent with the pairing.
+    Raises a computation error if the image escapes the balanced cone.  It
+    names the Kähler cone when some k_j = ∫ u^j v^(dim−j) on its rays is
+    negative, so that the cone cannot be nef, and the effective cone otherwise.
     """
     image = balanced_image_closure(scenario)
     bal = balanced_cone(scenario)
     if not is_subcone(image, bal):
+        k = kappa_in_basis(scenario, *scenario.kahler_cone)
+        culprit = (f"the supplied Kähler cone {[list(r) for r in scenario.kahler_cone]} is not "
+                   f"nef: k_j = ∫ u^j v^(dim−j) on its rays is {tuple(k)}" if min(k) < 0 else
+                   "the supplied effective cone is inconsistent with the pairing")
         raise ComputationError(
-            "balanced-map image is not contained in the balanced cone; "
-            "the supplied effective cone is inconsistent with the pairing"
-        )
+            f"balanced-map image is not contained in the balanced cone; {culprit}")
     # Both cones are counterclockwise and image ⊆ bal, so a balanced generator
     # outside the image lies past the image generator on its own side.
     if not image.contains(bal.r2):

@@ -37,10 +37,9 @@ _TRANSLIT = str.maketrans(
     {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
      "−": "-", "·": "*", "×": "*", " ": None, "\t": None}
 )
-_NUMBER = re.compile(r"\d+(?:/\d+)?$")
-# An h11 name is one expr token: no whitespace or arithmetic sign, no leading digit.
+_NUMBER = re.compile(r"\d+(?:/\d+)?")
+# An h11 name is one expr factor: no whitespace or arithmetic sign, no leading digit.
 _H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
-_TOKEN = re.compile(rf"\s*(\d+(?:/\d+)?|[+\-*]|{_H11_NAME.pattern})")
 # A JSON string, or a JSON number: its integer digits, then its fraction and exponent.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
@@ -81,13 +80,11 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _int_list(value, path, minimum=None):
+def _int_list(value, path):
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
     ):
         raise ScenarioError("expected a list of integers", path=path)
-    if minimum is not None and any(x < minimum for x in value):
-        raise ScenarioError(f"entries must be >= {minimum}", path=path)
     return value
 
 
@@ -98,14 +95,18 @@ def _int_pair(value, path):
     return tuple(pair)
 
 
+def _located(path, build, *args):
+    """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as e:
+        raise ScenarioError(str(e), path=path) from e
+
+
 def _cone(value, path):
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError("expected two integer pairs", path=path)
-    rays = [_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)]
-    try:
-        return Cone2D(*rays)
-    except ValidationError as e:
-        raise ScenarioError(str(e), path=path) from e
+    return _located(path, Cone2D, *(_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)))
 
 
 def _named_entries(doc, key, value_key, seen):
@@ -134,49 +135,32 @@ def parse_class_expr(expr, names, path="expr"):
     """Binary form of a combination like ``"β*β - 1/4*α*β"`` of h11 names.
 
     Entry j is the coefficient of h1^j h2^(d−j), d the degree shared by all
-    terms; ``names[0]`` is h1 and any other name h2.
+    terms; ``names[0]`` is h1 and any other name h2.  No name or number holds
+    a sign, so the signs split the terms and ``*`` splits each term's factors.
     """
     if not isinstance(expr, str) or not expr.strip():
         raise ScenarioError("expected a non-empty expression string", path=path)
-    tokens = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if expr[pos:].strip():
-        raise ScenarioError(f"cannot tokenize {expr[pos:].strip()!r}", path=path)
-
-    if tokens[0] not in "+-":
-        tokens.insert(0, "+")
+    parts = re.split(r"([+-])", expr if expr.lstrip()[0] in "+-" else "+" + expr)
     terms = []  # (degree, power of h1, coefficient)
-    idx = 0
-    while idx < len(tokens):
-        if tokens[idx] not in "+-":
-            raise ScenarioError(f"expected '+' or '-', got {tokens[idx]!r}", path=path)
-        coeff, degree, j = Fraction(1 if tokens[idx] == "+" else -1), 0, 0
-        while True:
-            idx += 1
-            if idx >= len(tokens) or tokens[idx] in "+-*":
-                raise ScenarioError("expected a name or number", path=path)
-            tok = tokens[idx]
-            if _NUMBER.match(tok):
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        coeff, degree, j = Fraction(1 if sign == "+" else -1), 0, 0
+        for factor in map(str.strip, term.split("*")):
+            if factor in names:
+                degree += 1
+                j += factor == names[0]
+            elif _NUMBER.fullmatch(factor):
                 try:
-                    coeff *= Fraction(tok)
+                    coeff *= Fraction(factor)
                 except ZeroDivisionError:
-                    raise ScenarioError(f"zero denominator in {tok!r}", path=path) from None
+                    raise ScenarioError(f"zero denominator in {factor!r}", path=path) from None
                 except ValueError:  # more digits than int's string conversion allows
                     raise ScenarioError(_too_long(), path=path) from None
-            elif tok in names:
-                degree += 1
-                j += tok == names[0]
+            elif not factor:
+                raise ScenarioError("expected a name or number", path=path)
+            elif _H11_NAME.fullmatch(factor):
+                raise ScenarioError(f"unknown class name {factor!r}", path=path)
             else:
-                raise ScenarioError(f"unknown class name {tok!r}", path=path)
-            idx += 1
-            if idx >= len(tokens) or tokens[idx] != "*":
-                break
+                raise ScenarioError(f"cannot tokenize {factor!r}", path=path)
         terms.append((degree, j, coeff))
     degrees = sorted({t[0] for t in terms})
     if len(degrees) > 1:
@@ -188,26 +172,20 @@ def parse_class_expr(expr, names, path="expr"):
 
 
 def document_to_scenario(doc) -> Scenario:
-    """Validated scenario from a decoded JSON document."""
+    """Validated scenario from a decoded JSON document; ``Scenario`` checks the two bases."""
     if not isinstance(doc, dict):
         raise ScenarioError("document must be a JSON object", path="/")
 
-    dims = _int_list(_require(doc, "ambient", ""), "/ambient")
-    try:
-        space = AmbientSpace(dims)
-    except ValidationError as e:
-        raise ScenarioError(str(e), path="/ambient") from e
+    space = _located("/ambient", AmbientSpace, _int_list(_require(doc, "ambient", ""), "/ambient"))
 
     raw_divisors = _require(doc, "divisors", "")
     if not isinstance(raw_divisors, list):
         raise ScenarioError("expected a list of multidegrees", path="/divisors")
     divisors = [
-        tuple(_int_list(d, f"/divisors/{i}", minimum=0)) for i, d in enumerate(raw_divisors)
+        _located(f"/divisors/{i}", check_multidegree, space, _int_list(d, f"/divisors/{i}"))
+        for i, d in enumerate(raw_divisors)
     ]
-    try:
-        ci = CompleteIntersection(space, divisors)
-    except ValidationError as e:
-        raise ScenarioError(str(e), path="/divisors") from e
+    ci = _located("/divisors", CompleteIntersection, space, divisors)
 
     h11_names, h11_multidegrees, seen = [], [], {}
     for name, raw, here in _named_entries(doc, "h11_basis", "multidegree", seen):
@@ -216,15 +194,8 @@ def document_to_scenario(doc) -> Scenario:
                 "h11 names may not start with a digit or contain whitespace or + - * /",
                 path=f"{here}/name",
             )
-        d = _int_list(raw, f"{here}/multidegree", minimum=0)
-        if not any(d):
-            raise ScenarioError(
-                "multidegree must have a positive entry", path=f"{here}/multidegree"
-            )
-        try:
-            h11_multidegrees.append(check_multidegree(space, d))
-        except ValidationError as e:
-            raise ScenarioError(str(e), path=f"{here}/multidegree") from e
+        path = f"{here}/multidegree"
+        h11_multidegrees.append(_located(path, check_multidegree, space, _int_list(raw, path)))
         h11_names.append(name)
 
     # Count both bases before parsing any expr: it would read a third h11 name as h2.
@@ -232,14 +203,7 @@ def document_to_scenario(doc) -> Scenario:
     for key, entries in (("h11_basis", h11_names), ("codim_basis", codim)):
         if len(entries) != 2:
             raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
-    codim_forms = []
-    for _, raw, here in codim:
-        form = parse_class_expr(raw, h11_names, path=f"{here}/expr")
-        if len(form) != ci.dim:
-            raise ScenarioError(
-                f"degree must be {ci.dim - 1}, got {len(form) - 1}", path=f"{here}/expr"
-            )
-        codim_forms.append(form)
+    codim_forms = [parse_class_expr(raw, h11_names, path=f"{here}/expr") for _, raw, here in codim]
 
     kahler = _cone(_require(doc, "kahler_cone", ""), "/kahler_cone")
     effective = _cone(_require(doc, "effective_cone", ""), "/effective_cone")
@@ -249,20 +213,17 @@ def document_to_scenario(doc) -> Scenario:
         for name, raw, here in _named_entries(doc, "prime_divisors", "coords", {}):
             primes.append((name, _int_pair(raw, f"{here}/coords")))
 
-    try:
-        return Scenario(
-            ci=ci,
-            h11_names=tuple(h11_names),
-            h11_multidegrees=tuple(h11_multidegrees),
-            codim_names=tuple(name for name, _, _ in codim),
-            codim_forms=tuple(codim_forms),
-            kahler_cone=kahler,
-            effective_cone=effective,
-            prime_divisors=tuple(primes),
-            codim_exprs=tuple(raw for _, raw, _ in codim),
-        )
-    except ValidationError as e:
-        raise ScenarioError(str(e), path="/") from e
+    return Scenario(
+        ci=ci,
+        h11_names=tuple(h11_names),
+        h11_multidegrees=tuple(h11_multidegrees),
+        codim_names=tuple(name for name, _, _ in codim),
+        codim_forms=tuple(codim_forms),
+        kahler_cone=kahler,
+        effective_cone=effective,
+        prime_divisors=tuple(primes),
+        codim_exprs=tuple(raw for _, raw, _ in codim),
+    )
 
 
 def quintic_conifold_scenario() -> Scenario:

@@ -1,11 +1,12 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 from balcone.cones import Cone2D, Pairing, ray_normalize
-from balcone.errors import ComputationError, DegeneratePairingError, ValidationError
+from balcone.errors import ComputationError, DegeneratePairingError, ScenarioError, ValidationError
 from balcone.ring import AmbientSpace
 
 from _ring_oracle import RingClass, express_in_basis, h11_classes, linear_combination
@@ -160,3 +161,85 @@ def reference_class_label(ray, names):
     if a > 0:
         return f"{n1}{coeff(Fraction(b, a))}{n2}"
     return f"−({reference_class_label((-a, -b), names)})"
+
+
+_REFERENCE_NAME = r"[^\s\d+\-*/][^\s+\-*/]*"
+_REFERENCE_TOKEN = re.compile(rf"\s*(\d+(?:/\d+)?|[+\-*]|{_REFERENCE_NAME})")
+
+
+def reference_class_expr(expr, names, path="expr"):
+    """``scenario_io.parse_class_expr`` as a tokenizer and a token-index loop.
+
+    Blanks may precede any token; a term is a sign, then names and numbers
+    joined by ``*``; a missing leading sign reads as ``+``.
+    """
+    if not isinstance(expr, str) or not expr.strip():
+        raise ScenarioError("expected a non-empty expression string", path=path)
+    tokens = []
+    pos = 0
+    while pos < len(expr):
+        m = _REFERENCE_TOKEN.match(expr, pos)
+        if m is None:
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    if expr[pos:].strip():
+        raise ScenarioError(f"cannot tokenize {expr[pos:].strip()!r}", path=path)
+
+    if tokens[0] not in "+-":
+        tokens.insert(0, "+")
+    terms = []  # (degree, power of h1, coefficient)
+    idx = 0
+    while idx < len(tokens):
+        if tokens[idx] not in "+-":
+            raise ScenarioError(f"expected '+' or '-', got {tokens[idx]!r}", path=path)
+        coeff, degree, j = Fraction(1 if tokens[idx] == "+" else -1), 0, 0
+        while True:
+            idx += 1
+            if idx >= len(tokens) or tokens[idx] in "+-*":
+                raise ScenarioError("expected a name or number", path=path)
+            tok = tokens[idx]
+            if re.match(r"\d+(?:/\d+)?$", tok):
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ScenarioError(f"zero denominator in {tok!r}", path=path) from None
+                except ValueError:  # more digits than int's string conversion allows
+                    raise ScenarioError("number has too many digits", path=path) from None
+            elif tok in names:
+                degree += 1
+                j += tok == names[0]
+            else:
+                raise ScenarioError(f"unknown class name {tok!r}", path=path)
+            idx += 1
+            if idx >= len(tokens) or tokens[idx] != "*":
+                break
+        terms.append((degree, j, coeff))
+    degrees = sorted({t[0] for t in terms})
+    if len(degrees) > 1:
+        raise ScenarioError(f"terms must share one degree, got degrees {degrees}", path=path)
+    form = [Fraction(0)] * (degrees[0] + 1)
+    for _, j, coeff in terms:
+        form[j] += coeff
+    return tuple(form)
+
+
+def finite_difference_kappa(dims, divisors, a, b):
+    """κ_j = ∫ a^j b^(dim−j) by the mixed finite difference, with no ring and no DP.
+
+    P = ∏D_k · a^j · b^(dim−j) is homogeneous of degree N = Σn_i in the
+    hyperplane classes, and its top coefficient is
+    [x^n] P = (1/∏n_i!) Σ_{0≤m≤n} (−1)^(N−|m|) ∏C(n_i, m_i) P(m),
+    each linear form evaluated at the grid point m.  Every grid point adds to
+    all κ_j at once.
+    """
+    n, dim = sum(dims), sum(dims) - len(divisors)
+    sums = [0] * (dim + 1)
+    for m in product(*(range(k + 1) for k in dims)):
+        weight = (-1) ** (n - sum(m)) * prod(comb(k, i) for k, i in zip(dims, m))
+        weight *= prod(sum(d * x for d, x in zip(div, m)) for div in divisors)
+        at_a, at_b = (sum(d * x for d, x in zip(f, m)) for f in (a, b))
+        for j in range(dim + 1):
+            sums[j] += weight * at_a ** j * at_b ** (dim - j)
+    denominator = prod(factorial(k) for k in dims)
+    return tuple(s // denominator for s in sums)

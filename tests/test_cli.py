@@ -255,6 +255,39 @@ class TestCommands:
         assert code == 0
         assert "\n  divisors: (1, 1, 1, 1)\n" in out
 
+    @pytest.mark.parametrize("kahler, k", [
+        ([[1, 0], [-1, 2]], (-8, 16, 0, 0)),
+        ([[1, 0], [-1, 1]], (-7, 4, 0, 0)),
+    ])
+    @pytest.mark.parametrize("command", ["gap", "demo", "render"])
+    def test_gap_refusal_names_a_kahler_cone_that_cannot_be_nef(
+            self, capsys, tmp_path, command, kahler, k):
+        """The shipped effective cone is consistent; the fault is the Kähler input."""
+        path = tmp_path / "kahler.json"
+        path.write_text(json.dumps(dict(json.loads(DEMO_SCENARIO_JSON), kahler_cone=kahler)),
+                        encoding="utf-8")
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (4, "")
+        assert f"the supplied Kähler cone {kahler} is not nef" in err
+        assert f"is {k}" in err and "effective cone" not in err
+
+    @pytest.mark.parametrize("command", ["image", "gap", "demo", "render"])
+    def test_image_closure_not_a_planar_cone(self, capsys, tmp_path, command):
+        """The end terms of the image closure point in opposite directions."""
+        path = tmp_path / "antipodal.json"
+        path.write_text(json.dumps({
+            "ambient": [4, 2],
+            "divisors": [[1, 1], [1, 0]],
+            "h11_basis": [{"name": "a", "multidegree": [2, 0]},
+                          {"name": "b", "multidegree": [0, 2]}],
+            "codim_basis": [{"name": "c1", "expr": "a*a*a"}, {"name": "c2", "expr": "a*a*b"}],
+            "kahler_cone": [[3, 0], [1, -1]],
+            "effective_cone": [[1, 0], [0, 1]],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (4, "")
+        assert "not a planar cone" in err
+
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

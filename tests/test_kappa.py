@@ -5,11 +5,14 @@ intersection numbers read κ_j = ∫ h1^j h2^(dim−j), directly or moved into
 another basis; here each is compared with the same quantity computed term
 by term in the cohomology ring.  The cone properties of a scenario (duality,
 annihilating boundary rays, the image inside the balanced cone) and the
-document round trip are checked on the same draws.
+document round trip are checked on the same draws.  The κ DP is also checked
+against the mixed finite difference, which shares no code with it, and
+against relations that need no second implementation.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, assume, event, given, settings, strategies as st
@@ -31,7 +34,7 @@ from balcone.scenario_io import (
 )
 from balcone.variety import CompleteIntersection
 
-from _helpers import pn_document, reference_image_closure
+from _helpers import finite_difference_kappa, pn_document, reference_image_closure
 from _ring_oracle import (
     divisor_class,
     express_in_basis,
@@ -278,3 +281,92 @@ def test_ring_reference_does_not_call_the_dp(monkeypatch):
     assert _ring_kappa(sc) == sc.kappa
     assert express_in_basis(sc, h11_classes(sc)[1] ** 3) == (0, 1)
     assert reference_image_closure(sc) == balanced_image_closure(sc)
+
+
+# The finite difference and the relations run cheap draws; 50 each keep all six near 2 s.
+_FEWER_NO_SHRINK = settings(_NO_SHRINK, max_examples=50)
+
+
+@st.composite
+def products(draw):
+    """1–4 factors of dimension 1–3 with at most 500 grid points, random divisors
+    and non-negative multidegrees a, b; draws with a zero fundamental class are
+    discarded."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                .filter(lambda d: prod(n + 1 for n in d) <= 500))
+    multidegree = st.lists(st.integers(0, 2), min_size=len(dims), max_size=len(dims))
+    r = draw(st.integers(0, sum(dims) - 1))
+    divisors = draw(st.lists(multidegree, min_size=r, max_size=r))
+    try:
+        ci = CompleteIntersection(AmbientSpace(dims), divisors)
+    except ValidationError:
+        event("zero fundamental class")
+        assume(False)
+    return ci, draw(multidegree), draw(multidegree)
+
+
+def _kappa(dims, divisors, a, b):
+    return CompleteIntersection(AmbientSpace(dims), divisors).kappa(a, b)
+
+
+@_FEWER_NO_SHRINK
+@given(products())
+def test_kappa_matches_finite_difference(case):
+    ci, a, b = case
+    assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
+
+
+def test_finite_difference_on_the_quintic():
+    assert finite_difference_kappa([4, 1], [(1, 1), (4, 1)], (0, 1), (1, 0)) == (5, 4, 0, 0)
+
+
+@_FEWER_NO_SHRINK
+@given(products(), st.randoms(use_true_random=False))
+def test_kappa_invariant_under_factor_permutation(case, rng):
+    ci, a, b = case
+    order = list(range(len(ci.space)))
+    rng.shuffle(order)
+    moved = [[d[i] for i in order] for d in (ci.space, a, b, *ci.divisors)]
+    assert _kappa(moved[0], moved[3:], moved[1], moved[2]) == ci.kappa(a, b)
+
+
+@_FEWER_NO_SHRINK
+@given(products(), st.randoms(use_true_random=False))
+def test_kappa_invariant_under_divisor_order(case, rng):
+    ci, a, b = case
+    divisors = list(ci.divisors)
+    rng.shuffle(divisors)
+    assert _kappa(ci.space, divisors, a, b) == ci.kappa(a, b)
+
+
+@_FEWER_NO_SHRINK
+@given(products(), st.integers(1, 2))
+def test_kappa_unchanged_by_a_point_factor(case, m):
+    """X × point: a factor P^m cut by m hyperplanes of it, where a and b vanish."""
+    ci, a, b = case
+    k = len(ci.space)
+    divisors = [(*d, 0) for d in ci.divisors] + [(0,) * k + (1,)] * m
+    assert _kappa((*ci.space, m), divisors, (*a, 0), (*b, 0)) == ci.kappa(a, b)
+
+
+@_FEWER_NO_SHRINK
+@given(products())
+def test_kappa_in_the_basis_h1_plus_h2(case):
+    """The DP on the multidegree a + b against the Horner substitution u = h1 + h2, v = h2."""
+    ci, a, b = case
+    summed = [x + y for x, y in zip(a, b)]
+    stand_in = SimpleNamespace(ci=ci, kappa=ci.kappa(a, b))  # all kappa_in_basis reads
+    assert list(ci.kappa(summed, b)) == kappa_in_basis(stand_in, (1, 1), (0, 1))
+
+
+def test_kappa_in_the_basis_h1_plus_h2_on_the_quintic():
+    sc = document_to_scenario(pn_document(4))
+    assert sc.ci.kappa((1, 1), (1, 0)) == (5, 9, 13, 17)
+    assert kappa_in_basis(sc, (1, 1), (0, 1)) == [5, 9, 13, 17]
+
+
+@_FEWER_NO_SHRINK
+@given(products())
+def test_kappa_reversed_by_swapping_h1_and_h2(case):
+    ci, a, b = case
+    assert ci.kappa(b, a) == ci.kappa(a, b)[::-1]

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from balcone.cones import Cone2D, Ray, det2, is_subcone
-from balcone.errors import ComputationError, ValidationError
+from balcone.errors import ComputationError, ScenarioError, ValidationError
 from balcone.pipeline import (
     Scenario,
     balanced_cone,
@@ -58,6 +58,20 @@ class TestScenario:
         with pytest.raises(ValidationError, match="exactly two degree-2"):
             sc._replace(codim_forms=sc.codim_forms + (sc.codim_forms[0],))
         assert sc._replace(effective_cone=sc.effective_cone) == sc
+
+    @pytest.mark.parametrize("fields, path", [
+        ({"h11_names": ("α",)}, "/h11_basis"),
+        ({"codim_forms": ((0, 1, 0),)}, "/codim_basis"),
+        ({"h11_multidegrees": ((0, 1), (0, 0))}, "/h11_basis/1/multidegree"),
+        ({"codim_forms": ((0, 1, 0), (1, 0))}, "/codim_basis/1/expr"),
+        ({"codim_forms": ((0, 1, 0), (0, 2, 0))}, "/"),
+    ])
+    def test_refusals_name_the_document_path(self, sc, fields, path):
+        """A library caller's ``Scenario`` is refused at the document key of the field."""
+        with pytest.raises(ScenarioError) as info:
+            sc._replace(**fields)
+        assert info.value.path == path
+        assert str(info.value).startswith(f"at {path}: ")
 
     @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
     def test_immutable(self, name):
@@ -264,7 +278,7 @@ class TestGapReport:
     def test_inconsistent_effective_cone_rejected(self, sc):
         # 2*alpha - beta pairs negatively with the image ray alpha^beta
         bad = sc._replace(effective_cone=Cone2D((2, -1), (-1, 1)))
-        with pytest.raises(ComputationError, match="not contained"):
+        with pytest.raises(ComputationError, match="not contained.*effective cone is inconsistent"):
             gap_report(bad)
 
 

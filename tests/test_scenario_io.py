@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, event, given, settings, strategies as st
 
 from balcone.cli import main
 from balcone.errors import ScenarioError, ValidationError
@@ -17,6 +18,7 @@ from balcone.scenario_io import (
     serialize_scenario,
 )
 
+from _helpers import reference_class_expr
 from _ring_oracle import h11_classes, intersection_number
 
 
@@ -98,6 +100,7 @@ _DOCUMENT_ERRORS = [
     pytest.param(mutated(divisors=5), "/divisors", id="divisors-not-a-list"),
     pytest.param(mutated(divisors=[[1, -1]]), "/divisors/0", id="divisor-negative"),
     pytest.param(mutated(divisors=[[1, 1]] * 5), "/divisors", id="dimension-0"),
+    pytest.param(mutated(divisors=[[1, 1], [4, 1, 0]]), "/divisors/1", id="divisor-length"),
     pytest.param(mutated(h11_basis={"α": [0, 1]}), "/h11_basis", id="h11-object"),
     pytest.param(mutated(h11_basis=["α", _BETA]), "/h11_basis/0", id="h11-item-not-object"),
     pytest.param(
@@ -139,6 +142,10 @@ _DOCUMENT_ERRORS = [
         id="expr-number-too-long",
     ),
     pytest.param(mutated(codim_basis=_codim("α")), "/codim_basis/0/expr", id="expr-wrong-degree"),
+    pytest.param(
+        mutated(codim_basis=[{"name": "a", "expr": "β*β"}, {"name": "b", "expr": "2*β*β"}]),
+        "/", id="pairing-degenerate",
+    ),
     pytest.param(
         mutated(h11_basis=[*DEMO_SCENARIO_DOCUMENT["h11_basis"], dict(_BETA, name="γ")]),
         "/h11_basis", id="h11-three-entries",
@@ -237,6 +244,38 @@ class TestClassExpr:
         assert sc.codim_forms[0] == (1, 1, 0)
         assert sc.pairing_matrix[0][0] == \
             intersection_number(sc.ci, [alpha, alpha * beta + beta * beta])
+
+
+_NAMES = ("α", "b1")
+# Declared names and numbers, thrice as likely as the undeclared names and the characters
+# the grammar refuses, so that about a quarter of the draws are accepted.
+_FACTOR = st.sampled_from((*_NAMES * 3, "1", "7", "1/4") * 3 + (
+    "3/0", "β", "b12", "/", "−", "·", "", "1α", "α/b1", "b1−α", "α·α"))
+_BLANK = st.sampled_from(("", "", " ", "\t"))
+_OPERATOR = st.sampled_from(("*",) * 6 + ("+", "-") * 2 + ("/", " "))
+
+
+@st.composite
+def _expressions(draw):
+    """Factors joined by operators, blanks around each, an optional leading sign."""
+    text = draw(st.sampled_from(("", "", "+", "-")))
+    for i in range(draw(st.integers(1, 5))):
+        text += (draw(_OPERATOR) if i else "") + draw(_BLANK) + draw(_FACTOR) + draw(_BLANK)
+    return text
+
+
+@settings(max_examples=500, phases=[p for p in Phase if p is not Phase.shrink])
+@given(_expressions())
+def test_class_expr_matches_the_token_reference(expr):
+    """The sign-and-star splitter reads what a tokenizer reads, and refuses what it refuses."""
+    outcomes = []
+    for parse in (parse_class_expr, reference_class_expr):
+        try:
+            outcomes.append(parse(expr, _NAMES))
+        except ScenarioError:
+            outcomes.append(ScenarioError)
+    event("refused" if outcomes[0] is ScenarioError else f"degree {len(outcomes[0]) - 1}")
+    assert outcomes[0] == outcomes[1]
 
 
 class TestRoundTrip:
