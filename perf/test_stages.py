@@ -1,7 +1,8 @@
 """Per-stage benchmarks of the pipeline, one ``benchmark`` call per stage.
 
-Four scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
-n = 16 and 100, and (P^2)^5 cut by five divisors (1,…,1).  ``perf/`` is outside the tier-1
+Five scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
+n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1) and (P^1)^9 cut by five
+divisors (1,…,1).  ``perf/`` is outside the tier-1
 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
@@ -23,6 +24,7 @@ from balcone.pipeline import (
 from balcone.report import demo_payload, format_class_label, gap_payload, render_json, render_text
 from balcone.scenario_io import DEMO_SCENARIO_JSON, parse_class_expr, parse_scenario
 from balcone.svg import render_cone_diagram
+from balcone.variety import CompleteIntersection
 
 
 def _document(ambient, divisors, alpha, beta, effective):
@@ -45,6 +47,8 @@ SCENARIOS = {
                                         [[1, 0], [-1, 1]])) for n in (16, 100)},
     "p2x5": render_json(_document([2] * 5, [[1] * 5] * 5, [1, 1, 0, 0, 0], [0, 0, 1, 1, 1],
                                   [[1, 0], [0, 1]])),
+    "p1x9": render_json(_document([1] * 9, [[1] * 9] * 5, [1] * 4 + [0] * 5, [0] * 4 + [1] * 5,
+                                  [[1, 0], [0, 1]])),
 }
 
 
@@ -60,6 +64,10 @@ def sc(text):
 
 def test_parse_and_build(benchmark, text):
     benchmark(parse_scenario, text)
+
+
+def test_build(benchmark, sc):
+    benchmark(CompleteIntersection, sc.ci.space, sc.ci.divisors)  # the fundamental class
 
 
 def test_class_exprs(benchmark, sc):

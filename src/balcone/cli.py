@@ -21,8 +21,8 @@ from .errors import (
     UnknownNameError,
     ValidationError,
 )
-from .pipeline import H11_FORMS
-from .scenario_io import _canonical, parse_scenario, quintic_conifold_scenario
+from .pipeline import H11_FORMS, _canonical
+from .scenario_io import parse_scenario, quintic_conifold_scenario
 
 
 def _lookup(name, entries, kind):
@@ -44,7 +44,7 @@ def _pair_arg(text: str):
     if "e" in text.lower():
         raise argparse.ArgumentTypeError(f"exponent notation is not accepted, got {text!r}")
     try:
-        return tuple(Fraction(p.strip()) for p in parts)
+        return tuple([Fraction(p.strip()) for p in parts])
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"bad rational pair {text!r}: {e}") from e
 

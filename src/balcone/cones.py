@@ -123,7 +123,7 @@ class Pairing(tuple):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        rows = tuple([tuple([Fraction(v) for v in row]) for row in rows])
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("pairing matrix must be 2x2")
         pairing = super().__new__(cls, rows)

@@ -29,6 +29,14 @@ class ScenarioError(ValidationError):
         super().__init__(prefix + message)
 
 
+def _located(path, build, *args):
+    """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``."""
+    try:
+        return build(*args)
+    except ValidationError as e:
+        raise ScenarioError(str(e), path=path) from e
+
+
 class ComputationError(GeometryError):
     """A well-formed request that cannot be computed on the given values."""
 

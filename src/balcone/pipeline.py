@@ -28,9 +28,23 @@ from math import comb, lcm
 
 from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
-                     ValidationError)
+                     ValidationError, _located)
+from .ring import check_multidegree
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
+_TRANSLIT = str.maketrans({"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
+                           "−": "-", "·": "*", "×": "*", " ": None, "\t": None})
+
+
+def _canonical(name: str) -> str:
+    return name.translate(_TRANSLIT).lower()
+
+
+def _refuse_repeat(seen, name, here):
+    """Record the entry at ``here``; refuse its name if it folds to one ``seen`` holds."""
+    earlier, where = seen.setdefault(_canonical(name), (name, here))
+    if where != here:
+        raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=f"{here}/name")
 
 
 def _product(f, g):
@@ -66,10 +80,14 @@ class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names
         if len(self.codim_names) != 2 or len(self.codim_forms) != 2:
             raise ScenarioError(f"scenario needs exactly two degree-{dim - 1} basis classes",
                                 path="/codim_basis")
+        seen = {}
+        for key, names in (("h11_basis", self.h11_names), ("codim_basis", self.codim_names)):
+            for i, name in enumerate(names):
+                _refuse_repeat(seen, name, f"/{key}/{i}")
         for i, h in enumerate(self.h11_multidegrees):
-            if not any(h):
-                raise ScenarioError(f"row class {i} must have degree 1",
-                                    path=f"/h11_basis/{i}/multidegree")
+            path = f"/h11_basis/{i}/multidegree"
+            if not any(_located(path, check_multidegree, self.ci.space, h)):
+                raise ScenarioError(f"row class {i} must have degree 1", path=path)
         for j, c in enumerate(self.codim_forms):
             if len(c) != dim:
                 raise ScenarioError(f"column class {j} must have degree {dim - 1}, "
@@ -176,19 +194,19 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     forms by the common denominator q, so P·A^(dim−2) is built in integers and
     the integrals are divided by q^(dim−1) at the end.
     """
-    a = tuple(Fraction(x) for x in ample)
+    a = tuple([Fraction(x) for x in ample])
     if len(a) != 2:
         raise ValidationError("ample class needs exactly two coordinates")
     if a[0] <= 0 or a[1] <= 0:
         raise ValidationError("ample coordinates must be strictly positive")
-    kp = tuple(Fraction(x) for x in known_prime)
+    kp = tuple([Fraction(x) for x in known_prime])
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
     q = lcm(*(x.denominator for x in a + kp))
     (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
-    return tuple(integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
-                 for h in H11_FORMS)
+    return tuple([integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
+                  for h in H11_FORMS])
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:

@@ -27,16 +27,12 @@ import sys
 from fractions import Fraction
 
 from .cones import Cone2D
-from .errors import ScenarioError, ValidationError
-from .pipeline import Scenario
+from .errors import ScenarioError, ValidationError, _located
+from .pipeline import Scenario, _refuse_repeat
 from .report import render_json
 from .ring import AmbientSpace, check_multidegree
 from .variety import CompleteIntersection
 
-_TRANSLIT = str.maketrans(
-    {"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
-     "−": "-", "·": "*", "×": "*", " ": None, "\t": None}
-)
 _NUMBER = re.compile(r"\d+(?:/\d+)?")
 # An h11 name is one expr factor: no whitespace or arithmetic sign, no leading digit.
 _H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
@@ -70,10 +66,6 @@ def _too_long() -> str:
     return f"number has more than {limit} digits, the limit for reading an integer"
 
 
-def _canonical(name: str) -> str:
-    return name.translate(_TRANSLIT).lower()
-
-
 def _require(doc, key, path):
     if key not in doc:
         raise ScenarioError("missing required key", path=f"{path}/{key}")
@@ -93,14 +85,6 @@ def _int_pair(value, path):
     if len(pair) != 2:
         raise ScenarioError("expected a pair of integers", path=path)
     return tuple(pair)
-
-
-def _located(path, build, *args):
-    """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``."""
-    try:
-        return build(*args)
-    except ValidationError as e:
-        raise ScenarioError(str(e), path=path) from e
 
 
 def _cone(value, path):
@@ -124,9 +108,7 @@ def _named_entries(doc, key, value_key, seen):
             raise ScenarioError("name must be a non-empty string", path=f"{here}/name")
         if any("\ud800" <= c <= "\udfff" for c in name):  # JSON's "\ud800" decodes to one
             raise ScenarioError("name has a lone surrogate, not UTF-8 text", path=f"{here}/name")
-        earlier, where = seen.setdefault(_canonical(name), (name, here))
-        if where != here:
-            raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=f"{here}/name")
+        _refuse_repeat(seen, name, here)
         out.append((name, _require(item, value_key, here), here))
     return out
 
@@ -194,8 +176,7 @@ def document_to_scenario(doc) -> Scenario:
                 "h11 names may not start with a digit or contain whitespace or + - * /",
                 path=f"{here}/name",
             )
-        path = f"{here}/multidegree"
-        h11_multidegrees.append(_located(path, check_multidegree, space, _int_list(raw, path)))
+        h11_multidegrees.append(tuple(_int_list(raw, f"{here}/multidegree")))
         h11_names.append(name)
 
     # Count both bases before parsing any expr: it would read a third h11 name as h2.
@@ -217,12 +198,12 @@ def document_to_scenario(doc) -> Scenario:
         ci=ci,
         h11_names=tuple(h11_names),
         h11_multidegrees=tuple(h11_multidegrees),
-        codim_names=tuple(name for name, _, _ in codim),
+        codim_names=tuple([name for name, _, _ in codim]),
         codim_forms=tuple(codim_forms),
         kahler_cone=kahler,
         effective_cone=effective,
         prime_divisors=tuple(primes),
-        codim_exprs=tuple(raw for _, raw, _ in codim),
+        codim_exprs=tuple([raw for _, raw, _ in codim]),
     )
 
 

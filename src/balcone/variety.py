@@ -4,104 +4,105 @@ An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral against its
 fundamental class, the product of the divisor classes.  The fundamental class
-is kept as an integer polynomial in the hyperplane classes, and ``kappa``
-multiplies it by linear forms in integers; a scenario reads every number it
-reports from that one pass.
+is an integer polynomial in the hyperplane classes, a product of linear forms,
+and ``kappa`` reads every κ_j from one integer contraction of it; a scenario
+reads every number it reports from that one pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import accumulate, repeat
-from math import prod
+from math import factorial, prod
 from operator import mul
 
 from .errors import ValidationError
 from .ring import AmbientSpace, check_multidegree
 
 
-def _times_linear(poly, linear, digits):
+def _times_linear(poly, linear, fields):
     """poly · Σ d_i h_i in the truncated ring, on code -> integer coefficient dicts.
 
-    An exponent vector e has the code Σ e_i·s_i, strides s_i = ∏_{j<i}(n_j+1);
-    ``digits`` holds (s_i, n_i+1, n_i) per factor.  Multiplying by h_i adds s_i
-    while the digit e_i = code // s_i % (n_i+1) is below n_i.  Multidegrees are
-    non-negative, so nothing cancels: the zero class is the empty dict.
+    An exponent vector e has the code Σ e_i << shift_i, e_i in the n_i.bit_length()
+    bits of ``mask_i``; ``fields`` holds (shift_i, mask_i, n_i) per factor.  Multiplying
+    by h_i adds 1 << shift_i while e_i < n_i.  Multidegrees are non-negative, so
+    nothing cancels: the zero class is the empty dict.
     """
-    terms = [(d, s, base, n) for d, (s, base, n) in zip(linear, digits) if d]
+    terms = [(d, 1 << s, mask, n << s) for d, (s, mask, n) in zip(linear, fields) if d]
     out = {}
-    for code, c in poly.items():
-        for d, s, base, n in terms:
-            if code // s % base < n:
-                out[code + s] = out.get(code + s, 0) + c * d
+    for d, step, mask, top in terms:
+        for code, c in poly.items():
+            if code & mask < top:
+                out[k] = out.get(k := code + step, 0) + c * d
     return out
 
 
-def _weights(n, b):
-    """b^k · n!/k! for k = 0..n, from running products."""
-    falling = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n!/k!
-    return [f * p for f, p in zip(falling, accumulate(repeat(b, n), mul, initial=1))]
+def _weights(n, b, size):
+    """b^k·n!/k! at entry e = n − k, e = 0..n, by running products; then zeros up to ``size``."""
+    falling = accumulate(range(n, 0, -1), mul, initial=1)  # n!/k!
+    powers = list(accumulate(repeat(b, n), mul, initial=1))[::-1]  # b^k
+    return [f * p for f, p in zip(falling, powers)] + [0] * (size - n - 1)
 
 
 class CompleteIntersection:
     """Intersection of divisors of the given multidegrees in an ambient product."""
 
-    __slots__ = ("space", "divisors", "dim", "_digits", "_fundamental")
+    __slots__ = ("space", "divisors", "dim", "_fields", "_fundamental")
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
-        divisors = tuple(check_multidegree(space, d) for d in divisors)
+        divisors = tuple([check_multidegree(space, d) for d in divisors])
         dim = sum(space) - len(divisors)
         if dim < 1:
-            raise ValidationError(
-                f"{len(divisors)} divisors in a {sum(space)}-dimensional "
-                f"ambient space leave dimension {dim}; need at least 1"
-            )
-        strides = accumulate((n + 1 for n in space[:-1]), mul, initial=1)
-        digits = tuple((s, n + 1, n) for s, n in zip(strides, space))
+            raise ValidationError(f"{len(divisors)} divisors in a {sum(space)}-dimensional "
+                                  f"ambient space leave dimension {dim}; need at least 1")
+        shifts = accumulate([n.bit_length() for n in space[:-1]], initial=0)
+        fields = tuple([(s, (1 << n.bit_length()) - 1 << s, n) for s, n in zip(shifts, space)])
         fundamental = {0: 1}
         for d in divisors:
-            fundamental = _times_linear(fundamental, d, digits)
+            fundamental = _times_linear(fundamental, d, fields)
         if not fundamental:
-            raise ValidationError(
-                "divisor classes annihilate the ambient ring (zero fundamental class)"
-            )
+            raise ValidationError("divisor classes annihilate the ambient ring "
+                                  "(zero fundamental class)")
         self.space = space
         self.divisors = divisors
         self.dim = dim
-        self._digits = digits
+        self._fields = fields
         self._fundamental = fundamental
 
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
-        The integral is the top coefficient of F·a^j·b^m, F the fundamental
-        class, m = dim − j and h^n the top monomial.  A term c·h^e of F·a^j
-        reaches h^n only through h^k, k = n − e, of b^m, whose coefficient is
-        the multinomial m!/∏k_i! · ∏b_i^(k_i) (truncation drops monomials, it
-        changes no coefficient).  The weights b_i^(k_i)·n_i!/k_i! keep the sum
-        in integers over the common factor ∏n_i!; each exponent e_i is read
-        from the term's code as in :func:`_times_linear`.  The factors with
-        b_i = 0 come first: their weight vanishes for every k_i > 0, so a term
-        with e_i < n_i ends at its first zero.
+        All of κ comes from one contraction of the fundamental class F = Σ c_e h^e.  The
+        coefficient of h^k in (s·a + b)^dim is dim!/∏k_i! · ∏(s·a_i + b_i)^(k_i) (truncation
+        drops monomials, it changes no coefficient), and a term of F reaches the top monomial
+        h^n only through k = n − e; so, over the common factor ∏n_i!,
+        Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) = Σ_e c_e·∏ n_i!/k_i!·(s·a_i + b_i)^(k_i).
+        Every term is a non-negative integer, and their sum at s = 1 is at most
+        B = ΣF·∏n_i!·∏max(1, a_i + b_i)^(n_i).  At s = 2^L, L the bit length of B, each
+        coefficient of s^j sits in its own L-bit field of the one integer sum.  The weight
+        tables of adjacent factors are multiplied into one, read by their joint bit fields of
+        the code (:func:`_times_linear`), while it has no more entries than F; so a term takes
+        one product per table.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
-        order = sorted(zip(b, self._digits), key=lambda f: f[0] > 0)  # b_i = 0 first
-        factors = [(_weights(n, b_i), s, base, n) for b_i, (s, base, n) in order]
-        denominator = prod(f[0][0] for f in factors)  # ∏n_i!
-        factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))
-        values, poly = [], self._fundamental
-        for j in range(self.dim + 1):
-            if j:
-                poly = _times_linear(poly, a, self._digits)
-            top = 0
-            for code, c in poly.items():
-                for w, s, base, n in factors:
-                    c *= w[n - code // s % base]
-                    if not c:
-                        break
-                top += c
-            values.append(factorials[self.dim - j] * top // denominator)
-        return tuple(values)
+        denominator = prod(map(factorial, self.space))  # ∏n_i!
+        width = (sum(self._fundamental.values()) * denominator  # L, the bit length of B
+                 * prod([max(1, x + y) ** n for x, y, n in zip(a, b, self.space)])).bit_length()
+        tables = []  # (T, shift, mask) per run of adjacent fields, T[v] = ∏ w_i[n_i − e_i]
+        for x, y, (shift, mask, n) in zip(a, b, self._fields):
+            t = _weights(n, (x << width) + y, (mask >> shift) + 1)
+            if tables and len(tables[-1][0]) * len(t) <= len(self._fundamental):
+                low, shift, low_mask = tables.pop()
+                t, mask = [u * v for u in t for v in low], mask | low_mask
+            tables.append((t, shift, mask))
+        top = 0
+        for code, c in self._fundamental.items():
+            for t, shift, mask in tables:
+                c *= t[(code & mask) >> shift]
+            top += c
+        factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))  # j!, j = 0..dim
+        return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j] // denominator
+                      for j, f in enumerate(factorials)])
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):

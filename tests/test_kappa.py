@@ -315,6 +315,48 @@ def test_kappa_matches_finite_difference(case):
     assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
 
 
+# Entries up to 2^64 make the coefficients of Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) wide, so a
+# packed read with too narrow a field, or the wrong field, reads another κ_j's bits.
+_WIDE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 64))
+
+
+@st.composite
+def wide_products(draw):
+    """1–3 factors of dimension 1–3, divisors and multidegrees a, b with entries up
+    to 2^64 mixed with 0; draws with a zero fundamental class are discarded."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    multidegree = st.lists(_WIDE_ENTRY, min_size=len(dims), max_size=len(dims))
+    r = draw(st.integers(0, sum(dims) - 1))
+    divisors = draw(st.lists(multidegree, min_size=r, max_size=r))
+    try:
+        ci = CompleteIntersection(AmbientSpace(dims), divisors)
+    except ValidationError:
+        event("zero fundamental class")
+        assume(False)
+    return ci, draw(multidegree), draw(multidegree)
+
+
+@_NO_SHRINK
+@given(wide_products())
+def test_kappa_matches_finite_difference_on_wide_entries(case):
+    ci, a, b = case
+    assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
+
+
+@pytest.mark.parametrize("n, k, kappa", [
+    (1, 16, (1625702400, 13005619200, 45519667200, 91039334400, 113799168000,
+             91039334400, 45519667200, 13005619200, 1625702400)),
+    (2, 8, (6350400, 50803200, 177811200, 355622400, 444528000,
+            355622400, 177811200, 50803200, 6350400)),
+])
+def test_kappa_on_the_scaling_products(n, k, kappa):
+    """(P^1)^16 and (P^2)^8, each cut by eight divisors (1,…,1), α and β on the
+    two halves of the factors: the values the earlier per-j contraction gave."""
+    ci = CompleteIntersection(AmbientSpace([n] * k), [(1,) * k] * 8)
+    h = k // 2
+    assert ci.kappa((1,) * h + (0,) * h, (0,) * h + (1,) * h) == kappa
+
+
 def test_finite_difference_on_the_quintic():
     assert finite_difference_kappa([4, 1], [(1, 1), (4, 1)], (0, 1), (1, 0)) == (5, 4, 0, 0)
 

@@ -65,6 +65,11 @@ class TestScenario:
         ({"h11_multidegrees": ((0, 1), (0, 0))}, "/h11_basis/1/multidegree"),
         ({"codim_forms": ((0, 1, 0), (1, 0))}, "/codim_basis/1/expr"),
         ({"codim_forms": ((0, 1, 0), (0, 2, 0))}, "/"),
+        ({"h11_multidegrees": ((0, 1), (1, 0, 0))}, "/h11_basis/1/multidegree"),
+        ({"h11_multidegrees": ((0, 1), (-1, 2))}, "/h11_basis/1/multidegree"),
+        ({"h11_names": ("α", "α")}, "/h11_basis/1/name"),
+        ({"codim_names": ("x", "x")}, "/codim_basis/1/name"),
+        ({"codim_names": ("α∧β", "Alpha")}, "/codim_basis/1/name"),  # Alpha folds to α
     ])
     def test_refusals_name_the_document_path(self, sc, fields, path):
         """A library caller's ``Scenario`` is refused at the document key of the field."""
