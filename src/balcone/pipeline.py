@@ -84,6 +84,9 @@ class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names
         for key, names in (("h11_basis", self.h11_names), ("codim_basis", self.codim_names)):
             for i, name in enumerate(names):
                 _refuse_repeat(seen, name, f"/{key}/{i}")
+        seen = {}  # a prime divisor may share a basis class's name
+        for i, (name, _) in enumerate(self.prime_divisors):
+            _refuse_repeat(seen, name, f"/prime_divisors/{i}")
         for i, h in enumerate(self.h11_multidegrees):
             path = f"/h11_basis/{i}/multidegree"
             if not any(_located(path, check_multidegree, self.ci.space, h)):
@@ -202,7 +205,7 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     kp = tuple([Fraction(x) for x in known_prime])
     if len(kp) != 2:
         raise ValidationError("prime divisor class needs exactly two coordinates")
-    q = lcm(*(x.denominator for x in a + kp))
+    q = lcm(*[x.denominator for x in a + kp])
     (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
     return tuple([integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)

@@ -77,9 +77,13 @@ def format_class_label(ray: Ray, names) -> str:
     return f"{_MINUS}({format_class_label((-a, -b), names)})"
 
 
+def _cone_json(cone: Cone2D):
+    return [list(r) for r in cone]
+
+
 def _cone_section(cone: Cone2D, names) -> dict:
     return {
-        "rays": [list(r) for r in cone],
+        "rays": _cone_json(cone),
         "labels": [format_class_label(r, names) for r in cone],
     }
 
@@ -91,8 +95,8 @@ def scenario_summary(sc: Scenario) -> dict:
         "dim": sc.ci.dim,
         "h11_basis": list(sc.h11_names),
         "codim_basis": list(sc.codim_names),
-        "kahler_cone": [list(r) for r in sc.kahler_cone],
-        "effective_cone": [list(r) for r in sc.effective_cone],
+        "kahler_cone": _cone_json(sc.kahler_cone),
+        "effective_cone": _cone_json(sc.effective_cone),
         "prime_divisors": [
             {"name": n, "coords": list(c)} for n, c in sc.prime_divisors
         ],

@@ -90,11 +90,11 @@ def _int_pair(value, path):
 def _cone(value, path):
     if not isinstance(value, list) or len(value) != 2:
         raise ScenarioError("expected two integer pairs", path=path)
-    return _located(path, Cone2D, *(_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)))
+    return _located(path, Cone2D, *[_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)])
 
 
-def _named_entries(doc, key, value_key, seen):
-    """(name, value, path) per entry; ``seen`` maps folded names to earlier entries."""
+def _named_entries(doc, key, value_key):
+    """(name, value, path) per entry of the list ``doc[key]``."""
     value, path = _require(doc, key, ""), f"/{key}"
     if not isinstance(value, list):
         raise ScenarioError("expected a list of objects", path=path)
@@ -108,7 +108,6 @@ def _named_entries(doc, key, value_key, seen):
             raise ScenarioError("name must be a non-empty string", path=f"{here}/name")
         if any("\ud800" <= c <= "\udfff" for c in name):  # JSON's "\ud800" decodes to one
             raise ScenarioError("name has a lone surrogate, not UTF-8 text", path=f"{here}/name")
-        _refuse_repeat(seen, name, here)
         out.append((name, _require(item, value_key, here), here))
     return out
 
@@ -170,17 +169,20 @@ def document_to_scenario(doc) -> Scenario:
     ci = _located("/divisors", CompleteIntersection, space, divisors)
 
     h11_names, h11_multidegrees, seen = [], [], {}
-    for name, raw, here in _named_entries(doc, "h11_basis", "multidegree", seen):
+    for name, raw, here in _named_entries(doc, "h11_basis", "multidegree"):
         if not _H11_NAME.fullmatch(name):
             raise ScenarioError(
                 "h11 names may not start with a digit or contain whitespace or + - * /",
                 path=f"{here}/name",
             )
+        # ``Scenario`` refuses repeated names too, but only after the exprs are read, and
+        # with a repeated h11 name no expr can name h2: it would fail as an unknown name.
+        _refuse_repeat(seen, name, here)
         h11_multidegrees.append(tuple(_int_list(raw, f"{here}/multidegree")))
         h11_names.append(name)
 
     # Count both bases before parsing any expr: it would read a third h11 name as h2.
-    codim = _named_entries(doc, "codim_basis", "expr", seen)
+    codim = _named_entries(doc, "codim_basis", "expr")
     for key, entries in (("h11_basis", h11_names), ("codim_basis", codim)):
         if len(entries) != 2:
             raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
@@ -191,7 +193,7 @@ def document_to_scenario(doc) -> Scenario:
 
     primes = []
     if "prime_divisors" in doc:
-        for name, raw, here in _named_entries(doc, "prime_divisors", "coords", {}):
+        for name, raw, here in _named_entries(doc, "prime_divisors", "coords"):
             primes.append((name, _int_pair(raw, f"{here}/coords")))
 
     return Scenario(

@@ -60,19 +60,24 @@ def _ray_line(theta: float, radius: float) -> str:
     )
 
 
-def _text(x: float, y: float, text: str, size: int = 17) -> str:
+def _ray_label(theta: float, text: str, dist: float = _LABEL_DIST) -> str:
+    x = _RADIUS * dist * cos(theta)
+    y = -_RADIUS * dist * sin(theta)
     return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
+        f'<text x="{_fmt(x)}" y="{_fmt(y + 5.0)}" font-size="16" '
         f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
     )
 
 
-def _ray_label(theta: float, text: str, dist: float = _LABEL_DIST) -> str:
-    return _text(_RADIUS * dist * cos(theta), -_RADIUS * dist * sin(theta) + 5.0, text, 16)
+def _caption(x: float, y: float, text: str) -> str:
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="17" '
+        f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
+    )
 
 
 def _cone(pairs) -> Cone2D:
-    return Cone2D(*(Ray(*p) for p in pairs))
+    return Cone2D(*[Ray(*p) for p in pairs])
 
 
 def render_cone_diagram(report) -> str:
@@ -110,7 +115,7 @@ def render_cone_diagram(report) -> str:
     parts.append(_ray_line(kt2, _RADIUS))
     parts.append(_ray_label(kt1, format_class_label(kahler[0], h11_names)))
     parts.append(_ray_label(kt2, format_class_label(kahler[1], h11_names)))
-    parts.append(_text(60.0, 105.0, "Kähler cone"))
+    parts.append(_caption(60.0, 105.0, "Kähler cone"))
     parts.append("</g>")
 
     arrow_y = _LEFT[1] - 0.45 * _RADIUS
@@ -150,7 +155,7 @@ def render_cone_diagram(report) -> str:
             parts.append(
                 _ray_label(theta, format_class_label(ray, codim_names), dist=0.58)
             )
-    parts.append(_text(80.0, 105.0, "balanced cone"))
+    parts.append(_caption(80.0, 105.0, "balanced cone"))
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -5,8 +5,8 @@ divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral against its
 fundamental class, the product of the divisor classes.  The fundamental class
 is an integer polynomial in the hyperplane classes, a product of linear forms,
-and ``kappa`` reads every κ_j from one integer contraction of it; a scenario
-reads every number it reports from that one pass.
+and ``kappa`` reads every κ_j from one integer contraction of it (one per j on
+wide entries); a scenario reads every number it reports from that one pass.
 """
 
 from __future__ import annotations
@@ -44,6 +44,22 @@ def _weights(n, b, size):
     return [f * p for f, p in zip(falling, powers)] + [0] * (size - n - 1)
 
 
+# The packed pass of ``kappa`` while (dim+1)·L·max n_i stays within this many bits.  Past
+# about 2^15–2^17 the per-j contractions took less time on products P^n × P^1 with one wide
+# entry, and the packed pass's tables grow as n_i²·L.
+_PACKED_BITS = 1 << 16
+
+
+def _contract(poly, tables):
+    """Σ c·∏ T[(code & mask) >> shift] over the terms of ``poly`` and the (T, shift, mask)."""
+    top = 0
+    for code, c in poly.items():
+        for t, shift, mask in tables:
+            c *= t[(code & mask) >> shift]
+        top += c
+    return top
+
+
 class CompleteIntersection:
     """Intersection of divisors of the given multidegrees in an ambient product."""
 
@@ -53,21 +69,36 @@ class CompleteIntersection:
         divisors = tuple([check_multidegree(space, d) for d in divisors])
         dim = sum(space) - len(divisors)
         if dim < 1:
-            raise ValidationError(f"{len(divisors)} divisors in a {sum(space)}-dimensional "
-                                  f"ambient space leave dimension {dim}; need at least 1")
+            raise ValidationError(
+                f"{len(divisors)} divisors in a {sum(space)}-dimensional "
+                f"ambient space leave dimension {dim}; need at least 1"
+            )
         shifts = accumulate([n.bit_length() for n in space[:-1]], initial=0)
         fields = tuple([(s, (1 << n.bit_length()) - 1 << s, n) for s, n in zip(shifts, space)])
         fundamental = {0: 1}
         for d in divisors:
             fundamental = _times_linear(fundamental, d, fields)
         if not fundamental:
-            raise ValidationError("divisor classes annihilate the ambient ring "
-                                  "(zero fundamental class)")
+            raise ValidationError(
+                "divisor classes annihilate the ambient ring (zero fundamental class)"
+            )
         self.space = space
         self.divisors = divisors
         self.dim = dim
         self._fields = fields
         self._fundamental = fundamental
+
+    def _tables(self, bases):
+        """(T, shift, mask) per run of adjacent factors, T[v] = ∏ _weights(n_i, bases_i)[e_i]
+        at the run's joint bit fields v; a run grows while T has no more entries than F."""
+        tables = []
+        for base, (shift, mask, n) in zip(bases, self._fields):
+            t = _weights(n, base, (mask >> shift) + 1)
+            if tables and len(tables[-1][0]) * len(t) <= len(self._fundamental):
+                low, shift, low_mask = tables.pop()
+                t, mask = [u * v for u in t for v in low], mask | low_mask
+            tables.append((t, shift, mask))
+        return tables
 
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
@@ -79,30 +110,27 @@ class CompleteIntersection:
         Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) = Σ_e c_e·∏ n_i!/k_i!·(s·a_i + b_i)^(k_i).
         Every term is a non-negative integer, and their sum at s = 1 is at most
         B = ΣF·∏n_i!·∏max(1, a_i + b_i)^(n_i).  At s = 2^L, L the bit length of B, each
-        coefficient of s^j sits in its own L-bit field of the one integer sum.  The weight
-        tables of adjacent factors are multiplied into one, read by their joint bit fields of
-        the code (:func:`_times_linear`), while it has no more entries than F; so a term takes
-        one product per table.
+        coefficient of s^j sits in its own L-bit field of the one integer sum.
+
+        That pass holds weight tables of about n_i²·L/2 bits per factor and multiplies
+        integers of up to dim·L bits.  When (dim+1)·L·max n_i passes ``_PACKED_BITS`` it reads
+        each κ_j instead from F·a^j, by contraction against b's weights, over ∏n_i!/(dim−j)!.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
         denominator = prod(map(factorial, self.space))  # ∏n_i!
         width = (sum(self._fundamental.values()) * denominator  # L, the bit length of B
                  * prod([max(1, x + y) ** n for x, y, n in zip(a, b, self.space)])).bit_length()
-        tables = []  # (T, shift, mask) per run of adjacent fields, T[v] = ∏ w_i[n_i − e_i]
-        for x, y, (shift, mask, n) in zip(a, b, self._fields):
-            t = _weights(n, (x << width) + y, (mask >> shift) + 1)
-            if tables and len(tables[-1][0]) * len(t) <= len(self._fundamental):
-                low, shift, low_mask = tables.pop()
-                t, mask = [u * v for u in t for v in low], mask | low_mask
-            tables.append((t, shift, mask))
-        top = 0
-        for code, c in self._fundamental.items():
-            for t, shift, mask in tables:
-                c *= t[(code & mask) >> shift]
-            top += c
         factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))  # j!, j = 0..dim
-        return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j] // denominator
-                      for j, f in enumerate(factorials)])
+        if (self.dim + 1) * width * max(self.space) <= _PACKED_BITS:
+            tables = self._tables([(x << width) + y for x, y in zip(a, b)])
+            top = _contract(self._fundamental, tables)
+            return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j]
+                          // denominator for j, f in enumerate(factorials)])
+        tables, poly, values = self._tables(b), self._fundamental, []
+        for f in reversed(factorials):  # (dim − j)!, j = 0..dim
+            values.append(_contract(poly, tables) * f // denominator)
+            poly = _times_linear(poly, a, self._fields)
+        return tuple(values)
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):

@@ -10,6 +10,7 @@ against the mixed finite difference, which shares no code with it, and
 against relations that need no second implementation.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 from types import SimpleNamespace
@@ -320,12 +321,16 @@ def test_kappa_matches_finite_difference(case):
 _WIDE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 64))
 
 
+# Entries up to 2^4096 take about half the draws past ``_PACKED_BITS``, to the per-j contractions.
+_HUGE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 4096))
+
+
 @st.composite
-def wide_products(draw):
-    """1–3 factors of dimension 1–3, divisors and multidegrees a, b with entries up
-    to 2^64 mixed with 0; draws with a zero fundamental class are discarded."""
+def wide_products(draw, entry=_WIDE_ENTRY):
+    """1–3 factors of dimension 1–3, divisors and multidegrees a, b with ``entry``
+    entries; draws with a zero fundamental class are discarded."""
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    multidegree = st.lists(_WIDE_ENTRY, min_size=len(dims), max_size=len(dims))
+    multidegree = st.lists(entry, min_size=len(dims), max_size=len(dims))
     r = draw(st.integers(0, sum(dims) - 1))
     divisors = draw(st.lists(multidegree, min_size=r, max_size=r))
     try:
@@ -341,6 +346,29 @@ def wide_products(draw):
 def test_kappa_matches_finite_difference_on_wide_entries(case):
     ci, a, b = case
     assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
+
+
+@_FEWER_NO_SHRINK
+@given(wide_products(_HUGE_ENTRY))
+def test_kappa_matches_finite_difference_on_huge_entries(case):
+    ci, a, b = case
+    assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
+
+
+def test_kappa_of_a_huge_entry_on_a_high_dimensional_factor():
+    """P^30 × P^1 with α = (10^300, 3): the packed pass would hold weight tables of
+    about 4 MB of integers here (n²·L/2 bits, L ≈ 30,000) and take tens of times longer.
+    The per-j contractions it falls back to stay well under 1 MB of traced memory."""
+    ci = CompleteIntersection(AmbientSpace([30, 1]), [(1, 1), (30, 1)])
+    a, b = (10 ** 300, 3), (7, 1)
+    tracemalloc.start()
+    try:
+        kappa = ci.kappa(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert kappa == finite_difference_kappa(ci.space, ci.divisors, a, b)
 
 
 @pytest.mark.parametrize("n, k, kappa", [

@@ -70,6 +70,7 @@ class TestScenario:
         ({"h11_names": ("α", "α")}, "/h11_basis/1/name"),
         ({"codim_names": ("x", "x")}, "/codim_basis/1/name"),
         ({"codim_names": ("α∧β", "Alpha")}, "/codim_basis/1/name"),  # Alpha folds to α
+        ({"prime_divisors": (("E1", (-1, 1)), ("e1", (-1, 4)))}, "/prime_divisors/1/name"),
     ])
     def test_refusals_name_the_document_path(self, sc, fields, path):
         """A library caller's ``Scenario`` is refused at the document key of the field."""

@@ -171,6 +171,19 @@ _DOCUMENT_ERRORS = [
                                 {"name": "E1", "coords": [-1, 4]}]),
         "/prime_divisors/1/name", id="prime-names-repeat",
     ),
+    # ``Scenario`` checks the h11 multidegrees and the prime names, after the reader's
+    # checks of every key: a later key's error is reported first.
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA],
+                kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="h11-multidegree-length-after-cones",
+    ),
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
+                                {"name": "E1", "coords": [-1, 4]},
+                                {"name": "E3", "coords": [1, 2, 3]}]),
+        "/prime_divisors/2/coords", id="prime-names-repeat-after-coords",
+    ),
     # JSON's "\ud800" decodes to a lone surrogate, which no output encoding can write.
     pytest.param(
         mutated(h11_basis=[{"name": "α\ud800", "multidegree": [0, 1]}, _BETA]),

@@ -12,13 +12,20 @@ def _calls(node, name):
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
 
 
+def _iterator(node):
+    return isinstance(node, ast.GeneratorExp) or _calls(node, "map")
+
+
 def _tuple_over_iterator(node):
-    return _calls(node, "tuple") and len(node.args) == 1 and (
-        isinstance(node.args[0], ast.GeneratorExp) or _calls(node.args[0], "map"))
+    """``tuple(it)``, or ``f(*it)``, whose arguments the call also collects into a tuple."""
+    if isinstance(node, ast.Starred):
+        return _iterator(node.value)
+    return _calls(node, "tuple") and len(node.args) == 1 and _iterator(node.args[0])
 
 
 def test_no_tuple_built_from_a_generator_or_map():
-    """``tuple([...])``, not ``tuple(<genexpr>)`` or ``tuple(map(...))``.
+    """``tuple([...])`` and ``f(*[...])``, not ``tuple(<genexpr>)``, ``tuple(map(...))``
+    or ``f(*(<genexpr>))``.
 
     CPython 3.11 builds a tuple of unknown length in 10 slots and then shrinks it,
     and the allocator keeps the pieces: a loop of 8,000 parse, demo, gap and SVG
