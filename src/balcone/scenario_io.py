@@ -175,8 +175,8 @@ def document_to_scenario(doc) -> Scenario:
                 "h11 names may not start with a digit or contain whitespace or + - * /",
                 path=f"{here}/name",
             )
-        # ``Scenario`` refuses repeated names too, but only after the exprs are read, and
-        # with a repeated h11 name no expr can name h2: it would fail as an unknown name.
+        # ``Scenario`` refuses repeated names too, but only after the exprs are read; with the
+        # same h11 name twice no expr could name h2, and that would be the error reported.
         _refuse_repeat(seen, name, here)
         h11_multidegrees.append(tuple(_int_list(raw, f"{here}/multidegree")))
         h11_names.append(name)
