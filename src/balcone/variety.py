@@ -38,16 +38,22 @@ def _times_linear(poly, linear, fields):
 
 
 def _weights(n, b, size):
-    """b^k·n!/k! at entry e = n − k, e = 0..n, by running products; then zeros up to ``size``."""
-    falling = accumulate(range(n, 0, -1), mul, initial=1)  # n!/k!
-    powers = list(accumulate(repeat(b, n), mul, initial=1))[::-1]  # b^k
-    return [f * p for f, p in zip(falling, powers)] + [0] * (size - n - 1)
+    """b^k·n!/k! at entry e = n − k, e = 0..n, by running products; then zeros up to ``size``.
+
+    Only one power of b is held at a time: with b wide, the powers are as large as the table.
+    """
+    falling = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n!/k!, k = 0..n
+    weights = [f * p for f, p in zip(falling, accumulate(repeat(b, n), mul, initial=1))]
+    return weights[::-1] + [0] * (size - n - 1)
 
 
-# The packed pass of ``kappa`` while (dim+1)·L·max n_i stays within this many bits.  Past
-# about 2^15–2^17 the per-j contractions took less time on products P^n × P^1 with one wide
-# entry, and the packed pass's tables grow as n_i²·L.
-_PACKED_BITS = 1 << 16
+# ``kappa``'s packed pass spends time and memory on the bits of its weight tables; the per-j
+# contractions instead multiply about (dim+1)·|F|·k weights of a few bits each.  On P^n × P^1,
+# (P^1)^k, (P^2)^k and (P^3)^3 with entries up to 10^1000 the packed pass was faster below
+# about 1,000 table bits per such product and slower above 3,500, so it runs while its tables
+# hold at most 2^11 bits per product and 2^26 bits (8 MiB) in all.
+_PACKED_BITS_PER_PRODUCT = 1 << 11
+_PACKED_BITS = 1 << 26
 
 
 def _contract(poly, tables):
@@ -88,18 +94,6 @@ class CompleteIntersection:
         self._fields = fields
         self._fundamental = fundamental
 
-    def _tables(self, bases):
-        """(T, shift, mask) per run of adjacent factors, T[v] = ∏ _weights(n_i, bases_i)[e_i]
-        at the run's joint bit fields v; a run grows while T has no more entries than F."""
-        tables = []
-        for base, (shift, mask, n) in zip(bases, self._fields):
-            t = _weights(n, base, (mask >> shift) + 1)
-            if tables and len(tables[-1][0]) * len(t) <= len(self._fundamental):
-                low, shift, low_mask = tables.pop()
-                t, mask = [u * v for u in t for v in low], mask | low_mask
-            tables.append((t, shift, mask))
-        return tables
-
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
@@ -110,27 +104,51 @@ class CompleteIntersection:
         Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) = Σ_e c_e·∏ n_i!/k_i!·(s·a_i + b_i)^(k_i).
         Every term is a non-negative integer, and their sum at s = 1 is at most
         B = ΣF·∏n_i!·∏max(1, a_i + b_i)^(n_i).  At s = 2^L, L the bit length of B, each
-        coefficient of s^j sits in its own L-bit field of the one integer sum.
+        coefficient of s^j sits in its own L-bit field of the one integer sum.  The weight
+        tables of adjacent factors are multiplied into one, read by their joint bit fields of
+        the code (:func:`_times_linear`), while it has no more entries than F; so a term takes
+        one product per table.
 
-        That pass holds weight tables of about n_i²·L/2 bits per factor and multiplies
-        integers of up to dim·L bits.  When (dim+1)·L·max n_i passes ``_PACKED_BITS`` it reads
-        each κ_j instead from F·a^j, by contraction against b's weights, over ∏n_i!/(dim−j)!.
+        Factor i adds at most n_i·(n_i + 1 + |F|)·log(s·a_i + b_i) bits to those tables, to
+        its own and to a merged one.  When their sum passes ``_PACKED_BITS`` or
+        ``_PACKED_BITS_PER_PRODUCT``, κ_j is read one j at a time instead, as the top
+        coefficient of F·a^j·b^(dim−j): F·a^j contracted against b's tables, times
+        (dim−j)!/∏n_i!.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
         denominator = prod(map(factorial, self.space))  # ∏n_i!
-        width = (sum(self._fundamental.values()) * denominator  # L, the bit length of B
-                 * prod([max(1, x + y) ** n for x, y, n in zip(a, b, self.space)])).bit_length()
         factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))  # j!, j = 0..dim
-        if (self.dim + 1) * width * max(self.space) <= _PACKED_BITS:
-            tables = self._tables([(x << width) + y for x, y in zip(a, b)])
-            top = _contract(self._fundamental, tables)
-            return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j]
-                          // denominator for j, f in enumerate(factorials)])
-        tables, poly, values = self._tables(b), self._fundamental, []
-        for f in reversed(factorials):  # (dim − j)!, j = 0..dim
-            values.append(_contract(poly, tables) * f // denominator)
-            poly = _times_linear(poly, a, self._fields)
-        return tuple(values)
+        size, total = len(self._fundamental), sum(self._fundamental.values())
+        # log(s·a_i + b_i) is about L + log a_i, and L at most the bit length of ΣF·∏n_i! plus
+        # Σ n_i·⌈log2 max(1, a_i + b_i)⌉: the table bits, before any power of an entry is taken.
+        most = (total * denominator).bit_length() + sum(
+            [n * (max(1, x + y) - 1).bit_length() for x, y, n in zip(a, b, self.space)])
+        bits = sum([n * (n + 1 + size) * (most + x.bit_length() if x else y.bit_length())
+                    for x, y, n in zip(a, b, self.space)])
+        if bits > min(_PACKED_BITS, _PACKED_BITS_PER_PRODUCT * (self.dim + 1) * size * len(a)):
+            # A factor with b_i = 0 zeroes every term with e_i < n_i.  Put first, it spares
+            # the term's other products: 0 times an int costs nothing.
+            order = sorted(zip(b, self._fields), key=lambda f: f[0] > 0)
+            tables = [(_weights(n, y, (mask >> shift) + 1), shift, mask)
+                      for y, (shift, mask, n) in order]
+            poly, values = self._fundamental, []
+            for j, f in enumerate(reversed(factorials)):  # (dim − j)!
+                if j:
+                    poly = _times_linear(poly, a, self._fields)
+                values.append(_contract(poly, tables) * f // denominator)
+            return tuple(values)
+        width = (total * denominator  # L, the bit length of B
+                 * prod([max(1, x + y) ** n for x, y, n in zip(a, b, self.space)])).bit_length()
+        tables = []  # (T, shift, mask) per run of adjacent fields, T[v] = ∏ w_i[n_i − e_i]
+        for x, y, (shift, mask, n) in zip(a, b, self._fields):
+            t = _weights(n, (x << width) + y, (mask >> shift) + 1)
+            if tables and len(tables[-1][0]) * len(t) <= size:
+                low, shift, low_mask = tables.pop()
+                t, mask = [u * v for u in t for v in low], mask | low_mask
+            tables.append((t, shift, mask))
+        top = _contract(self._fundamental, tables)
+        return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j] // denominator
+                      for j, f in enumerate(factorials)])
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):
