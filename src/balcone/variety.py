@@ -120,9 +120,9 @@ class CompleteIntersection:
         factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))  # j!, j = 0..dim
         size, total = len(self._fundamental), sum(self._fundamental.values())
         # log(s·a_i + b_i) is about L + log a_i, and L at most the bit length of ΣF·∏n_i! plus
-        # Σ n_i·⌈log2 max(1, a_i + b_i)⌉: the table bits, before any power of an entry is taken.
+        # Σ n_i·log(a_i + b_i): the table bits, before any power of an entry is taken.
         most = (total * denominator).bit_length() + sum(
-            [n * (max(1, x + y) - 1).bit_length() for x, y, n in zip(a, b, self.space)])
+            [n * (x + y).bit_length() for x, y, n in zip(a, b, self.space)])
         bits = sum([n * (n + 1 + size) * (most + x.bit_length() if x else y.bit_length())
                     for x, y, n in zip(a, b, self.space)])
         if bits > min(_PACKED_BITS, _PACKED_BITS_PER_PRODUCT * (self.dim + 1) * size * len(a)):
