@@ -1,8 +1,8 @@
 """Per-stage benchmarks of the pipeline, one ``benchmark`` call per stage.
 
-Five scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
-n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1) and (P^1)^9 cut by five
-divisors (1,…,1).  ``perf/`` is outside the tier-1
+Six scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
+n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1), and (P^1)^9 and (P^1)^16
+cut by five and eight divisors (1,…,1).  ``perf/`` is outside the tier-1
 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
@@ -49,6 +49,8 @@ SCENARIOS = {
                                   [[1, 0], [0, 1]])),
     "p1x9": render_json(_document([1] * 9, [[1] * 9] * 5, [1] * 4 + [0] * 5, [0] * 4 + [1] * 5,
                                   [[1, 0], [0, 1]])),
+    "p1x16": render_json(_document([1] * 16, [[1] * 16] * 8, [1] * 8 + [0] * 8,
+                                   [0] * 8 + [1] * 8, [[1, 0], [0, 1]])),
 }
 
 
@@ -67,7 +69,7 @@ def test_parse_and_build(benchmark, text):
 
 
 def test_build(benchmark, sc):
-    benchmark(CompleteIntersection, sc.ci.space, sc.ci.divisors)  # the fundamental class
+    benchmark(CompleteIntersection, sc.ci.space, sc.ci.divisors)  # the plan and zero check
 
 
 def test_class_exprs(benchmark, sc):

@@ -87,10 +87,15 @@ class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names
         seen = {}  # a prime divisor may share a basis class's name
         for i, (name, _) in enumerate(self.prime_divisors):
             _refuse_repeat(seen, name, f"/prime_divisors/{i}")
+        multidegrees = []
         for i, h in enumerate(self.h11_multidegrees):
             path = f"/h11_basis/{i}/multidegree"
-            if not any(_located(path, check_multidegree, self.ci.space, h)):
+            multidegrees.append(h := _located(path, check_multidegree, self.ci.space, h))
+            if not any(h):
                 raise ScenarioError(f"row class {i} must have degree 1", path=path)
+        if self.h11_multidegrees != (multidegrees := tuple(multidegrees)):
+            # keep the tuples check_multidegree returns: lists would not hash or compare equal
+            self = super().__new__(cls, self.ci, self.h11_names, multidegrees, *self[3:])
         for j, c in enumerate(self.codim_forms):
             if len(c) != dim:
                 raise ScenarioError(f"column class {j} must have degree {dim - 1}, "

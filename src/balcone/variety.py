@@ -2,33 +2,39 @@
 
 An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
-space: an integral over the intersection is the ambient integral against its
-fundamental class, the product of the divisor classes.  The fundamental class
-is an integer polynomial in the hyperplane classes, a product of linear forms,
-and ``kappa`` reads every κ_j from one integer contraction of it (one per j on
-wide entries); a scenario reads every number it reports from that one pass.
+space: an integral over the intersection is the ambient integral of the
+divisors' linear forms times the integrand.  ``kappa`` reads every κ_j from one
+integer pass over the ambient factors, and a scenario reads every number it
+reports from that one pass.
+
+The identity behind the pass: group the r divisors into distinct multidegrees
+D_g with multiplicities m_g.  In ∫ ∏_g D_g^(m_g)·a^j·b^(dim−j) each of the
+r + dim linear forms lands on one of the n_i slots of factor i; counting those
+assignments factor by factor, not form by form,
+
+    κ_j = ∏m_g!·j!·(dim−j)!/∏n_i! · [x^m y^j z^(dim−j)] ∏_i ℓ_i^(n_i),
+    ℓ_i = Σ_g d_(g,i)·x_g + a_i·y + b_i·z.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, repeat
-from math import factorial, prod
-from operator import mul
+from itertools import accumulate, compress, repeat
+from math import comb, factorial, prod
+from operator import itemgetter, mul
 
 from .errors import ValidationError
 from .ring import AmbientSpace, check_multidegree
 
 
-def _times_linear(poly, linear, fields):
-    """poly · Σ d_i h_i in the truncated ring, on code -> integer coefficient dicts.
+def _times_linear(poly, terms):
+    """poly · Σ d_i v_i on code -> integer coefficient dicts, each v_i capped at its bound.
 
-    An exponent vector e has the code Σ e_i << shift_i, e_i in the n_i.bit_length()
-    bits of ``mask_i``; ``fields`` holds (shift_i, mask_i, n_i) per factor.  Multiplying
-    by h_i adds 1 << shift_i while e_i < n_i.  Multidegrees are non-negative, so
-    nothing cancels: the zero class is the empty dict.
+    An exponent vector e has the code Σ e_i << shift_i, e_i in the bound_i.bit_length()
+    bits of mask_i.  ``terms`` holds (d_i, 1 << shift_i, mask_i, bound_i << shift_i) per
+    variable with d_i > 0: multiplying by v_i adds 1 << shift_i while e_i < bound_i.
+    Every d_i is positive, so nothing cancels.
     """
-    terms = [(d, 1 << s, mask, n << s) for d, (s, mask, n) in zip(linear, fields) if d]
     out = {}
     for d, step, mask, top in terms:
         for code, c in poly.items():
@@ -37,39 +43,10 @@ def _times_linear(poly, linear, fields):
     return out
 
 
-def _weights(n, b, size):
-    """b^k·n!/k! at entry e = n − k, e = 0..n, by running products; then zeros up to ``size``.
-
-    Only one power of b is held at a time: with b wide, the powers are as large as the table.
-    """
-    falling = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # n!/k!, k = 0..n
-    weights = [f * p for f, p in zip(falling, accumulate(repeat(b, n), mul, initial=1))]
-    return weights[::-1] + [0] * (size - n - 1)
-
-
-# ``kappa``'s packed pass spends time and memory on the bits of its weight tables; the per-j
-# contractions instead multiply about (dim+1)·|F|·k weights of a few bits each.  On P^n × P^1,
-# (P^1)^k, (P^2)^k and (P^3)^3 with entries up to 10^1000 the packed pass was faster below
-# about 1,000 table bits per such product and slower above 3,500, so it runs while its tables
-# hold at most 2^11 bits per product and 2^26 bits (8 MiB) in all.
-_PACKED_BITS_PER_PRODUCT = 1 << 11
-_PACKED_BITS = 1 << 26
-
-
-def _contract(poly, tables):
-    """Σ c·∏ T[(code & mask) >> shift] over the terms of ``poly`` and the (T, shift, mask)."""
-    top = 0
-    for code, c in poly.items():
-        for t, shift, mask in tables:
-            c *= t[(code & mask) >> shift]
-        top += c
-    return top
-
-
 class CompleteIntersection:
     """Intersection of divisors of the given multidegrees in an ambient product."""
 
-    __slots__ = ("space", "divisors", "dim", "_fields", "_fundamental")
+    __slots__ = ("space", "divisors", "dim", "_columns", "_yshift", "_top", "_scale")
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
         divisors = tuple([check_multidegree(space, d) for d in divisors])
@@ -79,76 +56,89 @@ class CompleteIntersection:
                 f"{len(divisors)} divisors in a {sum(space)}-dimensional "
                 f"ambient space leave dimension {dim}; need at least 1"
             )
-        shifts = accumulate([n.bit_length() for n in space[:-1]], initial=0)
-        fields = tuple([(s, (1 << n.bit_length()) - 1 << s, n) for s, n in zip(shifts, space)])
-        fundamental = {0: 1}
+        groups = {}  # D_g -> m_g
         for d in divisors:
-            fundamental = _times_linear(fundamental, d, fields)
-        if not fundamental:
-            raise ValidationError(
-                "divisor classes annihilate the ambient ring (zero fundamental class)"
-            )
+            groups[d] = groups.get(d, 0) + 1
+        ms = [*groups.values()]
+        shifts = list(accumulate([m.bit_length() for m in ms], initial=0))
+        columns = {}  # d_(g,i) -> the factors i with that column
+        for i, column in enumerate(zip(*groups) if groups else [()] * len(space)):
+            columns.setdefault(column, []).append(i)
+        # Per column, the terms of X = Σ_g d_(g,i)·x_g for _times_linear, and cap: the most
+        # the x's can take on one of its factors, past which X^p is empty.
+        fields = [(1 << s, (1 << m.bit_length()) - 1 << s, m << s) for s, m in zip(shifts, ms)]
+        self._columns = [([(d, *f) for d, f in zip(column, fields) if d],
+                          sum(compress(ms, column)), factors)
+                         for column, factors in columns.items()]
         self.space = space
         self.divisors = divisors
         self.dim = dim
-        self._fields = fields
-        self._fundamental = fundamental
+        self._yshift = shifts[-1]  # y ≤ dim sits above the x fields
+        self._top = sum([m << s for s, m in zip(shifts, ms)])  # the code of x^m
+        self._scale = prod(map(factorial, ms))  # ∏m_g!
+        # Every coefficient is non-negative, so the product F of the divisors is zero exactly
+        # when x^m is missing from the pass for ∫F·H^dim, H = Σh_i: a = 0, b = (1,…,1).
+        # Divisors with no zero entry meet every factor, and r < Σn_i slots take them.
+        if not all(map(all, groups)) and self._top not in self._pass([0] * len(space),
+                                                                      [1] * len(space)):
+            raise ValidationError(
+                "divisor classes annihilate the ambient ring (zero fundamental class)"
+            )
+
+    def _pass(self, a, b):
+        """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x_1…x_G, y), x_g ≤ m_g, y ≤ dim.
+
+        The product is homogeneous, so z is implicit.  Factors with one column and one
+        (a_i, b_i) share ℓ_i, and their powers are taken as one, widest last: after the
+        last only x^m is kept.  With X = Σ_g d_(g,i)·x_g, poly·ℓ^n = Σ_p C(n,p)·poly·X^p·
+        (a_i·y + b_i·z)^(n−p): X^p by products with small coefficients, p ≤ cap, then
+        each term of (a_i·y + b_i·z)^s = Σ_q C(s,q)·a_i^q·b_i^(s−q)·y^q·z^(s−q), one weight
+        per (p, q), and a single q unless a_i and b_i are both non-zero.
+        """
+        yshift, dim, space = self._yshift, self.dim, self.space
+        xmask, ceiling = (1 << yshift) - 1, dim + 1 << yshift
+        steps = []
+        for terms, cap, factors in self._columns:
+            merged = {}
+            for i in factors:
+                merged[a[i], b[i]] = merged.get((a[i], b[i]), 0) + space[i]
+            steps += [(n, x, y, terms, cap) for (x, y), n in merged.items()]
+        steps.sort(key=itemgetter(0))
+        poly = {0: 1}
+        for last, (n, x, y, terms, cap) in enumerate(steps, 1 - len(steps)):
+            floor = 0 if last else self._top
+            if both := x and y:  # b_i^0…b_i^n; a_i^q is a running product
+                ys = list(accumulate(repeat(y, n), mul, initial=1))
+            out, power = {}, poly
+            for p in range(min(n, cap) + 1):
+                if p:
+                    power = _times_linear(power, terms)
+                s, xq = n - p, 1
+                for q in range(min(s, dim) + 1) if both else (s if x else 0,):
+                    w = comb(n, p) * (comb(s, q) * xq * ys[s - q] if both else (x or y) ** s)
+                    xq *= x
+                    shift = q << yshift
+                    for code, v in power.items() if w else ():
+                        if code & xmask >= floor and (key := code + shift) < ceiling:
+                            out[key] = out.get(key, 0) + w * v
+            if not out:
+                return out
+            poly = out
+        return poly
 
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
-        All of κ comes from one contraction of the fundamental class F = Σ c_e h^e.  The
-        coefficient of h^k in (s·a + b)^dim is dim!/∏k_i! · ∏(s·a_i + b_i)^(k_i) (truncation
-        drops monomials, it changes no coefficient), and a term of F reaches the top monomial
-        h^n only through k = n − e; so, over the common factor ∏n_i!,
-        Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) = Σ_e c_e·∏ n_i!/k_i!·(s·a_i + b_i)^(k_i).
-        Every term is a non-negative integer, and their sum at s = 1 is at most
-        B = ΣF·∏n_i!·∏max(1, a_i + b_i)^(n_i).  At s = 2^L, L the bit length of B, each
-        coefficient of s^j sits in its own L-bit field of the one integer sum.  The weight
-        tables of adjacent factors are multiplied into one, read by their joint bit fields of
-        the code (:func:`_times_linear`), while it has no more entries than F; so a term takes
-        one product per table.
-
-        Factor i adds at most n_i·(n_i + 1 + |F|)·log(s·a_i + b_i) bits to those tables, to
-        its own and to a merged one.  When their sum passes ``_PACKED_BITS`` or
-        ``_PACKED_BITS_PER_PRODUCT``, κ_j is read one j at a time instead, as the top
-        coefficient of F·a^j·b^(dim−j): F·a^j contracted against b's tables, times
-        (dim−j)!/∏n_i!.
+        All of κ comes from one :meth:`_pass`.  It keeps at most ∏(m_g+1)·(dim+1) states
+        and takes at most Σ_i min(n_i, cap_i) products by X, cap_i the sum of the m_g whose
+        D_g meet factor i: both known from the multidegrees before any work.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
+        poly, dim, yshift = self._pass(a, b), self.dim, self._yshift
         denominator = prod(map(factorial, self.space))  # ∏n_i!
-        factorials = list(accumulate(range(1, self.dim + 1), mul, initial=1))  # j!, j = 0..dim
-        size, total = len(self._fundamental), sum(self._fundamental.values())
-        # log(s·a_i + b_i) is about L + log a_i, and L at most the bit length of ΣF·∏n_i! plus
-        # Σ n_i·log(a_i + b_i): the table bits, before any power of an entry is taken.
-        most = (total * denominator).bit_length() + sum(
-            [n * (x + y).bit_length() for x, y, n in zip(a, b, self.space)])
-        bits = sum([n * (n + 1 + size) * (most + x.bit_length() if x else y.bit_length())
-                    for x, y, n in zip(a, b, self.space)])
-        if bits > min(_PACKED_BITS, _PACKED_BITS_PER_PRODUCT * (self.dim + 1) * size * len(a)):
-            # A factor with b_i = 0 zeroes every term with e_i < n_i.  Put first, it spares
-            # the term's other products: 0 times an int costs nothing.
-            order = sorted(zip(b, self._fields), key=lambda f: f[0] > 0)
-            tables = [(_weights(n, y, (mask >> shift) + 1), shift, mask)
-                      for y, (shift, mask, n) in order]
-            poly, values = self._fundamental, []
-            for j, f in enumerate(reversed(factorials)):  # (dim − j)!
-                if j:
-                    poly = _times_linear(poly, a, self._fields)
-                values.append(_contract(poly, tables) * f // denominator)
-            return tuple(values)
-        width = (total * denominator  # L, the bit length of B
-                 * prod([max(1, x + y) ** n for x, y, n in zip(a, b, self.space)])).bit_length()
-        tables = []  # (T, shift, mask) per run of adjacent fields, T[v] = ∏ w_i[n_i − e_i]
-        for x, y, (shift, mask, n) in zip(a, b, self._fields):
-            t = _weights(n, (x << width) + y, (mask >> shift) + 1)
-            if tables and len(tables[-1][0]) * len(t) <= size:
-                low, shift, low_mask = tables.pop()
-                t, mask = [u * v for u in t for v in low], mask | low_mask
-            tables.append((t, shift, mask))
-        top = _contract(self._fundamental, tables)
-        return tuple([(top >> j * width & (1 << width) - 1) * f * factorials[-1 - j] // denominator
-                      for j, f in enumerate(factorials)])
+        factorials = list(accumulate(range(1, dim + 1), mul, initial=1))  # j!, j = 0..dim
+        return tuple([poly.pop(self._top + (j << yshift), 0) * self._scale * f
+                      * factorials[-1 - j] // denominator for j, f in enumerate(factorials)])
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):

@@ -39,6 +39,7 @@ from _helpers import finite_difference_kappa, pn_document, reference_image_closu
 from _ring_oracle import (
     divisor_class,
     express_in_basis,
+    fundamental_class,
     h11_classes,
     intersection_number,
     linear_combination,
@@ -232,7 +233,9 @@ def test_kappa_on_many_factors():
     pytest.param(8, 1, id="8"),
     pytest.param(12, 1, id="12"),
     pytest.param(16, 1, id="16"),
-    pytest.param(12, 10 ** 1000, id="12-wide"),  # past the packed pass's bounds
+    pytest.param(20, 1, id="20"),
+    pytest.param(24, 1, id="24"),
+    pytest.param(12, 10 ** 1000, id="12-wide"),
 ])
 def test_kappa_closed_form_on_p1_products(k, scale):
     """(P^1)^k cut by m = k/2 divisors (1,…,1), scale·α on the first h = k/2 factors
@@ -321,12 +324,12 @@ def test_kappa_matches_finite_difference(case):
     assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
 
 
-# Entries up to 2^64 make the coefficients of Σ_j κ_j·s^j·∏n_i!/(j!(dim−j)!) wide, so a
-# packed read with too narrow a field, or the wrong field, reads another κ_j's bits.
+# Entries up to 2^64 make the weights a_i^q·b_i^(s−q) of κ's pass wide and mix them with
+# zeros, which leave a single q.
 _WIDE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 64))
 
 
-# Entries up to 2^4096 take about half the draws past ``_PACKED_BITS``, to the per-j contractions.
+# Entries up to 2^4096: weights of thousands of bits on every factor.
 _HUGE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 4096))
 
 
@@ -368,12 +371,15 @@ def test_kappa_matches_finite_difference_on_huge_entries(case):
     pytest.param(_P30, (10 ** 300, 3), (7, 1), id="P30xP1"),
     pytest.param(CompleteIntersection(AmbientSpace([1] * 12), [(1,) * 12] * 6),
                  (10 ** 1000,) * 6 + (0,) * 6, (0,) * 6 + (1,) * 6, id="P1^12"),
+    pytest.param(CompleteIntersection(AmbientSpace([60, 1]), [(1, 1), (60, 1)]),
+                 (10 ** 1000, 0), (1, 0), id="P60xP1"),
 ])
 def test_kappa_of_huge_entries_holds_little_memory(ci, a, b):
-    """A wide entry on a high-dimensional factor, where a table holds about n²·L/2 bits,
-    and wide entries on twelve factors, whose tables the packed pass merges into one of
-    up to |F| entries: its tables would hold about 3.9 and 7.2 MB of integers here.  The
-    per-j contractions ``kappa`` takes instead stay under 2 MB of traced memory."""
+    """A wide entry on a high-dimensional factor, and wide entries on twelve factors: a
+    pass that packed every κ_j into one integer held 3.9 and 7.2 MB of weight tables
+    there.  On P^60 × P^1, κ itself holds 0.9 MB; a pass that kept every x-state after
+    the P^60 step, or took that step before the P^1 step, held 2.5 and 6.3 MB.
+    ``kappa``'s pass over the factors stays under 2 MB of traced memory."""
     tracemalloc.start()
     try:
         ci.kappa(a, b)
@@ -391,10 +397,38 @@ def test_kappa_of_huge_entries_holds_little_memory(ci, a, b):
 ])
 def test_kappa_on_the_scaling_products(n, k, kappa):
     """(P^1)^16 and (P^2)^8, each cut by eight divisors (1,…,1), α and β on the
-    two halves of the factors: the values the earlier per-j contraction gave."""
+    two halves of the factors: the values a contraction of the fundamental class gave."""
     ci = CompleteIntersection(AmbientSpace([n] * k), [(1,) * k] * 8)
     h = k // 2
     assert ci.kappa((1,) * h + (0,) * h, (0,) * h + (1,) * h) == kappa
+
+
+@st.composite
+def repeated_divisors(draw):
+    """1–4 factors of dimension 1–3 and divisors drawn from a pool of at most two
+    multidegrees, so that most draws repeat a divisor (m_g ≥ 2), and multidegrees a, b."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    multidegree = st.lists(st.integers(0, 2), min_size=len(dims), max_size=len(dims))
+    pool = draw(st.lists(multidegree.map(tuple), min_size=1, max_size=2))
+    r = draw(st.integers(min(2, sum(dims) - 1), sum(dims) - 1))
+    divisors = draw(st.lists(st.sampled_from(pool), min_size=r, max_size=r))
+    event(f"largest multiplicity {max(map(divisors.count, pool))}")
+    return dims, divisors, draw(multidegree), draw(multidegree)
+
+
+@_NO_SHRINK
+@given(repeated_divisors())
+def test_kappa_of_repeated_divisors_matches_finite_difference(case):
+    """κ's pass groups equal divisors; the zero check agrees with the ring's class."""
+    dims, divisors, a, b = case
+    space = AmbientSpace(dims)
+    zero = fundamental_class(SimpleNamespace(space=space, divisors=divisors)).is_zero()
+    if zero:
+        event("zero fundamental class")
+        with pytest.raises(ValidationError, match="annihilate"):
+            CompleteIntersection(space, divisors)
+        return
+    assert _kappa(dims, divisors, a, b) == finite_difference_kappa(dims, divisors, a, b)
 
 
 def test_finite_difference_on_the_quintic():

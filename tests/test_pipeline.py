@@ -79,6 +79,13 @@ class TestScenario:
         assert info.value.path == path
         assert str(info.value).startswith(f"at {path}: ")
 
+    def test_replace_stores_multidegree_tuples(self, sc):
+        """Lists from a library caller are kept as the tuples the document reader passes."""
+        twin = sc._replace(h11_multidegrees=([0, 1], [1, 0]))
+        assert twin.h11_multidegrees == ((0, 1), (1, 0))
+        assert twin == sc and hash(twin) == hash(sc)
+        assert twin.kappa == sc.kappa
+
     @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
     def test_immutable(self, name):
         sc = quintic_conifold_scenario()

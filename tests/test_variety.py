@@ -49,6 +49,22 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="annihilate"):
             CompleteIntersection(AmbientSpace([4, 1]), [(0, 1), (0, 1)])
 
+    @pytest.mark.parametrize("dims, divisors", [
+        pytest.param([1, 1, 2], [(1, 1, 0)] * 2 + [(1, 0, 0)], id="(h1+h2)^2·h1"),
+        pytest.param([2, 2], [(1, 0)] * 3, id="h1^3"),
+    ])
+    def test_zero_class_of_a_repeated_divisor_rejected(self, dims, divisors):
+        """Zero only through the multiplicity: (h1+h2)^2 = 2h1h2 and h1^2 are not zero."""
+        space = AmbientSpace(dims)
+        assert fundamental_class(CompleteIntersection(space, divisors[:-1])) != RingClass(space, {})
+        with pytest.raises(ValidationError, match="annihilate"):
+            CompleteIntersection(space, divisors)
+
+    def test_repeated_divisor_with_a_third_factor_accepted(self):
+        ci = CompleteIntersection(AmbientSpace([1, 1, 2]), [(1, 1, 0)] * 2 + [(0, 0, 1)])
+        h = [generator(ci.space, i) for i in range(3)]
+        assert fundamental_class(ci) == 2 * (h[0] * h[1] * h[2])
+
 
 class TestFundamentalClass:
     def test_quintic(self, quintic_ci):
