@@ -1,8 +1,10 @@
 """Per-stage benchmarks of the pipeline, one ``benchmark`` call per stage.
 
-Six scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
-n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1), and (P^1)^9 and (P^1)^16
-cut by five and eight divisors (1,…,1).  ``perf/`` is outside the tier-1
+Seven scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
+n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1), (P^1)^9 and (P^1)^16
+cut by five and eight divisors (1,…,1), and P^13 × P^1 cut by the twelve
+distinct divisors (k,1), k = 1…12, where κ contracts the fundamental class
+(2^12 x-states against 28 exponent vectors).  ``perf/`` is outside the tier-1
 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
@@ -51,6 +53,8 @@ SCENARIOS = {
                                   [[1, 0], [0, 1]])),
     "p1x16": render_json(_document([1] * 16, [[1] * 16] * 8, [1] * 8 + [0] * 8,
                                    [0] * 8 + [1] * 8, [[1, 0], [0, 1]])),
+    "p13x1": render_json(_document([13, 1], [[k, 1] for k in range(1, 13)], [0, 1], [1, 0],
+                                   [[1, 0], [-1, 1]])),
 }
 
 

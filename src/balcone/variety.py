@@ -4,7 +4,8 @@ An intersection is recorded purely by the multidegrees of its defining
 divisors.  Everything computed "on" the subvariety is pushed to the ambient
 space: an integral over the intersection is the ambient integral of the
 divisors' linear forms times the integrand.  ``kappa`` reads every κ_j from one
-integer pass over the ambient factors, and a scenario reads every number it
+integer pass over the ambient factors (or, where that keeps more states, from one
+contraction of the divisors' product), and a scenario reads every number it
 reports from that one pass.
 
 The identity behind the pass: group the r divisors into distinct multidegrees
@@ -14,6 +15,12 @@ assignments factor by factor, not form by form,
 
     κ_j = ∏m_g!·j!·(dim−j)!/∏n_i! · [x^m y^j z^(dim−j)] ∏_i ℓ_i^(n_i),
     ℓ_i = Σ_g d_(g,i)·x_g + a_i·y + b_i·z.
+
+The pass keeps one field per distinct divisor, up to ∏(m_g+1)·(dim+1) states: 2^r
+when every divisor differs.  The fundamental class F = ∏_g D_g^(m_g) has at most
+∏(n_i+1) terms, one per exponent vector e ≤ n.  Both bounds are known from the
+multidegrees, and the constructor takes the smaller: where ∏(n_i+1) < ∏(m_g+1) it
+builds F, and κ contracts it instead (:meth:`CompleteIntersection._contract`).
 """
 
 from __future__ import annotations
@@ -43,10 +50,36 @@ def _times_linear(poly, terms):
     return out
 
 
+def _fields(bounds):
+    """(1 << shift_i, mask_i, bound_i << shift_i) per variable for _times_linear, and the
+    bits they take; variable i gets the bound_i.bit_length() bits above variable i − 1."""
+    shifts = list(accumulate([m.bit_length() for m in bounds], initial=0))
+    return [(1 << s, (1 << m.bit_length()) - 1 << s, m << s)
+            for s, m in zip(shifts, bounds)], shifts[-1]
+
+
+def _binomial(a, b, k):
+    """(a·y + b·z)^k as its coefficients C(k, q)·a^q·b^(k−q) by powers of y, q = 0..k."""
+    if not (a and b):
+        return [0] * k + [a ** k] if a else [b ** k]
+    aq, bq = (list(accumulate(repeat(x, k), mul, initial=1)) for x in (a, b))
+    return [comb(k, q) * aq[q] * bq[k - q] for q in range(k + 1)]
+
+
+def _times(p, w):
+    """The product of two polynomials in y, each a list of coefficients."""
+    out = [0] * (len(p) + len(w) - 1)
+    for s, u in enumerate(p):
+        for t, v in enumerate(w) if u else ():
+            out[s + t] += u * v
+    return out
+
+
 class CompleteIntersection:
     """Intersection of divisors of the given multidegrees in an ambient product."""
 
-    __slots__ = ("space", "divisors", "dim", "_columns", "_yshift", "_top", "_scale")
+    __slots__ = ("space", "divisors", "dim", "_fundamental", "_columns", "_yshift", "_top",
+                 "_scale")
 
     def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
         divisors = tuple([check_multidegree(space, d) for d in divisors])
@@ -60,30 +93,81 @@ class CompleteIntersection:
         for d in divisors:
             groups[d] = groups.get(d, 0) + 1
         ms = [*groups.values()]
-        shifts = list(accumulate([m.bit_length() for m in ms], initial=0))
-        columns = {}  # d_(g,i) -> the factors i with that column
-        for i, column in enumerate(zip(*groups) if groups else [()] * len(space)):
-            columns.setdefault(column, []).append(i)
-        # Per column, the terms of X = Σ_g d_(g,i)·x_g for _times_linear, and cap: the most
-        # the x's can take on one of its factors, past which X^p is empty.
-        fields = [(1 << s, (1 << m.bit_length()) - 1 << s, m << s) for s, m in zip(shifts, ms)]
-        self._columns = [([(d, *f) for d, f in zip(column, fields) if d],
-                          sum(compress(ms, column)), factors)
-                         for column, factors in columns.items()]
         self.space = space
         self.divisors = divisors
         self.dim = dim
-        self._yshift = shifts[-1]  # y ≤ dim sits above the x fields
-        self._top = sum([m << s for s, m in zip(shifts, ms)])  # the code of x^m
+        # The pass over the factors keeps up to ∏(m_g+1)·(dim+1) states, one field per
+        # distinct divisor; the fundamental class F lives on the exponent vectors e ≤ n,
+        # and its contraction holds one polynomial of dim+1 terms per e.  Take the
+        # smaller bound, the pass on a tie.
+        if prod([n + 1 for n in space]) < prod([m + 1 for m in ms]):
+            self._fundamental = self._fundamental_class(groups)
+            if self._fundamental:
+                return
+        else:
+            self._fundamental = None
+            self._plan(groups, ms)
+            # Every coefficient is non-negative, so F is zero exactly when x^m is missing
+            # from the pass for ∫F·H^dim, H = Σh_i: a = 0, b = (1,…,1).  Divisors with no
+            # zero entry meet every factor, and r < Σn_i slots take them.
+            if all(map(all, groups)) or self._top in self._pass([0] * len(space),
+                                                                   [1] * len(space)):
+                return
+        raise ValidationError(
+            "divisor classes annihilate the ambient ring (zero fundamental class)"
+        )
+
+    def _plan(self, groups, ms):
+        """The x fields of the pass and, per column of multidegrees, its factors."""
+        fields, self._yshift = _fields(ms)  # y ≤ dim sits above the x fields
+        columns = {}  # d_(g,i) -> the factors i with that column
+        for i, column in enumerate(zip(*groups) if groups else [()] * len(self.space)):
+            columns.setdefault(column, []).append(i)
+        # Per column, the terms of X = Σ_g d_(g,i)·x_g for _times_linear, and cap: the most
+        # the x's can take on one of its factors, past which X^p is empty.
+        self._columns = [([(d, *f) for d, f in zip(column, fields) if d],
+                          sum(compress(ms, column)), factors)
+                         for column, factors in columns.items()]
+        self._top = sum([top for _, _, top in fields])  # the code of x^m
         self._scale = prod(map(factorial, ms))  # ∏m_g!
-        # Every coefficient is non-negative, so the product F of the divisors is zero exactly
-        # when x^m is missing from the pass for ∫F·H^dim, H = Σh_i: a = 0, b = (1,…,1).
-        # Divisors with no zero entry meet every factor, and r < Σn_i slots take them.
-        if not all(map(all, groups)) and self._top not in self._pass([0] * len(space),
-                                                                      [1] * len(space)):
-            raise ValidationError(
-                "divisor classes annihilate the ambient ring (zero fundamental class)"
-            )
+
+    def _fundamental_class(self, groups):
+        """F = ∏_g D_g^(m_g) as a code -> coefficient dict over h_i ≤ n_i, one field per factor."""
+        fields = _fields(self.space)[0]
+        poly = {0: 1}
+        for d, m in groups.items():
+            terms = [(x, *f) for x, f in zip(d, fields) if x]
+            for _ in range(m):
+                poly = _times_linear(poly, terms)
+        return poly
+
+    def _contract(self, a, b):
+        """∏m_g!·[x^m y^j z^(dim−j)] ∏_i ℓ_i^(n_i), j = 0..dim, from F = Σ_e F_e·h^e.
+
+        Counting the slots both ways, [x^m] ∏_i X_i^(e_i) = ∏e_i!/∏m_g!·F_e; so expanding
+        each ℓ_i^(n_i) = (X_i + a_i·y + b_i·z)^(n_i) by the power e_i of X_i gives
+        Σ_e F_e·∏_i n_i!/k_i!·(a_i·y + b_i·z)^(k_i), k = n − e, |k| = dim.
+        """
+        space = self.space
+        falling = [list(accumulate(range(n, 0, -1), mul, initial=1)) for n in space]  # n!/k!
+        powers = {}  # (i, k) -> (a_i·y + b_i·z)^k
+        out = [0] * (self.dim + 1)
+        for code, c in self._fundamental.items():
+            ks = []
+            for n, f in zip(space, falling):
+                e = code & (1 << n.bit_length()) - 1
+                code >>= n.bit_length()
+                c *= f[e]
+                ks.append(n - e)
+            poly = [c]
+            for i, k in enumerate(ks):
+                if k:
+                    if (w := powers.get((i, k))) is None:
+                        w = powers[i, k] = _binomial(a[i], b[i], k)
+                    poly = _times(poly, w)
+            for j, v in enumerate(poly):
+                out[j] += v
+        return out
 
     def _pass(self, a, b):
         """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x_1…x_G, y), x_g ≤ m_g, y ≤ dim.
@@ -115,6 +199,8 @@ class CompleteIntersection:
                     power = _times_linear(power, terms)
                 s, xq = n - p, 1
                 for q in range(min(s, dim) + 1) if both else (s if x else 0,):
+                    if q > dim:  # the single q, and every key past y ≤ dim
+                        break
                     w = comb(n, p) * (comb(s, q) * xq * ys[s - q] if both else (x or y) ** s)
                     xq *= x
                     shift = q << yshift
@@ -129,16 +215,23 @@ class CompleteIntersection:
     def kappa(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         """Integrals of a^j * b^(dim-j) over the intersection, j = 0..dim, for multidegrees a, b.
 
-        All of κ comes from one :meth:`_pass`.  It keeps at most ∏(m_g+1)·(dim+1) states
+        All of κ comes from one :meth:`_pass`, which keeps at most ∏(m_g+1)·(dim+1) states
         and takes at most Σ_i min(n_i, cap_i) products by X, cap_i the sum of the m_g whose
-        D_g meet factor i: both known from the multidegrees before any work.
+        D_g meet factor i; or, where ∏(n_i+1) is the smaller, from one :meth:`_contract`
+        of F, built by r products over at most ∏(n_i+1) states.  All of these are known
+        from the multidegrees before any work.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
-        poly, dim, yshift = self._pass(a, b), self.dim, self._yshift
+        dim = self.dim
+        if self._fundamental is None:
+            poly, top, yshift = self._pass(a, b), self._top, self._yshift
+            counts = (poly.pop(top + (j << yshift), 0) * self._scale for j in range(dim + 1))
+        else:
+            counts = self._contract(a, b)
         denominator = prod(map(factorial, self.space))  # ∏n_i!
         factorials = list(accumulate(range(1, dim + 1), mul, initial=1))  # j!, j = 0..dim
-        return tuple([poly.pop(self._top + (j << yshift), 0) * self._scale * f
-                      * factorials[-1 - j] // denominator for j, f in enumerate(factorials)])
+        return tuple([c * f * factorials[-1 - j] // denominator
+                      for j, (c, f) in enumerate(zip(counts, factorials))])
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):
