@@ -102,6 +102,8 @@ class CompleteIntersection:
         # smaller bound, the pass on a tie.
         if prod([n + 1 for n in space]) < prod([m + 1 for m in ms]):
             self._fundamental = self._fundamental_class(groups)
+            # kappa reads _contract's {j: count} as it reads the pass's codes
+            self._top, self._yshift, self._scale = 0, 0, 1
             if self._fundamental:
                 return
         else:
@@ -142,7 +144,7 @@ class CompleteIntersection:
         return poly
 
     def _contract(self, a, b):
-        """∏m_g!·[x^m y^j z^(dim−j)] ∏_i ℓ_i^(n_i), j = 0..dim, from F = Σ_e F_e·h^e.
+        """j -> ∏m_g!·[x^m y^j z^(dim−j)] ∏_i ℓ_i^(n_i), j = 0..dim, from F = Σ_e F_e·h^e.
 
         Counting the slots both ways, [x^m] ∏_i X_i^(e_i) = ∏e_i!/∏m_g!·F_e; so expanding
         each ℓ_i^(n_i) = (X_i + a_i·y + b_i·z)^(n_i) by the power e_i of X_i gives
@@ -167,7 +169,7 @@ class CompleteIntersection:
                     poly = _times(poly, w)
             for j, v in enumerate(poly):
                 out[j] += v
-        return out
+        return dict(enumerate(out))
 
     def _pass(self, a, b):
         """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x_1…x_G, y), x_g ≤ m_g, y ≤ dim.
@@ -222,16 +224,12 @@ class CompleteIntersection:
         from the multidegrees before any work.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
-        dim = self.dim
-        if self._fundamental is None:
-            poly, top, yshift = self._pass(a, b), self._top, self._yshift
-            counts = (poly.pop(top + (j << yshift), 0) * self._scale for j in range(dim + 1))
-        else:
-            counts = self._contract(a, b)
+        poly = self._pass(a, b) if self._fundamental is None else self._contract(a, b)
+        dim, yshift = self.dim, self._yshift
         denominator = prod(map(factorial, self.space))  # ∏n_i!
         factorials = list(accumulate(range(1, dim + 1), mul, initial=1))  # j!, j = 0..dim
-        return tuple([c * f * factorials[-1 - j] // denominator
-                      for j, (c, f) in enumerate(zip(counts, factorials))])
+        return tuple([poly.pop(self._top + (j << yshift), 0) * self._scale * f
+                      * factorials[-1 - j] // denominator for j, f in enumerate(factorials)])
 
     def __eq__(self, other):
         if not isinstance(other, CompleteIntersection):
