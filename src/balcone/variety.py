@@ -121,7 +121,7 @@ class CompleteIntersection:
 
     def _plan(self, groups, ms):
         """The x fields of the pass and, per column of multidegrees, its factors."""
-        fields, self._yshift = _fields(ms)  # y ≤ dim sits above the x fields
+        fields, self._yshift = _fields(ms)  # y, then w = y + z, sit above the x fields
         columns = {}  # d_(g,i) -> the factors i with that column
         for i, column in enumerate(zip(*groups) if groups else [()] * len(self.space)):
             columns.setdefault(column, []).append(i)
@@ -130,7 +130,9 @@ class CompleteIntersection:
         self._columns = [([(d, *f) for d, f in zip(column, fields) if d],
                           sum(compress(ms, column)), factors)
                          for column, factors in columns.items()]
-        self._top = sum([top for _, _, top in fields])  # the code of x^m
+        # the code of x^m, y = 0, w = dim: ∫F·H^dim's, and κ_j's at j << yshift above it
+        self._top = sum([top for _, _, top in fields]) + (self.dim << self._yshift
+                                                          + self.dim.bit_length())
         self._scale = prod(map(factorial, ms))  # ∏m_g!
 
     def _fundamental_class(self, groups):
@@ -172,9 +174,10 @@ class CompleteIntersection:
         return dict(enumerate(out))
 
     def _pass(self, a, b):
-        """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x_1…x_G, y), x_g ≤ m_g, y ≤ dim.
+        """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x_1…x_G, y, w), x_g ≤ m_g, w ≤ dim.
 
-        The product is homogeneous, so z is implicit.  Factors with one column and one
+        The product is homogeneous, so z = w − y is implicit; w = y + z only grows, and
+        ends at dim, so no state past w = dim is kept.  Factors with one column and one
         (a_i, b_i) share ℓ_i, and their powers are taken as one, widest last: after the
         last only x^m is kept.  With X = Σ_g d_(g,i)·x_g, poly·ℓ^n = Σ_p C(n,p)·poly·X^p·
         (a_i·y + b_i·z)^(n−p): X^p by products with small coefficients, p ≤ cap, then
@@ -182,7 +185,8 @@ class CompleteIntersection:
         per (p, q), and a single q unless a_i and b_i are both non-zero.
         """
         yshift, dim, space = self._yshift, self.dim, self.space
-        xmask, ceiling = (1 << yshift) - 1, dim + 1 << yshift
+        wshift = yshift + dim.bit_length()
+        xmask, ceiling = (1 << yshift) - 1, dim + 1 << wshift
         steps = []
         for terms, cap, factors in self._columns:
             merged = {}
@@ -192,7 +196,7 @@ class CompleteIntersection:
         steps.sort(key=itemgetter(0))
         poly = {0: 1}
         for last, (n, x, y, terms, cap) in enumerate(steps, 1 - len(steps)):
-            floor = 0 if last else self._top
+            floor = 0 if last else self._top & xmask
             if both := x and y:  # b_i^0…b_i^n; a_i^q is a running product
                 ys = list(accumulate(repeat(y, n), mul, initial=1))
             out, power = {}, poly
@@ -200,12 +204,12 @@ class CompleteIntersection:
                 if p:
                     power = _times_linear(power, terms)
                 s, xq = n - p, 1
-                for q in range(min(s, dim) + 1) if both else (s if x else 0,):
-                    if q > dim:  # the single q, and every key past y ≤ dim
-                        break
+                if s > dim:  # every key past w ≤ dim
+                    continue
+                for q in range(s + 1) if both else (s if x else 0,):
                     w = comb(n, p) * (comb(s, q) * xq * ys[s - q] if both else (x or y) ** s)
                     xq *= x
-                    shift = q << yshift
+                    shift = (q << yshift) + (s << wshift)
                     for code, v in power.items() if w else ():
                         if code & xmask >= floor and (key := code + shift) < ceiling:
                             out[key] = out.get(key, 0) + w * v

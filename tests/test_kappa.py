@@ -482,6 +482,23 @@ def test_kappa_takes_the_smaller_state_bound(dims, divisors):
     assert peak < 50_000
 
 
+def test_kappa_pass_keeps_no_state_past_dim():
+    """(P^1)^10 cut by nine distinct divisors, each (1,…,1) with one zero: 2^9 x-states
+    against 2^10 exponent vectors, so the pass runs.  With y + z ≤ dim unchecked, states
+    whose x lag behind the slots taken survive to the end; that held 275 kB here."""
+    k = 10
+    divisors = [tuple([int(i != g) for i in range(k)]) for g in range(k - 1)]
+    a, b = (1,) * 5 + (0,) * 5, (1,) * k
+    tracemalloc.start()
+    try:
+        kappa = CompleteIntersection(AmbientSpace([1] * k), divisors).kappa(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kappa == finite_difference_kappa([1] * k, divisors, a, b)
+    assert peak < 150_000
+
+
 def test_finite_difference_on_the_quintic():
     assert finite_difference_kappa([4, 1], [(1, 1), (4, 1)], (0, 1), (1, 0)) == (5, 4, 0, 0)
 
