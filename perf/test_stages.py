@@ -4,7 +4,7 @@ Seven scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
 n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1), (P^1)^9 and (P^1)^16
 cut by five and eight divisors (1,…,1), and P^13 × P^1 cut by the twelve
 distinct divisors (k,1), k = 1…12, where κ contracts the fundamental class
-(2^12 x-states against 28 exponent vectors).  ``perf/`` is outside the tier-1
+(2^12 x-states against F's two terms per degree).  ``perf/`` is outside the tier-1
 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed

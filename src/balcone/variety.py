@@ -17,10 +17,12 @@ assignments factor by factor, not form by form,
     ℓ_i = Σ_g d_(g,i)·x_g + a_i·y + b_i·z.
 
 The pass keeps one field per distinct divisor, up to ∏(m_g+1)·(dim+1) states: 2^r
-when every divisor differs.  The fundamental class F = ∏_g D_g^(m_g) has at most
-∏(n_i+1) terms, one per exponent vector e ≤ n.  Both bounds are known from the
-multidegrees, and the constructor takes the smaller: where ∏(n_i+1) < ∏(m_g+1) it
-builds F, and κ contracts it instead (:meth:`CompleteIntersection._contract`).
+when every divisor differs.  The fundamental class F = ∏_g D_g^(m_g), built one
+divisor at a time, has at most W terms, W the most exponent vectors e ≤ n of one
+degree t ≤ r, and its contraction holds one polynomial of dim+1 terms per term.
+Both bounds are known from the multidegrees, and the constructor takes the
+smaller: where W < ∏(m_g+1) it builds F, and κ contracts it instead
+(:meth:`CompleteIntersection._contract`).
 """
 
 from __future__ import annotations
@@ -58,12 +60,25 @@ def _fields(bounds):
             for s, m in zip(shifts, bounds)], shifts[-1]
 
 
-def _binomial(a, b, k):
-    """(a·y + b·z)^k as its coefficients C(k, q)·a^q·b^(k−q) by powers of y, q = 0..k."""
+def _widest(space, r):
+    """W: the most exponent vectors e ≤ n with one |e| = t ≤ r, a bound on F's terms as
+    each divisor is multiplied in."""
+    layers = [1]  # the number of e with |e| = t over the factors so far
+    for n in space:
+        layers = [sum(layers[max(0, t - n):t + 1]) for t in range(min(r, len(layers) + n - 1) + 1)]
+    return max(layers)
+
+
+def _binomial(c, a, b, k):
+    """c·(a·y + b·z)^k as its coefficients c·C(k, q)·a^q·b^(k−q) by powers of y, q = 0..k."""
     if not (a and b):
-        return [0] * k + [a ** k] if a else [b ** k]
-    aq, bq = (list(accumulate(repeat(x, k), mul, initial=1)) for x in (a, b))
-    return [comb(k, q) * aq[q] * bq[k - q] for q in range(k + 1)]
+        return [0] * k + [c * a ** k] if a else [c * b ** k]
+    t = b ** k  # a^q·b^(k−q), one power held at a time
+    out = [c * t]
+    for q in range(1, k + 1):
+        t = t // b * a
+        out.append(c * comb(k, q) * t)
+    return out
 
 
 def _times(p, w):
@@ -97,10 +112,10 @@ class CompleteIntersection:
         self.divisors = divisors
         self.dim = dim
         # The pass over the factors keeps up to ∏(m_g+1)·(dim+1) states, one field per
-        # distinct divisor; the fundamental class F lives on the exponent vectors e ≤ n,
-        # and its contraction holds one polynomial of dim+1 terms per e.  Take the
-        # smaller bound, the pass on a tie.
-        if prod([n + 1 for n in space]) < prod([m + 1 for m in ms]):
+        # distinct divisor; F has at most W terms in each degree it is built through, and
+        # its contraction holds one polynomial of dim+1 terms per term.  Take the smaller
+        # bound, the pass on a tie.
+        if _widest(space, len(divisors)) < prod([m + 1 for m in ms]):
             self._fundamental = self._fundamental_class(groups)
             # kappa reads _contract's {j: count} as it reads the pass's codes
             self._top, self._yshift, self._scale = 0, 0, 1
@@ -154,7 +169,6 @@ class CompleteIntersection:
         """
         space = self.space
         falling = [list(accumulate(range(n, 0, -1), mul, initial=1)) for n in space]  # n!/k!
-        powers = {}  # (i, k) -> (a_i·y + b_i·z)^k
         out = [0] * (self.dim + 1)
         for code, c in self._fundamental.items():
             ks = []
@@ -163,13 +177,14 @@ class CompleteIntersection:
                 code >>= n.bit_length()
                 c *= f[e]
                 ks.append(n - e)
-            poly = [c]
-            for i, k in enumerate(ks):
+            # a factor with a_i = b_i = 0 and k_i > 0 zeroes the term
+            if any([k and not (x or y) for k, x, y in zip(ks, a, b)]):
+                continue
+            poly = None
+            for k, x, y in zip(ks, a, b):
                 if k:
-                    if (w := powers.get((i, k))) is None:
-                        w = powers[i, k] = _binomial(a[i], b[i], k)
-                    poly = _times(poly, w)
-            for j, v in enumerate(poly):
+                    poly = _binomial(c, x, y, k) if poly is None else _times(poly, _binomial(1, x, y, k))
+            for j, v in enumerate(poly or [c]):
                 out[j] += v
         return dict(enumerate(out))
 
@@ -223,9 +238,9 @@ class CompleteIntersection:
 
         All of κ comes from one :meth:`_pass`, which keeps at most ∏(m_g+1)·(dim+1) states
         and takes at most Σ_i min(n_i, cap_i) products by X, cap_i the sum of the m_g whose
-        D_g meet factor i; or, where ∏(n_i+1) is the smaller, from one :meth:`_contract`
-        of F, built by r products over at most ∏(n_i+1) states.  All of these are known
-        from the multidegrees before any work.
+        D_g meet factor i; or, where W (:func:`_widest`) is the smaller, from one
+        :meth:`_contract` of F, built by r products over at most W states.  All of these
+        are known from the multidegrees before any work.
         """
         a, b = (check_multidegree(self.space, d) for d in (a, b))
         poly = self._pass(a, b) if self._fundamental is None else self._contract(a, b)

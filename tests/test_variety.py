@@ -61,8 +61,8 @@ class TestConstruction:
             CompleteIntersection(space, divisors)
 
     def test_zero_class_of_distinct_divisors_rejected(self):
-        """Four distinct divisors on P^4 × P^1: more x-states (16) than exponent vectors
-        (10), so F itself is built, and (0,1)·(0,2) = 2h2^2 is zero."""
+        """Four distinct divisors on P^4 × P^1: more x-states (16) than F has terms in
+        one degree (2), so F itself is built, and (0,1)·(0,2) = 2h2^2 is zero."""
         with pytest.raises(ValidationError, match="annihilate"):
             CompleteIntersection(AmbientSpace([4, 1]), [(0, 1), (0, 2), (1, 0), (2, 0)])
         ci = CompleteIntersection(AmbientSpace([4, 1]), [(0, 1), (1, 1), (1, 0), (2, 0)])
