@@ -65,7 +65,8 @@ def _widest(space, r):
     each divisor is multiplied in."""
     layers = [1]  # the number of e with |e| = t over the factors so far
     for n in space:
-        layers = [sum(layers[max(0, t - n):t + 1]) for t in range(min(r, len(layers) + n - 1) + 1)]
+        layers = [sum(layers[max(0, t - n):t + 1])
+                  for t in range(min(r, len(layers) + n - 1) + 1)]
     return max(layers)
 
 
@@ -167,8 +168,9 @@ class CompleteIntersection:
         each ℓ_i^(n_i) = (X_i + a_i·y + b_i·z)^(n_i) by the power e_i of X_i gives
         Σ_e F_e·∏_i n_i!/k_i!·(a_i·y + b_i·z)^(k_i), k = n − e, |k| = dim.
         """
-        space = self.space
-        falling = [list(accumulate(range(n, 0, -1), mul, initial=1)) for n in space]  # n!/k!
+        space, r = self.space, len(self.divisors)
+        # n!/(n−e)!, e = 0..min(n, r): no e_i passes r
+        falling = [list(accumulate(range(n, max(n - r, 0), -1), mul, initial=1)) for n in space]
         out = [0] * (self.dim + 1)
         for code, c in self._fundamental.items():
             ks = []
@@ -180,11 +182,13 @@ class CompleteIntersection:
             # a factor with a_i = b_i = 0 and k_i > 0 zeroes the term
             if any([k and not (x or y) for k, x, y in zip(ks, a, b)]):
                 continue
-            poly = None
+            poly = None  # c times the binomials of the factors with k_i > 0; |k| = dim ≥ 1
             for k, x, y in zip(ks, a, b):
-                if k:
-                    poly = _binomial(c, x, y, k) if poly is None else _times(poly, _binomial(1, x, y, k))
-            for j, v in enumerate(poly or [c]):
+                if k and poly is None:
+                    poly = _binomial(c, x, y, k)
+                elif k:
+                    poly = _times(poly, _binomial(1, x, y, k))
+            for j, v in enumerate(poly):
                 out[j] += v
         return dict(enumerate(out))
 

@@ -56,7 +56,8 @@ class TestConstruction:
     def test_zero_class_of_a_repeated_divisor_rejected(self, dims, divisors):
         """Zero only through the multiplicity: (h1+h2)^2 = 2h1h2 and h1^2 are not zero."""
         space = AmbientSpace(dims)
-        assert fundamental_class(CompleteIntersection(space, divisors[:-1])) != RingClass(space, {})
+        fewer = CompleteIntersection(space, divisors[:-1])
+        assert fundamental_class(fewer) != RingClass(space, {})
         with pytest.raises(ValidationError, match="annihilate"):
             CompleteIntersection(space, divisors)
 
