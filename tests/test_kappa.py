@@ -324,8 +324,8 @@ def test_kappa_matches_finite_difference(case):
     assert ci.kappa(a, b) == finite_difference_kappa(ci.space, ci.divisors, a, b)
 
 
-# Entries up to 2^64 make the weights a_i^q·b_i^(s−q) of κ's pass wide and mix them with
-# zeros, which leave a single q.
+# Entries up to 2^64 make the weights a_i^q·b_i^(s−q) of κ wide and mix them with zeros,
+# which leave a single q.
 _WIDE_ENTRY = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 2 ** 64))
 
 
@@ -378,8 +378,9 @@ def test_kappa_of_huge_entries_holds_little_memory(ci, a, b):
     """A wide entry on a high-dimensional factor, and wide entries on twelve factors: a
     pass that packed every κ_j into one integer held 3.9 and 7.2 MB of weight tables
     there.  On P^60 × P^1, κ itself holds 0.9 MB; a pass that kept every x-state after
-    the P^60 step, or took that step before the P^1 step, held 2.5 and 6.3 MB.
-    ``kappa``'s pass over the factors stays under 2 MB of traced memory."""
+    the P^60 step, or took that step before the P^1 step, held 2.5 and 6.3 MB, and a
+    contraction of F that kept every power of the wide entry 3.1 MB.  ``kappa`` (the
+    contraction on the two-factor products, the pass on (P^1)^12) stays under 2 MB."""
     tracemalloc.start()
     try:
         ci.kappa(a, b)
