@@ -244,6 +244,10 @@ def scenario_to_document(s: Scenario) -> dict:
     """Document form of a scenario; inverse of :func:`document_to_scenario`."""
     if s.codim_exprs is None:
         raise ValidationError("scenario carries no codim basis expressions to serialize")
+    # The document keeps only the exprs: they must read back as the forms the scenario uses.
+    if [parse_class_expr(e, s.h11_names, path=f"/codim_basis/{j}/expr")
+            for j, e in enumerate(s.codim_exprs)] != [tuple(c) for c in s.codim_forms]:
+        raise ValidationError("codim basis expressions do not parse to the codim forms")
     doc = {
         "ambient": list(s.ci.space),
         "divisors": [list(d) for d in s.ci.divisors],

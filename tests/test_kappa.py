@@ -33,6 +33,7 @@ from balcone.scenario_io import (
     scenario_to_document,
     serialize_scenario,
 )
+from balcone import variety
 from balcone.variety import CompleteIntersection
 
 from _helpers import finite_difference_kappa, pn_document, reference_image_closure
@@ -252,7 +253,7 @@ def test_kappa_closed_form_on_p1_products(k, scale):
 @st.composite
 def intersections(draw):
     """1–5 factors of dimension 1–3, random divisors and multidegrees a, b;
-    b has a zero entry, so κ's contraction meets a zero weight."""
+    b has a zero entry, so κ's pass meets a zero weight."""
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
     multidegree = st.lists(st.integers(0, 2), min_size=len(dims), max_size=len(dims))
     r = draw(st.integers(0, sum(dims) - 1))
@@ -373,14 +374,18 @@ def test_kappa_matches_finite_difference_on_huge_entries(case):
                  (10 ** 1000,) * 6 + (0,) * 6, (0,) * 6 + (1,) * 6, id="P1^12"),
     pytest.param(CompleteIntersection(AmbientSpace([60, 1]), [(1, 1), (60, 1)]),
                  (10 ** 1000, 0), (1, 0), id="P60xP1"),
+    pytest.param(CompleteIntersection(AmbientSpace([60, 1]), [(1, 1), (60, 1)]),
+                 (10 ** 1000, 0), (10 ** 1000, 1), id="P60xP1-both-wide"),
 ])
 def test_kappa_of_huge_entries_holds_little_memory(ci, a, b):
     """A wide entry on a high-dimensional factor, and wide entries on twelve factors: a
     pass that packed every κ_j into one integer held 3.9 and 7.2 MB of weight tables
     there.  On P^60 × P^1, κ itself holds 0.9 MB; a pass that kept every x-state after
     the P^60 step, or took that step before the P^1 step, held 2.5 and 6.3 MB, and a
-    contraction of F that kept every power of the wide entry 3.1 MB.  ``kappa`` (the
-    contraction on the two-factor products, the pass on (P^1)^12) stays under 2 MB."""
+    contraction of F that kept every power of the wide entry 3.1 MB.  With both entries
+    wide on P^60, κ holds 1.7 MB; that contraction held 3.2 MB, and a pass from F that
+    kept a table of b_i^0…b_i^n 2.6 MB.  ``kappa`` (from F on the two-factor products,
+    from x-powers on (P^1)^12) stays under 2 MB."""
     tracemalloc.start()
     try:
         ci.kappa(a, b)
@@ -398,7 +403,8 @@ def test_kappa_of_huge_entries_holds_little_memory(ci, a, b):
 ])
 def test_kappa_on_the_scaling_products(n, k, kappa):
     """(P^1)^16 and (P^2)^8, each cut by eight divisors (1,…,1), α and β on the
-    two halves of the factors: the values a contraction of the fundamental class gave."""
+    two halves of the factors: the values an earlier contraction of the fundamental class
+    gave."""
     ci = CompleteIntersection(AmbientSpace([n] * k), [(1,) * k] * 8)
     h = k // 2
     assert ci.kappa((1,) * h + (0,) * h, (0,) * h + (1,) * h) == kappa
@@ -436,7 +442,8 @@ def test_kappa_of_repeated_divisors_matches_finite_difference(case):
 def distinct_divisors(draw):
     """1–2 factors of dimension 2–4 cut by up to Σn_i − 1 distinct divisors, and
     multidegrees a, b with zero and wide entries: many draws have more x-states,
-    ∏(m_g+1), than F has terms in one degree, so κ contracts the fundamental class."""
+    ∏(m_g+1), than F has terms in one degree, so κ's pass starts from the fundamental
+    class."""
     dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
     multidegree = st.lists(st.integers(0, 3), min_size=len(dims), max_size=len(dims))
     r = draw(st.integers(max(1, sum(dims) - 3), sum(dims) - 1))
@@ -472,7 +479,8 @@ def test_kappa_takes_the_smaller_state_bound(dims, divisors):
     """Every divisor distinct: a pass over the factors keeps one x field per divisor and up
     to 2^r states, and held 1.5, 0.4 and 1.2 MB of traced memory on the first three.  One
     divisor six times on (P^1)^12: the fundamental class has C(12, 6) terms, and building
-    and contracting it held 0.16 MB.  Build plus κ stay under 50 kB on all four."""
+    and contracting it held 0.16 MB.  Build plus κ, from F on the first three and from
+    x-powers on the last, stay under 50 kB on all four."""
     space, a, b = AmbientSpace(dims), (1,) + (0,) * (len(dims) - 1), (1,) * len(dims)
     tracemalloc.start()
     try:
@@ -500,6 +508,41 @@ def test_kappa_pass_keeps_no_state_past_dim():
         tracemalloc.stop()
     assert kappa == finite_difference_kappa([1] * k, divisors, a, b)
     assert peak < 90_000
+
+
+_ONE_ZERO_EACH = [tuple([int(i != g) for i in range(12)]) for g in range(6)] + [(1,) * 12] * 5
+
+
+@pytest.mark.parametrize("dims, divisors, a, b, build, kappa", [
+    pytest.param([1] * 12, _ONE_ZERO_EACH, (1,) * 6 + (0,) * 6, (1,) * 12, (766, 14), (1149, 32),
+                 id="P1^12-x-powers"),
+    pytest.param([13, 1], [(k, 1) for k in range(1, 13)], (1, 1), (2, 1), (23, 0), (0, 8),
+                 id="P13xP1-from-F"),
+])
+def test_kappa_work_is_pinned(monkeypatch, dims, divisors, a, b, build, kappa):
+    """The states fed to ``_times_linear`` and the binomials taken, by the constructor and by
+    κ: the x-powers side on the document above (its constructor runs the zero check's
+    pass), and F's side on P^13 × P^1.  Waste that the readout drops shows here: on the
+    first, taking weights for s = dim + 1, where every key passes w ≤ dim, read (1149, 33)
+    for κ, and keeping states up to w = 2·dim read (1901, 32)."""
+    counts = [0, 0]
+    times_linear, choose = variety._times_linear, variety.comb
+
+    def counted_times_linear(poly, terms):
+        counts[0] += len(poly)
+        return times_linear(poly, terms)
+
+    def counted_comb(n, k):
+        counts[1] += 1
+        return choose(n, k)
+
+    monkeypatch.setattr(variety, "_times_linear", counted_times_linear)
+    monkeypatch.setattr(variety, "comb", counted_comb)
+    ci = CompleteIntersection(AmbientSpace(dims), divisors)
+    assert (tuple(counts), ci._fundamental is not None) == (build, dims == [13, 1])
+    counts[:] = [0, 0]
+    assert ci.kappa(a, b) == finite_difference_kappa(dims, divisors, a, b)
+    assert tuple(counts) == kappa
 
 
 def test_finite_difference_on_the_quintic():

@@ -317,3 +317,14 @@ class TestRoundTrip:
         sc = quintic_conifold_scenario()._replace(codim_exprs=None)
         with pytest.raises(ValidationError, match="codim basis expressions"):
             scenario_to_document(sc)
+
+    @pytest.mark.parametrize("exprs", [
+        pytest.param(("β*β", "α*β"), id="swapped"),
+        pytest.param(("α*β", "β*β*β"), id="wrong-degree"),
+    ])
+    def test_codim_exprs_that_are_not_the_forms_not_serializable(self, exprs):
+        """Swapped exprs would round-trip to a scenario with swapped codim forms, and an
+        expr of the wrong degree to a document that does not parse."""
+        sc = quintic_conifold_scenario()._replace(codim_exprs=exprs)
+        with pytest.raises(ValidationError, match="do not parse to the codim forms"):
+            scenario_to_document(sc)
