@@ -71,22 +71,14 @@ def _widest(space, r):
     return max(layers)
 
 
-def _powers(poly, terms, cap):
-    """(p, poly·X^p), p = 0..cap, X the linear form of ``terms``, each from the last."""
-    yield 0, poly
-    for p in range(1, cap + 1):
-        poly = _times_linear(poly, terms)
-        yield p, poly
-
-
 def _buckets(poly, field):
-    """(p, the terms of poly whose ``field`` holds p, with that field cleared): F's X^p."""
+    """p -> the terms of poly whose ``field`` holds p, with that field cleared: F's X^p."""
     step, mask, _ = field
     out = {}
     for code, v in poly.items():
         e = code & mask
         out.setdefault(e // step, {})[code - e] = v
-    return out.items()
+    return out
 
 
 class CompleteIntersection:
@@ -118,9 +110,9 @@ class CompleteIntersection:
             for d in divisors:
                 poly = _times_linear(poly, [(x, *f) for x, f in zip(d, fields) if x])
             self._fundamental = poly
-            # a column per factor, its X^p F's terms with e_i = p; the pass clears every
+            # a column per factor, its X^p F's terms with e_i = p ≤ r; the pass clears every
             # field, so the x part of x^m's code is 0
-            self._columns = [(f, n, (i,)) for i, (f, n) in enumerate(zip(fields, space))]
+            self._columns = [(f, len(divisors), (i,)) for i, f in enumerate(fields)]
             self._scale, top = 1, 0
         else:
             self._fundamental = None
@@ -171,9 +163,13 @@ class CompleteIntersection:
         poly, choose = ({0: 1}, comb) if fundamental is None else (fundamental, perm)
         for last, (n, x, y, column, cap) in enumerate(steps, 1 - len(steps)):
             floor = 0 if last else self._top & xmask
-            both, out = x and y, {}
-            for p, power in (_powers(poly, column, min(n, cap)) if fundamental is None
-                             else _buckets(poly, column)):
+            both, out, power = x and y, {}, poly
+            buckets = None if fundamental is None else _buckets(poly, column)
+            for p in range(min(n, cap) + 1):
+                if buckets is not None:
+                    power = buckets.get(p)
+                elif p:
+                    power = _times_linear(power, column)
                 s = n - p
                 if s > dim or not power:  # every key past w ≤ dim, or no X^p
                     continue
