@@ -119,74 +119,66 @@ def _gap_sections(sc: Scenario, gr: GapReport) -> dict:
     }
 
 
+def _payload(command: str, sc: Scenario, **sections) -> dict:
+    """A command's report: its name, the scenario summary, then ``sections`` in order."""
+    return {"command": command, "scenario": scenario_summary(sc), **sections}
+
+
+def _pairing_strings(pm) -> tuple:
+    """The pairing's entries and its determinant, as reduced rational strings."""
+    return [[fmt_rational(v) for v in row] for row in pm], fmt_rational(pm.det)
+
+
+def _bound_coefficients(sc: Scenario, coords, ample) -> list:
+    return [fmt_rational(v) for v in divisor_bound_functional(sc, coords, ample)]
+
+
 def intersect_payload(sc: Scenario, names, forms) -> dict:
-    return {
-        "command": "intersect",
-        "scenario": scenario_summary(sc),
-        "factors": list(names),
-        "value": fmt_rational(integrate_forms(sc, forms)),
-    }
+    return _payload("intersect", sc,
+                    factors=list(names),
+                    value=fmt_rational(integrate_forms(sc, forms)))
 
 
 def pairing_payload(sc: Scenario) -> dict:
-    pm = sc.pairing_matrix
-    return {
-        "command": "pairing",
-        "scenario": scenario_summary(sc),
-        "rows": list(sc.h11_names),
-        "cols": list(sc.codim_names),
-        "matrix": [[fmt_rational(v) for v in row] for row in pm],
-        "determinant": fmt_rational(pm.det),
-        "nondegenerate": pm.det != 0,
-    }
+    matrix, determinant = _pairing_strings(sc.pairing_matrix)
+    return _payload("pairing", sc,
+                    rows=list(sc.h11_names),
+                    cols=list(sc.codim_names),
+                    matrix=matrix,
+                    determinant=determinant,
+                    nondegenerate=sc.pairing_matrix.det != 0)
 
 
 def dual_payload(sc: Scenario, cone: Cone2D) -> dict:
     dual = dual_cone(cone, sc.pairing_matrix)
-    return {
-        "command": "dual",
-        "scenario": scenario_summary(sc),
-        "input_cone": _cone_section(cone, sc.h11_names),
-        "dual_cone": _cone_section(dual, sc.codim_names),
-    }
+    return _payload("dual", sc,
+                    input_cone=_cone_section(cone, sc.h11_names),
+                    dual_cone=_cone_section(dual, sc.codim_names))
 
 
 def image_payload(sc: Scenario) -> dict:
-    return {
-        "command": "image",
-        "scenario": scenario_summary(sc),
-        "image_closure": _cone_section(balanced_image_closure(sc), sc.codim_names),
-    }
+    return _payload("image", sc,
+                    image_closure=_cone_section(balanced_image_closure(sc), sc.codim_names))
 
 
 def balanced_payload(sc: Scenario) -> dict:
-    return {
-        "command": "balanced",
-        "scenario": scenario_summary(sc),
-        "balanced_cone": _cone_section(balanced_cone(sc), sc.codim_names),
-    }
+    return _payload("balanced", sc,
+                    balanced_cone=_cone_section(balanced_cone(sc), sc.codim_names))
 
 
 def gap_payload(sc: Scenario) -> dict:
-    return {
-        "command": "gap",
-        "scenario": scenario_summary(sc),
-        **_gap_sections(sc, sc.gap),
-    }
+    return _payload("gap", sc, **_gap_sections(sc, sc.gap))
 
 
 def bound_payload(sc: Scenario, prime, ample) -> dict:
     """``prime`` is a declared (name, coords) entry of ``sc.prime_divisors``."""
     name, coords = prime
-    coeffs = divisor_bound_functional(sc, coords, ample)
-    return {
-        "command": "bound",
-        "scenario": scenario_summary(sc),
-        "prime": name,
-        "prime_coords": list(coords),
-        "ample": [fmt_rational(x) for x in ample],
-        "coefficients": [fmt_rational(v) for v in coeffs],
-    }
+    coefficients = _bound_coefficients(sc, coords, ample)
+    return _payload("bound", sc,
+                    prime=name,
+                    prime_coords=list(coords),
+                    ample=[fmt_rational(x) for x in ample],
+                    coefficients=coefficients)
 
 
 def demo_payload(sc: Scenario) -> dict:
@@ -210,22 +202,18 @@ def demo_payload(sc: Scenario) -> dict:
         {
             "prime": name,
             "ample": ["1", "1"],
-            "coefficients": [
-                fmt_rational(v) for v in divisor_bound_functional(sc, coords, (1, 1))
-            ],
+            "coefficients": _bound_coefficients(sc, coords, (1, 1)),
         }
         for name, coords in sc.prime_divisors
     ]
-    return {
-        "command": "demo",
-        "scenario": scenario_summary(sc),
-        "intersection_numbers": numbers,
-        "pairing_matrix": [[fmt_rational(v) for v in row] for row in pm],
-        "pairing_determinant": fmt_rational(pm.det),
-        **_gap_sections(sc, gr),
-        "boundary_pairings": boundary,
-        "bound_functionals": bounds,
-    }
+    matrix, determinant = _pairing_strings(pm)
+    return _payload("demo", sc,
+                    intersection_numbers=numbers,
+                    pairing_matrix=matrix,
+                    pairing_determinant=determinant,
+                    **_gap_sections(sc, gr),
+                    boundary_pairings=boundary,
+                    bound_functionals=bounds)
 
 
 def _write_json(value, newline: str, out: list) -> None:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .cones import Cone2D
 from .errors import ScenarioError, ValidationError, _located
 from .pipeline import Scenario, _refuse_repeat
-from .report import render_json
+from .report import render_json, scenario_summary
 from .ring import AmbientSpace, check_multidegree
 from .variety import CompleteIntersection
 
@@ -166,7 +166,6 @@ def document_to_scenario(doc) -> Scenario:
         _located(f"/divisors/{i}", check_multidegree, space, _int_list(d, f"/divisors/{i}"))
         for i, d in enumerate(raw_divisors)
     ]
-    ci = _located("/divisors", CompleteIntersection, space, divisors)
 
     h11_names, h11_multidegrees, seen = [], [], {}
     for name, raw, here in _named_entries(doc, "h11_basis", "multidegree"):
@@ -196,8 +195,9 @@ def document_to_scenario(doc) -> Scenario:
         for name, raw, here in _named_entries(doc, "prime_divisors", "coords"):
             primes.append((name, _int_pair(raw, f"{here}/coords")))
 
+    # Built last, so that no refusal of a later key waits for the intersection or its κ.
     return Scenario(
-        ci=ci,
+        ci=_located("/divisors", CompleteIntersection, space, divisors),
         h11_names=tuple(h11_names),
         h11_multidegrees=tuple(h11_multidegrees),
         codim_names=tuple([name for name, _, _ in codim]),
@@ -248,23 +248,18 @@ def scenario_to_document(s: Scenario) -> dict:
     if [parse_class_expr(e, s.h11_names, path=f"/codim_basis/{j}/expr")
             for j, e in enumerate(s.codim_exprs)] != [tuple(c) for c in s.codim_forms]:
         raise ValidationError("codim basis expressions do not parse to the codim forms")
-    doc = {
-        "ambient": list(s.ci.space),
-        "divisors": [list(d) for d in s.ci.divisors],
-        "h11_basis": [
-            {"name": n, "multidegree": list(d)}
-            for n, d in zip(s.h11_names, s.h11_multidegrees)
-        ],
-        "codim_basis": [
-            {"name": n, "expr": e} for n, e in zip(s.codim_names, s.codim_exprs)
-        ],
-        "kahler_cone": [list(r) for r in s.kahler_cone],
-        "effective_cone": [list(r) for r in s.effective_cone],
-    }
-    if s.prime_divisors:
-        doc["prime_divisors"] = [
-            {"name": n, "coords": list(c)} for n, c in s.prime_divisors
-        ]
+    # A report's scenario summary holds the document's keys in order; these four differ.
+    doc = scenario_summary(s)
+    del doc["dim"]
+    doc["h11_basis"] = [
+        {"name": n, "multidegree": list(d)}
+        for n, d in zip(s.h11_names, s.h11_multidegrees)
+    ]
+    doc["codim_basis"] = [
+        {"name": n, "expr": e} for n, e in zip(s.codim_names, s.codim_exprs)
+    ]
+    if not s.prime_divisors:
+        del doc["prime_divisors"]
     return doc
 
 

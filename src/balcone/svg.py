@@ -20,7 +20,6 @@ _HEIGHT = 420
 _RADIUS = 150.0
 _LEFT = (170.0, 290.0)
 _RIGHT = (590.0, 290.0)
-_LABEL_DIST = 1.22
 # html.escape(text, quote=False) without importing html and its entity table.
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
@@ -30,17 +29,11 @@ def _fmt(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def _angle(ray) -> float:
-    # Shift huge integer coordinates down together, so that float() cannot overflow.
-    shift = max(0, abs(ray[0]).bit_length() - 1000, abs(ray[1]).bit_length() - 1000)
-    return atan2(float(ray[1] >> shift), float(ray[0] >> shift))
-
-
 def _angles(rays):
-    t1, t2 = map(_angle, rays)
-    if t2 <= t1:
-        t2 += 2 * pi
-    return t1, t2
+    # Shift huge integer coordinates down together, so that float() cannot overflow.
+    t1, t2 = [atan2(float(y >> s), float(x >> s)) for x, y in rays
+              for s in [max(0, abs(x).bit_length() - 1000, abs(y).bit_length() - 1000)]]
+    return t1, t2 if t2 > t1 else t2 + 2 * pi
 
 
 def _wedge_path(t1: float, t2: float, radius: float) -> str:
@@ -52,28 +45,37 @@ def _wedge_path(t1: float, t2: float, radius: float) -> str:
     return "M 0 0 L " + " L ".join(points) + " Z"
 
 
-def _ray_line(theta: float, radius: float) -> str:
+def _text(x: float, y: float, size: int, text: str, style: str = "") -> str:
+    """A centred ``<text>`` element; ``style`` holds any further attributes."""
     return (
-        f'<line class="ray" x1="0" y1="0" '
-        f'x2="{_fmt(radius * cos(theta))}" y2="{_fmt(-radius * sin(theta))}" '
-        'stroke="#333333" stroke-width="1.5"/>'
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" font-family="sans-serif"'
+        f'{style} text-anchor="middle">{text.translate(_ESCAPE)}</text>'
     )
 
 
-def _ray_label(theta: float, text: str, dist: float = _LABEL_DIST) -> str:
-    x = _RADIUS * dist * cos(theta)
-    y = -_RADIUS * dist * sin(theta)
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y + 5.0)}" font-size="16" '
-        f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
-    )
-
-
-def _caption(x: float, y: float, text: str) -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="17" '
-        f'font-family="sans-serif" text-anchor="middle">{text.translate(_ESCAPE)}</text>'
-    )
+def _panel(origin, wedges, labels, caption) -> list:
+    """A cone's group at ``origin``: each ``(t1, t2, radius, fill)`` wedge, then their ray
+    lines, the ``(theta, text, dist)`` labels at dist radii and the ``(x, text)`` caption."""
+    parts = [f'<g transform="translate({_fmt(origin[0])} {_fmt(origin[1])})">']
+    for t1, t2, radius, fill in wedges:
+        parts.append(
+            f'<path class="wedge" d="{_wedge_path(t1, t2, radius)}" '
+            f'fill="{fill}" stroke="none"/>'
+        )
+    for t1, t2, radius, _ in wedges:
+        for theta in (t1, t2):
+            parts.append(
+                f'<line class="ray" x1="0" y1="0" '
+                f'x2="{_fmt(radius * cos(theta))}" y2="{_fmt(-radius * sin(theta))}" '
+                'stroke="#333333" stroke-width="1.5"/>'
+            )
+    for theta, text, dist in labels:
+        x = _RADIUS * dist * cos(theta)
+        y = -_RADIUS * dist * sin(theta)
+        parts.append(_text(x, y + 5.0, 16, text))
+    parts.append(_text(caption[0], 105.0, 17, caption[1]))
+    parts.append("</g>")
+    return parts
 
 
 def _cone(pairs) -> Cone2D:
@@ -98,25 +100,19 @@ def render_cone_diagram(report) -> str:
         raise ValidationError("report needs two string names in h11_basis and in codim_basis")
 
     (kt1, kt2), (it1, it2), (bt1, bt2) = map(_angles, (kahler, image, balanced))
-
+    kahler_labels = [(t, format_class_label(r, h11_names), 1.22)
+                     for t, r in zip((kt1, kt2), kahler)]
+    labels = [(t, format_class_label(r, codim_names), 1.22)
+              for t, r in zip((bt1, bt2), balanced)]
+    labels += [(t, format_class_label(r, codim_names), 0.58)
+               for t, r in zip((it1, it2), image) if r not in balanced]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         "<title>cone diagram</title>",
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-
-    parts.append(f'<g transform="translate({_fmt(_LEFT[0])} {_fmt(_LEFT[1])})">')
-    parts.append(
-        f'<path class="wedge" d="{_wedge_path(kt1, kt2, _RADIUS)}" '
-        'fill="#c9d7ee" stroke="none"/>'
-    )
-    parts.append(_ray_line(kt1, _RADIUS))
-    parts.append(_ray_line(kt2, _RADIUS))
-    parts.append(_ray_label(kt1, format_class_label(kahler[0], h11_names)))
-    parts.append(_ray_label(kt2, format_class_label(kahler[1], h11_names)))
-    parts.append(_caption(60.0, 105.0, "Kähler cone"))
-    parts.append("</g>")
+    parts += _panel(_LEFT, [(kt1, kt2, _RADIUS, "#c9d7ee")], kahler_labels, (60.0, "Kähler cone"))
 
     arrow_y = _LEFT[1] - 0.45 * _RADIUS
     x1 = _LEFT[0] + _RADIUS + 30.0
@@ -129,33 +125,9 @@ def render_cone_diagram(report) -> str:
         f'<path d="M {_fmt(x2)} {_fmt(arrow_y - 5.0)} L {_fmt(x2 + 10.0)} '
         f'{_fmt(arrow_y)} L {_fmt(x2)} {_fmt(arrow_y + 5.0)} Z" fill="#555555"/>'
     )
-    parts.append(
-        f'<text x="{_fmt((x1 + x2) / 2)}" y="{_fmt(arrow_y - 10.0)}" '
-        'font-size="16" font-family="sans-serif" font-style="italic" '
-        'text-anchor="middle">b</text>'
-    )
+    parts.append(_text((x1 + x2) / 2, arrow_y - 10.0, 16, "b", ' font-style="italic"'))
 
-    parts.append(f'<g transform="translate({_fmt(_RIGHT[0])} {_fmt(_RIGHT[1])})">')
-    parts.append(
-        f'<path class="wedge" d="{_wedge_path(bt1, bt2, _RADIUS)}" '
-        'fill="#d9ecd4" stroke="none"/>'
-    )
-    parts.append(
-        f'<path class="wedge" d="{_wedge_path(it1, it2, 0.82 * _RADIUS)}" '
-        'fill="#8fb7e3" stroke="none"/>'
-    )
-    parts.append(_ray_line(bt1, _RADIUS))
-    parts.append(_ray_line(bt2, _RADIUS))
-    parts.append(_ray_line(it1, 0.82 * _RADIUS))
-    parts.append(_ray_line(it2, 0.82 * _RADIUS))
-    parts.append(_ray_label(bt1, format_class_label(balanced[0], codim_names)))
-    parts.append(_ray_label(bt2, format_class_label(balanced[1], codim_names)))
-    for theta, ray in ((it1, image[0]), (it2, image[1])):
-        if ray not in balanced:
-            parts.append(
-                _ray_label(theta, format_class_label(ray, codim_names), dist=0.58)
-            )
-    parts.append(_caption(80.0, 105.0, "balanced cone"))
-    parts.append("</g>")
+    wedges = [(bt1, bt2, _RADIUS, "#d9ecd4"), (it1, it2, 0.82 * _RADIUS, "#8fb7e3")]
+    parts += _panel(_RIGHT, wedges, labels, (80.0, "balanced cone"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, event, given, settings, strategies as st
 
 from balcone.cli import main
+from balcone import scenario_io
 from balcone.errors import ScenarioError, ValidationError
 from balcone.scenario_io import (
     DEMO_SCENARIO_DOCUMENT,
@@ -184,6 +185,12 @@ _DOCUMENT_ERRORS = [
                                 {"name": "E3", "coords": [1, 2, 3]}]),
         "/prime_divisors/2/coords", id="prime-names-repeat-after-coords",
     ),
+    # The complete intersection is built after every key is read, so a dimension-0
+    # intersection is refused after a malformed later key.
+    pytest.param(
+        mutated(divisors=[[1, 1]] * 5, kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="dimension-0-after-cones",
+    ),
     # JSON's "\ud800" decodes to a lone surrogate, which no output encoding can write.
     pytest.param(
         mutated(h11_basis=[{"name": "α\ud800", "multidegree": [0, 1]}, _BETA]),
@@ -209,6 +216,32 @@ def test_document_error_located(doc, path, tmp_path, capsys):
     scenario_file.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["demo", "--scenario", str(scenario_file)]) == 3
     assert f"at {path}:" in capsys.readouterr().err
+
+
+def _without(key):
+    doc = mutated()
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    pytest.param(_without("h11_basis"), "/h11_basis", id="h11-missing"),
+    pytest.param(mutated(h11_basis=[{"name": "α", "multidegree": "x"}, _BETA]),
+                 "/h11_basis/0/multidegree", id="h11-multidegree-not-a-list"),
+    pytest.param(mutated(codim_basis=_codim("α β")), "/codim_basis/0/expr", id="expr"),
+    pytest.param(mutated(kahler_cone=[[1, 0]]), "/kahler_cone", id="kahler-one-ray"),
+    pytest.param(_without("effective_cone"), "/effective_cone", id="effective-missing"),
+    pytest.param(mutated(prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
+                 "/prime_divisors/0/coords", id="prime-coords-triple"),
+])
+def test_document_error_found_before_the_intersection_is_built(doc, path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the complete intersection was built before every key was read")
+
+    monkeypatch.setattr(scenario_io, "CompleteIntersection", refuse)
+    with pytest.raises(ScenarioError) as info:
+        document_to_scenario(doc)
+    assert info.value.path == path
 
 
 def test_json_integer_too_long_located(tmp_path, capsys):
