@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error, 3 validation error (bad scenario
+One row of ``COMMANDS`` per command, one row of ``EXIT_STATUS`` per handled
+error.  Exit codes: 0 success, 2 usage error, 3 validation error (bad scenario
 data), 4 computation error or output I/O failure.  Set the NO_COLOR
 environment variable to disable ANSI styling in text output.
 """
@@ -11,7 +12,9 @@ import argparse
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from . import report
 from .cones import Cone2D
@@ -49,6 +52,53 @@ def _pair_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad rational pair {text!r}: {e}") from e
 
 
+def _intersect_payload(scenario, args) -> dict:
+    classes = list(zip(scenario.h11_names + scenario.codim_names,
+                       H11_FORMS + scenario.codim_forms))
+    names, forms = zip(*[_lookup(n, classes, "class name") for n in args.factors])
+    return report.intersect_payload(scenario, names, forms)
+
+
+# Each command once: its help text, payload builder of (scenario, args), the arguments
+# beyond --scenario, --format and --out, and its output formats with the default first.
+_Command = namedtuple("_Command", "help build arguments formats", defaults=((), ("text", "json")))
+COMMANDS = {
+    "demo": _Command("full pipeline report: intersection numbers, pairing, cones, gap",
+                     lambda sc, args: report.demo_payload(sc)),
+    "intersect": _Command("intersection number of named classes", _intersect_payload,
+                          (("factors", {"nargs": "+", "metavar": "CLASS"}),)),
+    "pairing": _Command("pairing matrix of the two bases with determinant",
+                        lambda sc, args: report.pairing_payload(sc)),
+    "dual": _Command("dual cone under the intersection pairing",
+                     lambda sc, args: report.dual_payload(
+                         sc, sc.effective_cone if args.rays is None else Cone2D(*args.rays)),
+                     (("--rays", {"nargs": 2, "type": _pair_arg, "metavar": "X,Y", "help": "cone "
+                                  "generators in degree-1 coordinates (default: effective cone)"}),)),
+    "image": _Command("closure of the balanced-map image of the Kähler cone",
+                      lambda sc, args: report.image_payload(sc)),
+    "balanced": _Command("balanced cone as the pairing-dual of the effective cone",
+                         lambda sc, args: report.balanced_payload(sc)),
+    "gap": _Command("compare image closure with the balanced cone",
+                    lambda sc, args: report.gap_payload(sc)),
+    "bound": _Command("bound functional against a known prime divisor",
+                      lambda sc, args: report.bound_payload(
+                          sc, _lookup(args.prime, sc.prime_divisors, "prime divisor"), args.ample),
+                      (("prime", {"metavar": "PRIME"}),
+                       ("ample", {"type": _pair_arg, "metavar": "C1,C2"}))),
+    "render": _Command("write the SVG cone diagram for the gap report",
+                       lambda sc, args: report.gap_payload(sc), formats=("svg",)),
+}
+
+# Each handled error once, matched in order, since a ScenarioError is a ValidationError.
+EXIT_STATUS = {  # error type -> (stderr label, exit status)
+    ScenarioError: ("scenario error", 3),
+    UnknownNameError: ("usage error", 2),
+    ValidationError: ("validation error", 3),
+    ComputationError: ("computation error", 4),
+    OSError: ("i/o error", 4),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="balcone",
@@ -56,38 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
         "complete intersections in products of projective spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp._negative_number_matcher = re.compile(r"^-\.?\d")  # -1,4 is a value, not a flag
         sp.add_argument(
             "--scenario", metavar="FILE",
             help="scenario JSON file (default: built-in quintic conifold)",
         )
-        if name != "render":  # render always writes SVG
-            sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.set_defaults(format=command.formats[0])
+        if len(command.formats) > 1:  # a command with one format takes no --format
+            sp.add_argument("--format", choices=command.formats)
         sp.add_argument(
             "--out", metavar="FILE", help="write output to FILE instead of stdout"
         )
-        return sp
-
-    add("demo", "full pipeline report: intersection numbers, pairing, cones, gap")
-    sp = add("intersect", "intersection number of named classes")
-    sp.add_argument("factors", nargs="+", metavar="CLASS")
-    add("pairing", "pairing matrix of the two bases with determinant")
-    sp = add("dual", "dual cone under the intersection pairing")
-    sp.add_argument(
-        "--rays", nargs=2, type=_pair_arg, metavar="X,Y",
-        help="cone generators in degree-1 coordinates (default: effective cone)",
-    )
-    add("image", "closure of the balanced-map image of the Kähler cone")
-    add("balanced", "balanced cone as the pairing-dual of the effective cone")
-    add("gap", "compare image closure with the balanced cone")
-    sp = add("bound", "bound functional against a known prime divisor")
-    sp.add_argument("prime", metavar="PRIME")
-    sp.add_argument("ample", type=_pair_arg, metavar="C1,C2")
-    add("render", "write the SVG cone diagram for the gap report")
+        for flag, options in command.arguments:
+            sp.add_argument(flag, **options)
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call."""
+    return build_parser()
 
 
 def _load_scenario(path):
@@ -101,77 +141,40 @@ def _load_scenario(path):
     return parse_scenario(text)
 
 
-def _intersect_payload(scenario, args) -> dict:
-    classes = list(zip(scenario.h11_names + scenario.codim_names,
-                       H11_FORMS + scenario.codim_forms))
-    names, forms = zip(*[_lookup(n, classes, "class name") for n in args.factors])
-    return report.intersect_payload(scenario, names, forms)
-
-
-_PAYLOADS = {  # command -> payload builder of (scenario, args); render has none
-    "demo": lambda sc, args: report.demo_payload(sc),
-    "intersect": _intersect_payload,
-    "pairing": lambda sc, args: report.pairing_payload(sc),
-    "dual": lambda sc, args: report.dual_payload(
-        sc, sc.effective_cone if args.rays is None else Cone2D(*args.rays)),
-    "image": lambda sc, args: report.image_payload(sc),
-    "balanced": lambda sc, args: report.balanced_payload(sc),
-    "gap": lambda sc, args: report.gap_payload(sc),
-    "bound": lambda sc, args: report.bound_payload(
-        sc, _lookup(args.prime, sc.prime_divisors, "prime divisor"), args.ample),
-}
-
-
 def run_command(scenario, args) -> dict:
     """Dispatch a parsed command to its payload builder."""
-    return _PAYLOADS[args.command](scenario, args)
+    return COMMANDS[args.command].build(scenario, args)
 
 
 def _color_enabled(args) -> bool:
-    if args.format != "text" or args.out is not None:
+    if args.out is not None:
         return False
     if os.environ.get("NO_COLOR"):
         return False
     return sys.stdout.isatty()
 
 
-def _write_output(text: str, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = _load_scenario(args.scenario)
-        if args.command == "render":
+        payload = run_command(scenario, args)
+        if args.format == "svg":
             from .svg import render_cone_diagram
-            text = render_cone_diagram(report.gap_payload(scenario))
+            text = render_cone_diagram(payload)
+        elif args.format == "json":
+            text = report.render_json(payload)
         else:
-            payload = run_command(scenario, args)
-            if args.format == "json":
-                text = report.render_json(payload)
-            else:
-                text = report.render_text(payload, color=_color_enabled(args))
-        _write_output(text, args.out)
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return 3
-    except UnknownNameError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except ValidationError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 3
-    except ComputationError as e:
-        print(f"computation error: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 4
+            text = report.render_text(payload, color=_color_enabled(args))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+    except tuple(EXIT_STATUS) as e:
+        label, status = next(v for t, v in EXIT_STATUS.items() if isinstance(e, t))
+        print(f"{label}: {e}", file=sys.stderr)
+        return status
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegeneratePairingError, ValidationError
 
@@ -47,8 +47,7 @@ def ray_normalize(v) -> Ray:
     a, b = v
     if not (type(a) is int and type(b) is int):  # a bool takes this path too
         a, b = Fraction(a), Fraction(b)
-        scale = lcm(a.denominator, b.denominator)
-        a, b = int(a * scale), int(b * scale)
+        a, b = a.numerator * b.denominator, b.numerator * a.denominator
     g = gcd(a, b)
     if g == 0:
         raise ValidationError("zero vector does not span a ray")

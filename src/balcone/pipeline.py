@@ -218,15 +218,12 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:
-    # Sum after rescaling both rays to a common last coordinate, so the
-    # witness agrees with the monic normalization of the boundary classes;
+    # Sum after rescaling both rays to the common last coordinate y1·y2, so
+    # the witness agrees with the monic normalization of the boundary classes;
     # plain ray sum when that rescaling is undefined.
     if image_ray.y > 0 and balanced_ray.y > 0:
-        m = lcm(image_ray.y, balanced_ray.y)
-        v = (
-            image_ray.x * (m // image_ray.y) + balanced_ray.x * (m // balanced_ray.y),
-            2 * m,
-        )
+        v = (image_ray.x * balanced_ray.y + balanced_ray.x * image_ray.y,
+             2 * image_ray.y * balanced_ray.y)
     else:
         v = (image_ray.x + balanced_ray.x, image_ray.y + balanced_ray.y)
     return ray_normalize(v)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import balcone
+from balcone import cli
 from balcone.cli import main
 from balcone.scenario_io import DEMO_SCENARIO_JSON
 
@@ -298,6 +299,43 @@ class TestCommands:
         code, out, _ = run(capsys, "pairing")
         assert code == 0
         assert "\x1b[" not in out
+
+
+_ERROR_CASES = [
+    pytest.param(["demo", "--scenario", "{tmp}/missing.json"], 3, "scenario error", id="scenario"),
+    pytest.param(["intersect", "γ", "β", "β"], 2, "usage error", id="unknown-name"),
+    pytest.param(["dual", "--rays", "1,0", "2,0"], 3, "validation error", id="validation"),
+    pytest.param(["intersect", "α", "β"], 4, "computation error", id="computation"),
+    pytest.param(["demo", "--out", "{tmp}"], 4, "i/o error", id="io"),
+]
+
+
+@pytest.mark.parametrize("argv, status, label", _ERROR_CASES)
+def test_each_handled_error_has_its_status_and_label(capsys, tmp_path, argv, status, label):
+    """The exit status, the stderr label and an empty stdout of each handled error."""
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (status, "")
+    assert err.startswith(f"{label}: ")
+
+
+def test_error_cases_cover_the_error_table():
+    assert sorted(case.values[1:] for case in _ERROR_CASES) == \
+        sorted((status, label) for label, status in cli.EXIT_STATUS.values())
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """The parser is built on the first call to main and reused after it."""
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "pairing")[0] == 0
+        assert run(capsys, "demo", "--format", "json")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls == [1]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_cli_import_leaves_rendering_modules_unloaded():

@@ -40,6 +40,13 @@ class TestConstruction:
         assert ci.dim == 2
         assert fundamental_class(ci) == one(ci.space)
 
+    def test_equal_only_to_an_intersection(self, quintic_ci):
+        """A plain (space, divisors) pair holds the same data but is not an intersection."""
+        plain = (quintic_ci.space, quintic_ci.divisors)
+        assert quintic_ci.__eq__(plain) is NotImplemented
+        assert (quintic_ci == plain) is False
+        assert quintic_ci == CompleteIntersection(AmbientSpace([4, 1]), [(1, 1), (4, 1)])
+
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
             CompleteIntersection(AmbientSpace([4, 1]), [(1, 0)] * 5)
