@@ -5,8 +5,9 @@
 
 A record holds the git SHA and Python version of the run, the host reference
 time of ``bench/hostref.py`` measured now, and per benchmark the median, IQR
-(both in µs) and rounds, and the median scaled by ``hostref.REFERENCE_MS`` over
-that reference time.  Compare two records from one session.
+(both in µs) and rounds, the median scaled by ``hostref.REFERENCE_MS`` over
+that reference time, and the benchmark's ``extra_info`` (such as a stage's RSS
+growth).  Compare two records from one session.
 """
 
 import json
@@ -33,7 +34,8 @@ record = {
     "dirty": run["commit_info"].get("dirty"),
     "python": run["machine_info"]["python_version"],
     "hostref_ms": round(reference, 4),
-    "benchmarks": {b["fullname"].split("::")[-1]: _entry(b["stats"]) for b in run["benchmarks"]},
+    "benchmarks": {b["fullname"].split("::")[-1]: {**_entry(b["stats"]), **b["extra_info"]}
+                   for b in run["benchmarks"]},
 }
 runs = json.loads(out.read_text())["runs"] if out.exists() else []
 out.write_text(json.dumps({"runs": runs + [record]}, indent=1, ensure_ascii=False) + "\n")

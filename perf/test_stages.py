@@ -4,14 +4,22 @@ Seven scenarios: the quintic conifold, P^n × P^1 cut by (1,1) and (n,1) for
 n = 16 and 100, (P^2)^5 cut by five divisors (1,…,1), (P^1)^9 and (P^1)^16
 cut by five and eight divisors (1,…,1), and P^13 × P^1 cut by the twelve
 distinct divisors (k,1), k = 1…12, where κ's pass starts from the fundamental
-class (2^12 x-states against F's two terms per degree).  ``perf/`` is outside
-the tier-1 ``testpaths``; run it with
+class (2^12 x-states against F's two terms per degree).  One more stage runs
+a fixed number of commands in a fresh interpreter and records its peak-RSS
+growth in ``extra_info``, a memory figure that does not follow how many ops a
+time budget completes.  ``perf/`` is outside the tier-1 ``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
     python -m pytest perf -q --benchmark-disable        # each stage once, as a test
 
 and reduce ``run.json`` with ``perf/reduce.py``.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +132,48 @@ def test_cone_from_int_pairs(benchmark, sc):
 def test_class_labels(benchmark, sc):
     rays = [*sc.gap.image_closure, *sc.gap.balanced_cone]
     benchmark(lambda: [format_class_label(r, sc.codim_names) for r in rays])
+
+
+RSS_OPS = 2000
+RSS_SCENARIOS = ("quintic", "pn16", "p2x5")
+RSS_ARGVS = (["demo", "--format", "json"], ["demo"], ["render"], ["gap"], ["image"], ["pairing"])
+# Reads the scenario texts and argvs from stdin; prints the peak RSS (KB) after one
+# warm-up round of every op and again after n ops, each parse → run_command → writer.
+# The peak is Linux's VmHWM, not ru_maxrss: a spawned child's ru_maxrss starts at the
+# peak RSS of the process that spawned it, so under pytest it hid 2 MB held by 2000 ops.
+_RSS_SCRIPT = """
+import json, sys
+from balcone import cli, report
+from balcone.scenario_io import parse_scenario
+from balcone.svg import render_cone_diagram
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+texts, argvs, n = json.load(sys.stdin)
+ops = [(t, cli.build_parser().parse_args(a)) for t in texts for a in argvs]
+write = {"json": report.render_json, "svg": render_cone_diagram,
+         "text": lambda payload: report.render_text(payload, color=False)}
+def op(text, args):
+    write[args.format](cli.run_command(parse_scenario(text), args))
+for text, args in ops:
+    op(text, args)
+before = peak_kb()
+for i in range(n):
+    op(*ops[i % len(ops)])
+print(json.dumps([before, peak_kb()]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_rss_growth_at_fixed_ops(benchmark):
+    """Peak-RSS growth of RSS_OPS commands in a fresh interpreter after a warm-up."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    request = json.dumps([[SCENARIOS[k] for k in RSS_SCENARIOS], RSS_ARGVS, RSS_OPS])
+
+    def run():
+        out = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], input=request, check=True,
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        return json.loads(out.stdout)
+
+    before, after = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.extra_info.update(ops=RSS_OPS, rss_before_kb=before, rss_growth_kb=after - before)

@@ -22,6 +22,7 @@ the offending node.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -39,26 +40,10 @@ _H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
 # A JSON string, or a JSON number: its integer digits, then its fraction and exponent.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
-DEMO_SCENARIO_DOCUMENT = {
-    "ambient": [4, 1],
-    "divisors": [[1, 1], [4, 1]],
-    "h11_basis": [
-        {"name": "α", "multidegree": [0, 1]},
-        {"name": "β", "multidegree": [1, 0]},
-    ],
-    "codim_basis": [
-        {"name": "α∧β", "expr": "α*β"},
-        {"name": "β∧β", "expr": "β*β"},
-    ],
-    "kahler_cone": [[1, 0], [0, 1]],
-    "effective_cone": [[1, 0], [-1, 1]],
-    "prime_divisors": [
-        {"name": "E1", "coords": [-1, 1]},
-        {"name": "E2", "coords": [-1, 4]},
-    ],
-}
-
-DEMO_SCENARIO_JSON = render_json(DEMO_SCENARIO_DOCUMENT)
+# The built-in scenario is the document shipped beside this module, its one copy.
+with open(os.path.join(os.path.dirname(__file__), "quintic_conifold.json"), encoding="utf-8") as _f:
+    DEMO_SCENARIO_JSON = _f.read()
+DEMO_SCENARIO_DOCUMENT = json.loads(DEMO_SCENARIO_JSON)
 
 
 def _too_long() -> str:
@@ -216,10 +201,10 @@ def quintic_conifold_scenario() -> Scenario:
     (1,1) and (4,1).  The degree-1 basis is (α, β) with α pulled back from
     P^1 and β from P^4; the degree-2 basis is (α∧β, β∧β).  The Kähler cone
     is the coordinate quadrant and the effective cone is spanned by α and
-    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.  Built
-    from ``DEMO_SCENARIO_DOCUMENT``, the one copy of this data.
+    β−α, with the prime divisors E1 = β−α and E2 = 4β−α recorded.  Read
+    from the shipped ``quintic_conifold.json`` as any ``--scenario`` file is.
     """
-    return document_to_scenario(DEMO_SCENARIO_DOCUMENT)
+    return parse_scenario(DEMO_SCENARIO_JSON)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -3,7 +3,8 @@
 Each draw changes one or two values of the shipped document: it drops a key or a
 list entry, or puts a value of another type, a bool, a negative or a 10^30-sized
 integer, an empty list or string, an odd Unicode name or an odd ``expr`` in its
-place.  No draw adds a factor or a divisor, so no draw asks for a large κ.
+place, or n nested lists, n ∈ {2, 50, 900, 5000, 10^5}, written into the JSON
+text.  No draw adds a factor or a divisor, so no draw asks for a large κ.
 """
 
 import contextlib
@@ -36,6 +37,10 @@ _PATHS = [path for path, _ in _paths(DEMO_SCENARIO_DOCUMENT)]
 _LEAVES = [path for path, value in _paths(DEMO_SCENARIO_DOCUMENT)
            if not isinstance(value, (list, dict)) and path[0] != "ambient"]
 _DROP = object()
+# Stands for n nested lists in the document; the test writes them into the JSON text,
+# where json.dumps would recurse n deep.
+_DEEP = "<nested lists>"
+_DEPTHS = st.sampled_from((2, 50, 900, 5000, 10**5))
 # The first entries are accepted where a name or an expr is due, the rest mostly not.
 _NAMES = st.sampled_from((
     "γ", "Ⅻ", "ß", "ǅ", "٣", "\U0001f600", "α", "β", "ALPHA", "Alpha", "α∧β", "e1", "E2",
@@ -57,16 +62,22 @@ _VALUES = st.one_of(
 
 
 @st.composite
-def _mutated_documents(draw):
+def _mutated_texts(draw):
+    """JSON text of the shipped document with one or two values changed."""
     doc = json.loads(json.dumps(DEMO_SCENARIO_DOCUMENT))
+    depth = 0
     for _ in range(draw(st.integers(1, 2))):
-        if not draw(st.booleans()):
+        kind = draw(st.sampled_from(("slot", "any", "deep")))
+        if kind == "slot":
             # A value of the slot's own kind, so that many draws reach the computation.
             *head, last = draw(st.sampled_from(_LEAVES))
             value = draw({"name": _NAMES, "expr": _EXPRS}.get(last, _SMALL))
         else:
             *head, last = draw(st.sampled_from(_PATHS))
-            value = draw(st.one_of(_VALUES, st.just(_DROP)))
+            if kind == "deep":
+                value, depth = _DEEP, draw(_DEPTHS)  # a second deep value takes this depth too
+            else:
+                value = draw(st.one_of(_VALUES, st.just(_DROP)))
         node = doc
         try:
             for key in head:
@@ -77,14 +88,17 @@ def _mutated_documents(draw):
                 node[last] = value
         except (KeyError, IndexError, TypeError):  # an earlier change removed the path
             pass
-    return doc
+    text = json.dumps(doc)
+    if _DEEP in text:
+        event(f"nesting {depth}")
+    return text.replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
 
 
-@settings(max_examples=40)
-@given(_mutated_documents())
-def test_no_command_crashes_on_a_mutated_document(tmp_path_factory, doc):
+@settings(max_examples=80)
+@given(_mutated_texts())
+def test_no_command_crashes_on_a_mutated_document(tmp_path_factory, text):
     scenario = tmp_path_factory.getbasetemp() / "fuzz-scenario.json"
-    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    scenario.write_text(text, encoding="utf-8")
     for argv in _ARGVS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
