@@ -7,7 +7,9 @@ distinct divisors (k,1), k = 1…12, where κ's pass starts from the fundamental
 class (2^12 x-states against F's two terms per degree).  One more stage runs
 a fixed number of commands in a fresh interpreter and records its peak-RSS
 growth in ``extra_info``, a memory figure that does not follow how many ops a
-time budget completes.  ``perf/`` is outside the tier-1 ``testpaths``; run it with
+time budget completes, and two more time ``python -m balcone demo`` and
+``render`` end to end in fresh interpreters.  ``perf/`` is outside the tier-1
+``testpaths``; run it with
 
     python -m pytest perf --benchmark-json=run.json    # timed
     python -m pytest perf -q --benchmark-disable        # each stage once, as a test
@@ -177,3 +179,25 @@ def test_rss_growth_at_fixed_ops(benchmark):
 
     before, after = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(ops=RSS_OPS, rss_before_kb=before, rss_growth_kb=after - before)
+
+
+CLI_OUTPUTS = {"demo": lambda sc: render_text(demo_payload(sc), color=False),
+               "render": lambda sc: render_cone_diagram(gap_payload(sc))}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OUTPUTS))
+def test_cli_end_to_end(benchmark, command):
+    """``python -m balcone <command>`` on the built-in quintic in a fresh interpreter:
+    start-up, imports, parse, the command and its write to stdout.  One warm-up run
+    writes the bytecode first, and stdout must equal the in-process output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "balcone", command]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+
+    def run():
+        return subprocess.run(argv, capture_output=True, encoding="utf-8", env=env)
+
+    run()
+    out = benchmark(run)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == CLI_OUTPUTS[command](parse_scenario(DEMO_SCENARIO_JSON))

@@ -28,6 +28,7 @@ multidegrees, and the constructor takes the smaller.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, compress
 from math import comb, factorial, perm, prod
@@ -81,14 +82,19 @@ def _buckets(poly, field):
     return out
 
 
-class CompleteIntersection:
-    """Intersection of divisors of the given multidegrees in an ambient product."""
+class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors")):
+    """Intersection of divisors of the given multidegrees in an ambient product, and the pair
+    ``(space, divisors)`` it compares, hashes and prints as.  Its dimension and κ's pass plan
+    are kept beside that tuple, and it refuses attribute assignment."""
 
-    __slots__ = ("space", "divisors", "dim", "_fundamental", "_columns", "_yshift", "_top",
-                 "_scale")
+    # namedtuple's _replace builds through _make, which would skip the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __init__(self, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
-        divisors = tuple([check_multidegree(space, d) for d in divisors])
+    def __new__(cls, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
+        return super().__new__(cls, space, tuple([check_multidegree(space, d) for d in divisors]))
+
+    def __init__(self, space, divisors):
+        space, divisors = self  # as validated by __new__
         dim = sum(space) - len(divisors)
         if dim < 1:
             raise ValidationError(
@@ -99,35 +105,32 @@ class CompleteIntersection:
         for d in divisors:
             groups[d] = groups.get(d, 0) + 1
         ms = [*groups.values()]
-        self.space = space
-        self.divisors = divisors
-        self.dim = dim
         # x-powers keep up to ∏(m_g+1)·(dim+1) states, F at most W terms in each degree
         # it is built through; take the smaller bound, the x-powers on a tie.
         if _widest(space, len(divisors)) < prod([m + 1 for m in ms]):
-            fields, self._yshift = _fields(space)  # one field per factor, e_i ≤ n_i
-            poly = {0: 1}
+            fields, yshift = _fields(space)  # one field per factor, e_i ≤ n_i
+            fundamental = {0: 1}
             for d in divisors:
-                poly = _times_linear(poly, [(x, *f) for x, f in zip(d, fields) if x])
-            self._fundamental = poly
+                fundamental = _times_linear(fundamental, [(x, *f) for x, f in zip(d, fields) if x])
             # a column per factor, its X^p F's terms with e_i = p ≤ r; the pass clears every
             # field, so the x part of x^m's code is 0
-            self._columns = [(f, len(divisors), (i,)) for i, f in enumerate(fields)]
-            self._scale, top = 1, 0
+            columns = [(f, len(divisors), (i,)) for i, f in enumerate(fields)]
+            scale, top = 1, 0
         else:
-            self._fundamental = None
-            fields, self._yshift = _fields(ms)  # y, then w = y + z, sit above the x fields
-            columns = {}  # d_(g,i) -> the factors i with that column
+            fundamental = None
+            fields, yshift = _fields(ms)  # y, then w = y + z, sit above the x fields
+            shared = {}  # d_(g,i) -> the factors i with that column
             for i, column in enumerate(zip(*groups) if groups else [()] * len(space)):
-                columns.setdefault(column, []).append(i)
+                shared.setdefault(column, []).append(i)
             # Per column, the terms of X = Σ_g d_(g,i)·x_g for _times_linear, and cap: the
             # most the x's can take on one of its factors, past which X^p is empty.
-            self._columns = [([(d, *f) for d, f in zip(column, fields) if d],
-                              sum(compress(ms, column)), factors)
-                             for column, factors in columns.items()]
-            self._scale, top = prod(map(factorial, ms)), sum([f[2] for f in fields])
+            columns = [([(d, *f) for d, f in zip(column, fields) if d],
+                        sum(compress(ms, column)), factors)
+                       for column, factors in shared.items()]
+            scale, top = prod(map(factorial, ms)), sum([f[2] for f in fields])
         # the code of x^m, y = 0, w = dim: ∫F·H^dim's, and κ_j's at j << yshift above it
-        self._top = top + (dim << self._yshift + dim.bit_length())
+        vars(self).update(dim=dim, _fundamental=fundamental, _columns=columns, _yshift=yshift,
+                          _scale=scale, _top=top + (dim << yshift + dim.bit_length()))
         # Every coefficient is non-negative, so F is zero exactly when x^m is missing from
         # the pass for ∫F·H^dim, H = Σh_i: a = 0, b = (1,…,1); a pass from F is empty when
         # F is.  Divisors with no zero entry meet every factor, and r < Σn_i slots take them.
@@ -136,6 +139,11 @@ class CompleteIntersection:
         raise ValidationError(
             "divisor classes annihilate the ambient ring (zero fundamental class)"
         )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CompleteIntersection is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def _pass(self, a, b):
         """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x, y, w), w ≤ dim; x the fields
@@ -202,14 +210,3 @@ class CompleteIntersection:
         factorials = list(accumulate(range(1, dim + 1), mul, initial=1))  # j!, j = 0..dim
         return tuple([poly.pop(self._top + (j << yshift), 0) * self._scale * f
                       * factorials[-1 - j] // denominator for j, f in enumerate(factorials)])
-
-    def __eq__(self, other):
-        if not isinstance(other, CompleteIntersection):
-            return NotImplemented
-        return self.space == other.space and self.divisors == other.divisors
-
-    def __hash__(self):
-        return hash((self.space, self.divisors))
-
-    def __repr__(self):
-        return f"CompleteIntersection({self.space!r}, {list(self.divisors)})"

@@ -18,6 +18,8 @@ from balcone.cones import (
     ray_normalize,
 )
 from balcone.errors import DegeneratePairingError, ValidationError
+from balcone.ring import AmbientSpace
+from balcone.variety import CompleteIntersection
 
 from _helpers import nonneg_combination, random_cone, random_pairing
 
@@ -62,7 +64,7 @@ class TestRay:
 
 
 class TestValueSemantics:
-    """Rays, cones and pairings are the tuples they validate."""
+    """Rays, cones, pairings and complete intersections are the tuples they validate."""
 
     @pytest.mark.parametrize(
         "value, pair, text",
@@ -72,8 +74,11 @@ class TestValueSemantics:
             (QUINTIC_PAIRING, ((0, 4), (4, 5)), "Pairing(((0, 4), (4, 5)))"),
             (Pairing(((Fraction(-1, 4), 1), (1, 0))), ((Fraction(-1, 4), 1), (1, 0)),
              "Pairing(((-1/4, 1), (1, 0)))"),
+            (CompleteIntersection(AmbientSpace([4, 1]), [[1, 1], [4, 1]]),
+             ((4, 1), ((1, 1), (4, 1))),
+             "CompleteIntersection(space=AmbientSpace([4, 1]), divisors=((1, 1), (4, 1)))"),
         ],
-        ids=["Ray", "Cone2D", "Pairing", "Pairing-fraction"],
+        ids=["Ray", "Cone2D", "Pairing", "Pairing-fraction", "CompleteIntersection"],
     )
     def test_is_its_tuple(self, value, pair, text):
         assert value == pair and hash(value) == hash(pair)

@@ -96,6 +96,19 @@ class TestScenario:
             delattr(sc, name)
         assert getattr(sc, name) is before
 
+    @pytest.mark.parametrize("name", ["space", "divisors", "dim"])
+    def test_immutable_all_the_way_down(self, name):
+        """The intersection a scenario holds refuses assignment too, so neither the
+        scenario's hash nor its κ can drift from the datum it was built from."""
+        sc = quintic_conifold_scenario()
+        before = hash(sc)
+        with pytest.raises(AttributeError):
+            setattr(sc.ci, name, ((1, 1), (5, 1)))
+        with pytest.raises(AttributeError):
+            delattr(sc.ci, name)
+        assert sc.ci == ((4, 1), ((1, 1), (4, 1))) and sc.ci.dim == 3
+        assert hash(sc) == before and sc.kappa == (5, 4, 0, 0)
+
     def test_copies_keep_derived_data(self):
         sc = quintic_conifold_scenario()
         report = sc.gap

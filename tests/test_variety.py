@@ -9,7 +9,7 @@ from balcone.pipeline import Scenario
 from balcone.ring import AmbientSpace
 from balcone.variety import CompleteIntersection
 
-from _helpers import random_fraction
+from _helpers import finite_difference_kappa, random_fraction
 from _ring_oracle import (
     RingClass,
     divisor_class,
@@ -40,12 +40,20 @@ class TestConstruction:
         assert ci.dim == 2
         assert fundamental_class(ci) == one(ci.space)
 
-    def test_equal_only_to_an_intersection(self, quintic_ci):
-        """A plain (space, divisors) pair holds the same data but is not an intersection."""
-        plain = (quintic_ci.space, quintic_ci.divisors)
-        assert quintic_ci.__eq__(plain) is NotImplemented
-        assert (quintic_ci == plain) is False
-        assert quintic_ci == CompleteIntersection(AmbientSpace([4, 1]), [(1, 1), (4, 1)])
+    @pytest.mark.parametrize("divisors", [[(2, 1)], [(0, 1), (1, 1), (1, 0), (2, 0)]],
+                             ids=["x-powers", "fundamental"])
+    def test_replace_revalidates(self, quintic_ci, divisors):
+        """``_replace`` builds a new intersection: its checks, and a pass plan of its own
+        from either side, whose κ the finite difference confirms."""
+        with pytest.raises(ValidationError, match="length"):
+            quintic_ci._replace(divisors=[(1, 1, 0)])
+        with pytest.raises(ValidationError, match="annihilate"):
+            quintic_ci._replace(divisors=[(0, 1), (0, 1)])
+        twin = quintic_ci._replace(divisors=divisors)
+        assert twin == (quintic_ci.space, tuple(divisors)) and twin.dim == 5 - len(divisors)
+        assert (twin._fundamental is None) is (len(divisors) == 1)
+        for a, b in [((0, 1), (1, 0)), ((2, 3), (1, 1))]:
+            assert twin.kappa(a, b) == finite_difference_kappa(twin.space, divisors, a, b)
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
