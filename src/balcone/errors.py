@@ -37,6 +37,11 @@ def _located(path, build, *args):
         raise ScenarioError(str(e), path=path) from e
 
 
+def _immutable(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the records that refuse attribute assignment."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class ComputationError(GeometryError):
     """A well-formed request that cannot be computed on the given values."""
 

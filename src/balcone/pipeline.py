@@ -28,7 +28,7 @@ from math import comb, lcm
 
 from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
-                     ValidationError, _located)
+                     ValidationError, _immutable, _located)
 from .ring import check_multidegree
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -109,10 +109,7 @@ class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names
                                 path="/") from None
         return self
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Scenario is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     @cached_property
     def gap(self) -> GapReport:

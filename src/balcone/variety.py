@@ -34,7 +34,7 @@ from itertools import accumulate, compress
 from math import comb, factorial, perm, prod
 from operator import itemgetter, mul
 
-from .errors import ValidationError
+from .errors import ValidationError, _immutable
 from .ring import AmbientSpace, check_multidegree
 
 
@@ -140,10 +140,7 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors"))
             "divisor classes annihilate the ambient ring (zero fundamental class)"
         )
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"CompleteIntersection is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     def _pass(self, a, b):
         """∏_i ℓ_i^(n_i) as a code -> coefficient dict over (x, y, w), w ≤ dim; x the fields
