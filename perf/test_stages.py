@@ -32,9 +32,10 @@ from balcone.pipeline import (
     balanced_image_closure,
     gap_report,
     integrate_forms,
+    parse_class_expr,
 )
 from balcone.report import demo_payload, format_class_label, gap_payload, render_json, render_text
-from balcone.scenario_io import DEMO_SCENARIO_JSON, parse_class_expr, parse_scenario
+from balcone.scenario_io import DEMO_SCENARIO_JSON, parse_scenario
 from balcone.svg import render_cone_diagram
 from balcone.variety import CompleteIntersection
 
@@ -83,7 +84,7 @@ def test_parse_and_build(benchmark, text):
 
 
 def test_build(benchmark, sc):
-    benchmark(CompleteIntersection, sc.ci.space, sc.ci.divisors)  # the plan and zero check
+    benchmark(CompleteIntersection, sc.space, sc.divisors)  # the plan and zero check
 
 
 def test_class_exprs(benchmark, sc):

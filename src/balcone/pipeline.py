@@ -20,6 +20,8 @@ share the report, while :func:`gap_report` still computes it from scratch.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -29,9 +31,13 @@ from math import comb, lcm
 from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
                      ValidationError, _immutable, _located)
-from .ring import check_multidegree
+from .ring import AmbientSpace, check_multidegree
+from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
+_NUMBER = re.compile(r"\d+(?:/\d+)?")
+# An h11 name is one expr factor: no whitespace or arithmetic sign, no leading digit.
+_H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
 _TRANSLIT = str.maketrans({"α": "alpha", "β": "beta", "γ": "gamma", "δ": "delta", "∧": "*",
                            "−": "-", "·": "*", "×": "*", " ": None, "\t": None})
 
@@ -58,52 +64,110 @@ def _product(f, g):
     return out
 
 
-class Scenario(namedtuple("Scenario", "ci h11_names h11_multidegrees codim_names codim_forms "
-                            "kahler_cone effective_cone prime_divisors codim_exprs",
-                            defaults=((), None))):
-    """Input datum for the cone pipeline; immutable after validation.
+def _too_long() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"number has more than {limit} digits, the limit for reading an integer"
 
-    It compares, hashes and prints as the tuple of its nine inputs.  κ and the
-    pairing are computed from them at construction and kept beside the tuple.
+
+def parse_class_expr(expr, names, path="expr"):
+    """Binary form of a combination like ``"β*β - 1/4*α*β"`` of h11 names.
+
+    Entry j is the coefficient of h1^j h2^(d−j), d the degree shared by all
+    terms; ``names[0]`` is h1 and any other name h2.  No name or number holds
+    a sign, so the signs split the terms and ``*`` splits each term's factors.
+    """
+    if not isinstance(expr, str) or not expr.strip():
+        raise ScenarioError("expected a non-empty expression string", path=path)
+    parts = re.split(r"([+-])", expr if expr.lstrip()[0] in "+-" else "+" + expr)
+    terms = []  # (degree, power of h1, coefficient)
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        coeff, degree, j = Fraction(1 if sign == "+" else -1), 0, 0
+        for factor in map(str.strip, term.split("*")):
+            if factor in names:
+                degree += 1
+                j += factor == names[0]
+            elif _NUMBER.fullmatch(factor):
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ScenarioError(f"zero denominator in {factor!r}", path=path) from None
+                except ValueError:  # more digits than int's string conversion allows
+                    raise ScenarioError(_too_long(), path=path) from None
+            elif not factor:
+                raise ScenarioError("expected a name or number", path=path)
+            elif _H11_NAME.fullmatch(factor):
+                raise ScenarioError(f"unknown class name {factor!r}", path=path)
+            else:
+                raise ScenarioError(f"cannot tokenize {factor!r}", path=path)
+        terms.append((degree, j, coeff))
+    degrees = sorted({t[0] for t in terms})
+    if len(degrees) > 1:
+        raise ScenarioError(f"terms must share one degree, got degrees {degrees}", path=path)
+    form = [Fraction(0)] * (degrees[0] + 1)
+    for _, j, coeff in terms:
+        form[j] += coeff
+    return tuple(form)
+
+
+class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees codim_names "
+                            "codim_exprs kahler_cone effective_cone prime_divisors",
+                            defaults=((),))):
+    """Input datum for the cone pipeline: the tuple of its document's keys, immutable.
+
+    It compares, hashes and prints as that tuple of nine inputs.  The intersection
+    ``ci``, the codim forms parsed from the exprs, κ and the pairing are computed from
+    them at construction and kept beside the tuple.
     """
 
     # namedtuple's _replace builds through _make, which would skip the checks.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
-        # The fields are the document's keys, so each refusal names the path it reads.
-        self = super().__new__(cls, *args, **kwargs)
-        dim = self.ci.dim
-        if len(self.h11_names) != 2 or len(self.h11_multidegrees) != 2:
-            raise ScenarioError("scenario needs exactly two degree-1 basis classes",
-                                path="/h11_basis")
-        if len(self.codim_names) != 2 or len(self.codim_forms) != 2:
-            raise ScenarioError(f"scenario needs exactly two degree-{dim - 1} basis classes",
-                                path="/codim_basis")
+        # The fields are the document's keys, so each refusal names the path it reads.  Each
+        # rule is checked once, the cheap ones first, and the intersection is built last.
+        (space, divisors, h11_names, h11_multidegrees, codim_names, codim_exprs, kahler,
+         effective, primes) = super().__new__(cls, *args, **kwargs)
+        # tuples throughout, whatever sequences the caller passes: lists would not hash
+        h11_names, codim_names = tuple(h11_names), tuple(codim_names)
+        codim_exprs, primes = tuple(codim_exprs), tuple([(n, tuple(c)) for n, c in primes])
+        # Count both bases before parsing any expr: it would read a third h11 name as h2.
+        for key, n, m in (("h11_basis", len(h11_names), len(h11_multidegrees)),
+                          ("codim_basis", len(codim_names), len(codim_exprs))):
+            if n != 2 or m != 2:
+                raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
+        for i, name in enumerate(h11_names):
+            if not _H11_NAME.fullmatch(name):
+                raise ScenarioError(
+                    "h11 names may not start with a digit or contain whitespace or + - * /",
+                    path=f"/h11_basis/{i}/name",
+                )
         seen = {}
-        for key, names in (("h11_basis", self.h11_names), ("codim_basis", self.codim_names)):
+        for key, names in (("h11_basis", h11_names), ("codim_basis", codim_names)):
             for i, name in enumerate(names):
                 _refuse_repeat(seen, name, f"/{key}/{i}")
         seen = {}  # a prime divisor may share a basis class's name
-        for i, (name, _) in enumerate(self.prime_divisors):
+        for i, (name, _) in enumerate(primes):
             _refuse_repeat(seen, name, f"/prime_divisors/{i}")
+        space = _located("/ambient", AmbientSpace, space)
         multidegrees = []
-        for i, h in enumerate(self.h11_multidegrees):
+        for i, h in enumerate(h11_multidegrees):
             path = f"/h11_basis/{i}/multidegree"
-            multidegrees.append(h := _located(path, check_multidegree, self.ci.space, h))
+            multidegrees.append(h := _located(path, check_multidegree, space, h))
             if not any(h):
                 raise ScenarioError(f"row class {i} must have degree 1", path=path)
-        if self.h11_multidegrees != (multidegrees := tuple(multidegrees)):
-            # keep the tuples check_multidegree returns: lists would not hash or compare equal
-            self = super().__new__(cls, self.ci, self.h11_names, multidegrees, *self[3:])
-        for j, c in enumerate(self.codim_forms):
-            if len(c) != dim:
-                raise ScenarioError(f"column class {j} must have degree {dim - 1}, "
+        codim_forms = tuple([parse_class_expr(e, h11_names, path=f"/codim_basis/{j}/expr")
+                             for j, e in enumerate(codim_exprs)])
+        ci = _located("/divisors", CompleteIntersection, space, divisors)
+        for j, c in enumerate(codim_forms):
+            if len(c) != ci.dim:
+                raise ScenarioError(f"column class {j} must have degree {ci.dim - 1}, "
                                     f"got {len(c) - 1}", path=f"/codim_basis/{j}/expr")
-        vars(self)["kappa"] = self.ci.kappa(*self.h11_multidegrees)
+        self = super().__new__(cls, space, ci.divisors, h11_names, tuple(multidegrees),
+                               codim_names, codim_exprs, kahler, effective, primes)
+        vars(self).update(ci=ci, codim_forms=codim_forms, kappa=ci.kappa(*multidegrees))
         try:
             vars(self)["pairing_matrix"] = Pairing(
-                [[integrate_forms(self, (h, c)) for c in self.codim_forms] for h in H11_FORMS])
+                [[integrate_forms(self, (h, c)) for c in codim_forms] for h in H11_FORMS])
         except DegeneratePairingError:
             raise ScenarioError("intersection pairing of the chosen bases is degenerate",
                                 path="/") from None

@@ -90,8 +90,8 @@ def _cone_section(cone: Cone2D, names) -> dict:
 
 def scenario_summary(sc: Scenario) -> dict:
     return {
-        "ambient": list(sc.ci.space),
-        "divisors": [list(d) for d in sc.ci.divisors],
+        "ambient": list(sc.space),
+        "divisors": [list(d) for d in sc.divisors],
         "dim": sc.ci.dim,
         "h11_basis": list(sc.h11_names),
         "codim_basis": list(sc.codim_names),

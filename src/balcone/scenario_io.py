@@ -25,30 +25,19 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .cones import Cone2D
-from .errors import ScenarioError, ValidationError, _located
-from .pipeline import Scenario, _refuse_repeat
+from .errors import ScenarioError, _located
+from .pipeline import Scenario, _too_long
 from .report import render_json, scenario_summary
 from .ring import AmbientSpace, check_multidegree
-from .variety import CompleteIntersection
 
-_NUMBER = re.compile(r"\d+(?:/\d+)?")
-# An h11 name is one expr factor: no whitespace or arithmetic sign, no leading digit.
-_H11_NAME = re.compile(r"[^\s\d+\-*/][^\s+\-*/]*")
 # A JSON string, or a JSON number: its integer digits, then its fraction and exponent.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 # The built-in scenario is the document shipped beside this module, its one copy.
 with open(os.path.join(os.path.dirname(__file__), "quintic_conifold.json"), encoding="utf-8") as _f:
     DEMO_SCENARIO_JSON = _f.read()
-DEMO_SCENARIO_DOCUMENT = json.loads(DEMO_SCENARIO_JSON)
-
-
-def _too_long() -> str:
-    limit = sys.get_int_max_str_digits()
-    return f"number has more than {limit} digits, the limit for reading an integer"
 
 
 def _require(doc, key, path):
@@ -97,48 +86,9 @@ def _named_entries(doc, key, value_key):
     return out
 
 
-def parse_class_expr(expr, names, path="expr"):
-    """Binary form of a combination like ``"β*β - 1/4*α*β"`` of h11 names.
-
-    Entry j is the coefficient of h1^j h2^(d−j), d the degree shared by all
-    terms; ``names[0]`` is h1 and any other name h2.  No name or number holds
-    a sign, so the signs split the terms and ``*`` splits each term's factors.
-    """
-    if not isinstance(expr, str) or not expr.strip():
-        raise ScenarioError("expected a non-empty expression string", path=path)
-    parts = re.split(r"([+-])", expr if expr.lstrip()[0] in "+-" else "+" + expr)
-    terms = []  # (degree, power of h1, coefficient)
-    for sign, term in zip(parts[1::2], parts[2::2]):
-        coeff, degree, j = Fraction(1 if sign == "+" else -1), 0, 0
-        for factor in map(str.strip, term.split("*")):
-            if factor in names:
-                degree += 1
-                j += factor == names[0]
-            elif _NUMBER.fullmatch(factor):
-                try:
-                    coeff *= Fraction(factor)
-                except ZeroDivisionError:
-                    raise ScenarioError(f"zero denominator in {factor!r}", path=path) from None
-                except ValueError:  # more digits than int's string conversion allows
-                    raise ScenarioError(_too_long(), path=path) from None
-            elif not factor:
-                raise ScenarioError("expected a name or number", path=path)
-            elif _H11_NAME.fullmatch(factor):
-                raise ScenarioError(f"unknown class name {factor!r}", path=path)
-            else:
-                raise ScenarioError(f"cannot tokenize {factor!r}", path=path)
-        terms.append((degree, j, coeff))
-    degrees = sorted({t[0] for t in terms})
-    if len(degrees) > 1:
-        raise ScenarioError(f"terms must share one degree, got degrees {degrees}", path=path)
-    form = [Fraction(0)] * (degrees[0] + 1)
-    for _, j, coeff in terms:
-        form[j] += coeff
-    return tuple(form)
-
-
 def document_to_scenario(doc) -> Scenario:
-    """Validated scenario from a decoded JSON document; ``Scenario`` checks the two bases."""
+    """Validated scenario from a decoded JSON document: the reader checks each key's JSON
+    types, and ``Scenario`` every other rule."""
     if not isinstance(doc, dict):
         raise ScenarioError("document must be a JSON object", path="/")
 
@@ -152,25 +102,9 @@ def document_to_scenario(doc) -> Scenario:
         for i, d in enumerate(raw_divisors)
     ]
 
-    h11_names, h11_multidegrees, seen = [], [], {}
-    for name, raw, here in _named_entries(doc, "h11_basis", "multidegree"):
-        if not _H11_NAME.fullmatch(name):
-            raise ScenarioError(
-                "h11 names may not start with a digit or contain whitespace or + - * /",
-                path=f"{here}/name",
-            )
-        # ``Scenario`` refuses repeated names too, but only after the exprs are read; with the
-        # same h11 name twice no expr could name h2, and that would be the error reported.
-        _refuse_repeat(seen, name, here)
-        h11_multidegrees.append(tuple(_int_list(raw, f"{here}/multidegree")))
-        h11_names.append(name)
-
-    # Count both bases before parsing any expr: it would read a third h11 name as h2.
+    h11 = [(name, _int_list(raw, f"{here}/multidegree"))
+           for name, raw, here in _named_entries(doc, "h11_basis", "multidegree")]
     codim = _named_entries(doc, "codim_basis", "expr")
-    for key, entries in (("h11_basis", h11_names), ("codim_basis", codim)):
-        if len(entries) != 2:
-            raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
-    codim_forms = [parse_class_expr(raw, h11_names, path=f"{here}/expr") for _, raw, here in codim]
 
     kahler = _cone(_require(doc, "kahler_cone", ""), "/kahler_cone")
     effective = _cone(_require(doc, "effective_cone", ""), "/effective_cone")
@@ -180,17 +114,16 @@ def document_to_scenario(doc) -> Scenario:
         for name, raw, here in _named_entries(doc, "prime_divisors", "coords"):
             primes.append((name, _int_pair(raw, f"{here}/coords")))
 
-    # Built last, so that no refusal of a later key waits for the intersection or its κ.
     return Scenario(
-        ci=_located("/divisors", CompleteIntersection, space, divisors),
-        h11_names=tuple(h11_names),
-        h11_multidegrees=tuple(h11_multidegrees),
-        codim_names=tuple([name for name, _, _ in codim]),
-        codim_forms=tuple(codim_forms),
+        space=space,
+        divisors=divisors,
+        h11_names=[name for name, _ in h11],
+        h11_multidegrees=[d for _, d in h11],
+        codim_names=[name for name, _, _ in codim],
+        codim_exprs=[raw for _, raw, _ in codim],
         kahler_cone=kahler,
         effective_cone=effective,
-        prime_divisors=tuple(primes),
-        codim_exprs=tuple([raw for _, raw, _ in codim]),
+        prime_divisors=primes,
     )
 
 
@@ -227,12 +160,6 @@ def parse_scenario(text: str) -> Scenario:
 
 def scenario_to_document(s: Scenario) -> dict:
     """Document form of a scenario; inverse of :func:`document_to_scenario`."""
-    if s.codim_exprs is None:
-        raise ValidationError("scenario carries no codim basis expressions to serialize")
-    # The document keeps only the exprs: they must read back as the forms the scenario uses.
-    if [parse_class_expr(e, s.h11_names, path=f"/codim_basis/{j}/expr")
-            for j, e in enumerate(s.codim_exprs)] != [tuple(c) for c in s.codim_forms]:
-        raise ValidationError("codim basis expressions do not parse to the codim forms")
     # A report's scenario summary holds the document's keys in order; these four differ.
     doc = scenario_summary(s)
     del doc["dim"]

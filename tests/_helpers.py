@@ -1,5 +1,6 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import json
 import re
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,12 @@ from math import comb, factorial, prod
 from balcone.cones import Cone2D, Pairing, ray_normalize
 from balcone.errors import ComputationError, DegeneratePairingError, ScenarioError, ValidationError
 from balcone.ring import AmbientSpace
+from balcone.scenario_io import DEMO_SCENARIO_JSON
 
 from _ring_oracle import RingClass, express_in_basis, h11_classes, linear_combination
+
+# The shipped document, decoded once for the tests that mutate or compare it.
+DEMO_SCENARIO_DOCUMENT = json.loads(DEMO_SCENARIO_JSON)
 
 
 def random_space(rng, max_total=8, max_factors=3):
@@ -168,7 +173,7 @@ _REFERENCE_TOKEN = re.compile(rf"\s*(\d+(?:/\d+)?|[+\-*]|{_REFERENCE_NAME})")
 
 
 def reference_class_expr(expr, names, path="expr"):
-    """``scenario_io.parse_class_expr`` as a tokenizer and a token-index loop.
+    """``pipeline.parse_class_expr`` as a tokenizer and a token-index loop.
 
     Blanks may precede any token; a term is a sign, then names and numbers
     joined by ``*``; a missing leading sign reads as ``+``.

@@ -14,7 +14,8 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
-from balcone.scenario_io import DEMO_SCENARIO_DOCUMENT
+
+from _helpers import DEMO_SCENARIO_DOCUMENT
 
 # All nine commands; demo and gap also in their other format.
 _ARGVS = (

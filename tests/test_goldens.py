@@ -12,9 +12,8 @@ import hashlib
 import json
 
 from balcone.cli import main
-from balcone.scenario_io import DEMO_SCENARIO_DOCUMENT
 
-from _helpers import pn_document
+from _helpers import DEMO_SCENARIO_DOCUMENT, pn_document
 
 
 def _quintic(**overrides):

@@ -28,7 +28,6 @@ from balcone.pipeline import (
 )
 from balcone.ring import AmbientSpace
 from balcone.scenario_io import (
-    DEMO_SCENARIO_DOCUMENT,
     document_to_scenario,
     parse_scenario,
     scenario_to_document,
@@ -37,7 +36,12 @@ from balcone.scenario_io import (
 from balcone import variety
 from balcone.variety import CompleteIntersection
 
-from _helpers import finite_difference_kappa, pn_document, reference_image_closure
+from _helpers import (
+    DEMO_SCENARIO_DOCUMENT,
+    finite_difference_kappa,
+    pn_document,
+    reference_image_closure,
+)
 from _ring_oracle import (
     divisor_class,
     express_in_basis,

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from balcone import pipeline
 from balcone.cones import Cone2D, Ray, det2, is_subcone
 from balcone.errors import ComputationError, ScenarioError, ValidationError
 from balcone.pipeline import (
@@ -45,26 +46,35 @@ class TestScenario:
 
     def test_is_its_nine_inputs(self):
         sc = quintic_conifold_scenario()
-        # compares and hashes as its inputs; kappa, the pairing and gap sit beside them
+        # compares and hashes as its inputs; ci, the forms, kappa, the pairing and gap
+        # sit beside them
         assert len(sc) == 9 and sc == tuple(sc) and hash(sc) == hash(tuple(sc))
-        assert sc._fields[-2:] == ("prime_divisors", "codim_exprs")
-        assert sorted(vars(sc)) == ["kappa", "pairing_matrix"]
+        # the document's keys in document order, each basis as its names and its values
+        assert sc._fields == ("space", "divisors", "h11_names", "h11_multidegrees",
+                              "codim_names", "codim_exprs", "kahler_cone", "effective_cone",
+                              "prime_divisors")
+        assert sorted(vars(sc)) == ["ci", "codim_forms", "kappa", "pairing_matrix"]
+        assert (sc.space, sc.divisors) == sc.ci
 
     def test_replace_revalidates(self, sc):
         with pytest.raises(ValidationError, match="degenerate"):
-            sc._replace(codim_forms=(sc.codim_forms[0],) * 2)
-        with pytest.raises(ValidationError, match="exactly two degree-1"):
+            sc._replace(codim_exprs=(sc.codim_exprs[0],) * 2)
+        with pytest.raises(ValidationError, match="exactly two basis classes"):
             sc._replace(h11_names=("α",))
-        with pytest.raises(ValidationError, match="exactly two degree-2"):
-            sc._replace(codim_forms=sc.codim_forms + (sc.codim_forms[0],))
+        with pytest.raises(ValidationError, match="exactly two basis classes"):
+            sc._replace(codim_exprs=sc.codim_exprs + (sc.codim_exprs[0],))
         assert sc._replace(effective_cone=sc.effective_cone) == sc
 
     @pytest.mark.parametrize("fields, path", [
         ({"h11_names": ("α",)}, "/h11_basis"),
-        ({"codim_forms": ((0, 1, 0),)}, "/codim_basis"),
+        ({"codim_exprs": ("α*β",)}, "/codim_basis"),
         ({"h11_multidegrees": ((0, 1), (0, 0))}, "/h11_basis/1/multidegree"),
-        ({"codim_forms": ((0, 1, 0), (1, 0))}, "/codim_basis/1/expr"),
-        ({"codim_forms": ((0, 1, 0), (0, 2, 0))}, "/"),
+        ({"codim_exprs": ("α*β", "β")}, "/codim_basis/1/expr"),
+        ({"codim_exprs": ("α*β", "2*α*β")}, "/"),
+        ({"codim_exprs": ("α*β", "β*γ")}, "/codim_basis/1/expr"),
+        ({"space": (4, 0)}, "/ambient"),
+        ({"divisors": ((1, 1),) * 5}, "/divisors"),
+        ({"h11_names": ("α", "b c")}, "/h11_basis/1/name"),
         ({"h11_multidegrees": ((0, 1), (1, 0, 0))}, "/h11_basis/1/multidegree"),
         ({"h11_multidegrees": ((0, 1), (-1, 2))}, "/h11_basis/1/multidegree"),
         ({"h11_names": ("α", "α")}, "/h11_basis/1/name"),
@@ -79,14 +89,37 @@ class TestScenario:
         assert info.value.path == path
         assert str(info.value).startswith(f"at {path}: ")
 
-    def test_replace_stores_multidegree_tuples(self, sc):
-        """Lists from a library caller are kept as the tuples the document reader passes."""
-        twin = sc._replace(h11_multidegrees=([0, 1], [1, 0]))
-        assert twin.h11_multidegrees == ((0, 1), (1, 0))
+    @pytest.mark.parametrize("fields, path", [
+        ({"h11_names": ("α", "Alpha")}, "/h11_basis/1/name"),
+        ({"codim_exprs": ("α β", "β*β")}, "/codim_basis/0/expr"),
+        ({"h11_names": ("α", "β", "γ"), "h11_multidegrees": ((0, 1), (1, 0), (1, 0))},
+         "/h11_basis"),
+    ])
+    def test_refused_before_the_intersection_is_built(self, sc, fields, path, monkeypatch):
+        """A library caller's ``Scenario`` checks every name and expr before it builds the
+        intersection, whose κ is the costly part."""
+        def refuse(*args):
+            raise AssertionError("the complete intersection was built before the names")
+
+        monkeypatch.setattr(pipeline, "CompleteIntersection", refuse)
+        with pytest.raises(ScenarioError) as info:
+            sc._replace(**fields)
+        assert info.value.path == path
+
+    @pytest.mark.parametrize("field", ["space", "divisors", "h11_names", "h11_multidegrees",
+                                       "codim_names", "codim_exprs", "prime_divisors"])
+    def test_replace_stores_tuples(self, sc, field):
+        """Lists from a library caller are kept as the tuples the document reader passes,
+        so the scenario still equals the document's and hashes."""
+        def lists(value):
+            return [lists(v) for v in value] if isinstance(value, tuple) else value
+
+        twin = sc._replace(**{field: lists(getattr(sc, field))})
+        assert getattr(twin, field) == getattr(sc, field)
         assert twin == sc and hash(twin) == hash(sc)
         assert twin.kappa == sc.kappa
 
-    @pytest.mark.parametrize("name", ["ci", "kappa", "pairing_matrix", "gap"])
+    @pytest.mark.parametrize("name", ["ci", "codim_forms", "kappa", "pairing_matrix", "gap"])
     def test_immutable(self, name):
         sc = quintic_conifold_scenario()
         before = getattr(sc, name)
@@ -173,14 +206,13 @@ class TestBalancedCone:
         assert got == Cone2D((1, 0), (-5, 4))
 
     def test_identity_pairing_quadrant(self):
-        space = AmbientSpace([1, 1])
-        ci = CompleteIntersection(space, [])
         scenario = Scenario(
-            ci=ci,
+            space=AmbientSpace([1, 1]),
+            divisors=(),
             h11_names=("h0", "h1"),
             h11_multidegrees=((1, 0), (0, 1)),
             codim_names=("c0", "c1"),
-            codim_forms=((1, 0), (0, 1)),  # h1 and h0: the pairing is the identity
+            codim_exprs=("h1", "h0"),  # the pairing is the identity
             kahler_cone=Cone2D((1, 0), (0, 1)),
             effective_cone=Cone2D((1, 0), (0, 1)),
         )
@@ -360,19 +392,20 @@ def random_product_scenario(rng):
             continue
         n = ci.dim - 1
         candidates = [
-            (f"h0^{i}*h1^{n - i}", tuple(int(j == i) for j in range(n + 1)))
+            (f"h0^{i}*h1^{n - i}", "*".join(["h0"] * i + ["h1"] * (n - i)))
             for i in range(n + 1)
             if i <= a and n - i <= b  # h0^i h1^(n−i) is not zero on the ambient space
         ]
         quadrant = Cone2D((1, 0), (0, 1))
-        for (na, ca), (nb, cb) in combinations(candidates, 2):
+        for (na, ea), (nb, eb) in combinations(candidates, 2):
             try:
                 return Scenario(
-                    ci=ci,
+                    space=space,
+                    divisors=divisors,
                     h11_names=("h0", "h1"),
                     h11_multidegrees=((1, 0), (0, 1)),
                     codim_names=(na, nb),
-                    codim_forms=(ca, cb),
+                    codim_exprs=(ea, eb),
                     kahler_cone=quadrant,
                     effective_cone=quadrant,
                 )

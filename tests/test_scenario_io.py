@@ -5,21 +5,20 @@ import pytest
 from hypothesis import Phase, event, given, settings, strategies as st
 
 from balcone.cli import main
-from balcone import scenario_io
+from balcone import pipeline
 from balcone.errors import ScenarioError, ValidationError
+from balcone.pipeline import parse_class_expr
 from balcone.report import render_json
 from balcone.scenario_io import (
-    DEMO_SCENARIO_DOCUMENT,
     DEMO_SCENARIO_JSON,
     document_to_scenario,
-    parse_class_expr,
     parse_scenario,
     quintic_conifold_scenario,
     scenario_to_document,
     serialize_scenario,
 )
 
-from _helpers import reference_class_expr
+from _helpers import DEMO_SCENARIO_DOCUMENT, reference_class_expr
 from _ring_oracle import h11_classes, intersection_number
 
 
@@ -191,6 +190,38 @@ _DOCUMENT_ERRORS = [
         mutated(divisors=[[1, 1]] * 5, kahler_cone=[[1, 0]]),
         "/kahler_cone", id="dimension-0-after-cones",
     ),
+    # The reader checks each key's JSON types first; ``Scenario`` then counts the bases,
+    # checks the names, the h11 multidegrees and the exprs, and builds the intersection last.
+    pytest.param(
+        mutated(h11_basis=[*DEMO_SCENARIO_DOCUMENT["h11_basis"], dict(_BETA, name="γ")],
+                kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="h11-three-entries-after-cones",
+    ),
+    pytest.param(
+        mutated(codim_basis=_codim("α β"), kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="expr-after-cones",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 1]}, dict(_BETA, name="α")],
+                codim_basis=["α*β", "β*β"]),
+        "/codim_basis/0", id="h11-names-repeat-after-codim-entries",
+    ),
+    pytest.param(
+        mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
+                                {"name": "E1", "coords": [-1, 4]}],
+                codim_basis=_codim("α β")),
+        "/prime_divisors/1/name", id="prime-names-repeat-before-exprs",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA],
+                codim_basis=_codim("α β")),
+        "/h11_basis/0/multidegree", id="h11-multidegree-length-before-exprs",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0]}, _BETA],
+                divisors=[[1, 1]] * 5),
+        "/h11_basis/0/multidegree", id="h11-zero-multidegree-before-dimension-0",
+    ),
     # JSON's "\ud800" decodes to a lone surrogate, which no output encoding can write.
     pytest.param(
         mutated(h11_basis=[{"name": "α\ud800", "multidegree": [0, 1]}, _BETA]),
@@ -238,7 +269,7 @@ def test_document_error_found_before_the_intersection_is_built(doc, path, monkey
     def refuse(*args):
         raise AssertionError("the complete intersection was built before every key was read")
 
-    monkeypatch.setattr(scenario_io, "CompleteIntersection", refuse)
+    monkeypatch.setattr(pipeline, "CompleteIntersection", refuse)
     with pytest.raises(ScenarioError) as info:
         document_to_scenario(doc)
     assert info.value.path == path
@@ -347,18 +378,12 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="multidegree"):
             sc._replace(h11_multidegrees=((0, 1), (Fraction(1, 2), 0)))
 
-    def test_missing_codim_exprs_not_serializable(self):
-        sc = quintic_conifold_scenario()._replace(codim_exprs=None)
-        with pytest.raises(ValidationError, match="codim basis expressions"):
-            scenario_to_document(sc)
-
-    @pytest.mark.parametrize("exprs", [
-        pytest.param(("β*β", "α*β"), id="swapped"),
-        pytest.param(("α*β", "β*β*β"), id="wrong-degree"),
-    ])
-    def test_codim_exprs_that_are_not_the_forms_not_serializable(self, exprs):
-        """Swapped exprs would round-trip to a scenario with swapped codim forms, and an
-        expr of the wrong degree to a document that does not parse."""
-        sc = quintic_conifold_scenario()._replace(codim_exprs=exprs)
-        with pytest.raises(ValidationError, match="do not parse to the codim forms"):
-            scenario_to_document(sc)
+    def test_swapped_exprs_round_trip(self):
+        """A scenario's codim forms are read from its exprs, so the writer writes the forms
+        the scenario uses."""
+        sc = quintic_conifold_scenario()
+        swapped = sc._replace(codim_exprs=sc.codim_exprs[::-1])
+        assert swapped.codim_forms == sc.codim_forms[::-1]
+        assert [c["expr"] for c in scenario_to_document(swapped)["codim_basis"]] == \
+            ["β*β", "α*β"]
+        assert parse_scenario(serialize_scenario(swapped)) == swapped

@@ -153,10 +153,11 @@ class TestIntersectionNumber:
 ALPHA_BETA = ((0, 1), (1, 0))
 
 
-def scenario(ci, h11, codim_forms):
-    """Scenario on ``ci`` with h11 multidegrees ``h11``; its pairing is read from κ."""
+def scenario(ci, h11, codim_exprs):
+    """Scenario on ``ci`` with h11 multidegrees ``h11`` named h1, h2; its pairing is read
+    from κ."""
     quadrant = Cone2D((1, 0), (0, 1))
-    return Scenario(ci, ("h1", "h2"), tuple(h11), ("c1", "c2"), tuple(codim_forms),
+    return Scenario(ci.space, ci.divisors, ("h1", "h2"), h11, ("c1", "c2"), codim_exprs,
                     quadrant, quadrant)
 
 
@@ -164,8 +165,8 @@ class TestPairingMatrix:
     """The scenario's pairing of the h11 basis with the codim basis forms."""
 
     def test_quintic_pairing(self, quintic_ci):
-        # α∧β and β∧β as forms in (α, β)
-        pm = scenario(quintic_ci, ALPHA_BETA, [(0, 1, 0), (1, 0, 0)]).pairing_matrix
+        # α∧β and β∧β
+        pm = scenario(quintic_ci, ALPHA_BETA, ["h1*h2", "h2*h2"]).pairing_matrix
         assert pm == ((0, 4), (4, 5))
         assert pm.det == -16
         assert pm.det != 0
@@ -174,18 +175,21 @@ class TestPairingMatrix:
         ci = CompleteIntersection(AmbientSpace([2]), [])
         h = generator(ci.space, 0)
         assert intersection_number(ci, [h, h]) == 1
-        with pytest.raises(ValidationError, match="two degree-1"):
-            scenario(ci, [(1,)], [(1, 0), (0, 1)])
+        with pytest.raises(ValidationError, match="exactly two basis classes"):
+            scenario(ci, [(1,)], ["h2", "h1"])
 
     def test_p1_x_p1(self):
         ci = CompleteIntersection(AmbientSpace([1, 1]), [])
-        pm = scenario(ci, [(1, 0), (0, 1)], [(0, 1), (1, 0)]).pairing_matrix
+        pm = scenario(ci, [(1, 0), (0, 1)], ["h1", "h2"]).pairing_matrix
         assert pm == ((0, 1), (1, 0))
 
     def test_entries_recompute(self, quintic_ci):
         alpha, beta = basis(quintic_ci)
         forms = [(2, Fraction(-1, 3), 0), (Fraction(1, 2), 1, 7)]
-        pm = scenario(quintic_ci, ALPHA_BETA, forms).pairing_matrix
+        exprs = ["2*h2*h2 - 1/3*h1*h2", "1/2*h2*h2 + h1*h2 + 7*h1*h1"]
+        sc = scenario(quintic_ci, ALPHA_BETA, exprs)
+        assert list(sc.codim_forms) == forms
+        pm = sc.pairing_matrix
         for j, f in enumerate(forms):
             c = f[0] * beta * beta + f[1] * alpha * beta + f[2] * alpha * alpha
             for i, r in enumerate((alpha, beta)):
@@ -194,15 +198,15 @@ class TestPairingMatrix:
     def test_row_degree_validated(self, quintic_ci):
         # the zero multidegree is the only one of another degree (none)
         with pytest.raises(ValidationError, match="row"):
-            scenario(quintic_ci, [(0, 0), (1, 0)], [(0, 1, 0), (1, 0, 0)])
+            scenario(quintic_ci, [(0, 0), (1, 0)], ["h1*h2", "h2*h2"])
 
     def test_col_degree_validated(self, quintic_ci):
         with pytest.raises(ValidationError, match="column"):
-            scenario(quintic_ci, ALPHA_BETA, [(0, 1), (1, 0)])
+            scenario(quintic_ci, ALPHA_BETA, ["h1", "h2"])
 
     def test_degenerate_bases_rejected(self, quintic_ci):
         with pytest.raises(ValidationError, match="degenerate"):
-            scenario(quintic_ci, ALPHA_BETA, [(0, 1, 0), (0, 2, 0)])
+            scenario(quintic_ci, ALPHA_BETA, ["h1*h2", "2*h1*h2"])
 
 
 class TestDivisorRelations:
