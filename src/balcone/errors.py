@@ -30,10 +30,13 @@ class ScenarioError(ValidationError):
 
 
 def _located(path, build, *args):
-    """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``."""
+    """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``;
+    a ``ScenarioError`` that names a path of its own is re-raised unchanged."""
     try:
         return build(*args)
     except ValidationError as e:
+        if getattr(e, "path", None):
+            raise
         raise ScenarioError(str(e), path=path) from e
 
 

@@ -46,13 +46,6 @@ def _canonical(name: str) -> str:
     return name.translate(_TRANSLIT).lower()
 
 
-def _refuse_repeat(seen, name, here):
-    """Record the entry at ``here``; refuse its name if it folds to one ``seen`` holds."""
-    earlier, where = seen.setdefault(_canonical(name), (name, here))
-    if where != here:
-        raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=f"{here}/name")
-
-
 def _product(f, g):
     """Product of two binary forms, skipping the zero coefficients of monomial forms."""
     out = [0] * (len(f) + len(g) - 1)
@@ -62,6 +55,26 @@ def _product(f, g):
                 if b:
                     out[i + j] += a * b
     return out
+
+
+def _int_list(value, path):
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ScenarioError("expected a list of integers", path=path)
+    return value
+
+
+def _int_pair(value, path):
+    if len(_int_list(value, path)) != 2:
+        raise ScenarioError("expected a pair of integers", path=path)
+    return tuple(value)
+
+
+def _cone(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError("expected two integer pairs", path=path)
+    return _located(path, Cone2D, *[_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)])
 
 
 def _too_long() -> str:
@@ -127,27 +140,44 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
         # rule is checked once, the cheap ones first, and the intersection is built last.
         (space, divisors, h11_names, h11_multidegrees, codim_names, codim_exprs, kahler,
          effective, primes) = super().__new__(cls, *args, **kwargs)
+        _int_list(space, "/ambient")
+        if not isinstance(divisors, (list, tuple)):
+            raise ScenarioError("expected a list of multidegrees", path="/divisors")
+        for i, d in enumerate(divisors):
+            _int_list(d, f"/divisors/{i}")
+        for i, h in enumerate(h11_multidegrees):
+            _int_list(h, f"/h11_basis/{i}/multidegree")
         # tuples throughout, whatever sequences the caller passes: lists would not hash
+        primes = tuple([(name, _int_pair(c, f"/prime_divisors/{i}/coords"))
+                        for i, (name, c) in enumerate(primes)])
+        kahler, effective = _cone(kahler, "/kahler_cone"), _cone(effective, "/effective_cone")
         h11_names, codim_names = tuple(h11_names), tuple(codim_names)
-        codim_exprs, primes = tuple(codim_exprs), tuple([(n, tuple(c)) for n, c in primes])
+        codim_exprs = tuple(codim_exprs)
         # Count both bases before parsing any expr: it would read a third h11 name as h2.
         for key, n, m in (("h11_basis", len(h11_names), len(h11_multidegrees)),
                           ("codim_basis", len(codim_names), len(codim_exprs))):
             if n != 2 or m != 2:
                 raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
-        for i, name in enumerate(h11_names):
-            if not _H11_NAME.fullmatch(name):
-                raise ScenarioError(
-                    "h11 names may not start with a digit or contain whitespace or + - * /",
-                    path=f"/h11_basis/{i}/name",
-                )
-        seen = {}
-        for key, names in (("h11_basis", h11_names), ("codim_basis", codim_names)):
+        # One pass over the names; each entry is recorded in ``seen`` under its folded name,
+        # and a prime divisor may share a basis class's name.
+        basis = {}
+        for key, names, seen in (("h11_basis", h11_names, basis),
+                                 ("codim_basis", codim_names, basis),
+                                 ("prime_divisors", [name for name, _ in primes], {})):
             for i, name in enumerate(names):
-                _refuse_repeat(seen, name, f"/{key}/{i}")
-        seen = {}  # a prime divisor may share a basis class's name
-        for i, (name, _) in enumerate(primes):
-            _refuse_repeat(seen, name, f"/prime_divisors/{i}")
+                here, path = f"/{key}/{i}", f"/{key}/{i}/name"
+                if not isinstance(name, str) or not name:
+                    raise ScenarioError("name must be a non-empty string", path=path)
+                if any("\ud800" <= c <= "\udfff" for c in name):  # JSON's "\ud800" decodes to one
+                    raise ScenarioError("name has a lone surrogate, not UTF-8 text", path=path)
+                if key == "h11_basis" and not _H11_NAME.fullmatch(name):
+                    raise ScenarioError(
+                        "h11 names may not start with a digit or contain whitespace or + - * /",
+                        path=path,
+                    )
+                earlier, where = seen.setdefault(_canonical(name), (name, here))
+                if where != here:
+                    raise ScenarioError(f"{name!r} repeats {earlier!r} at {where}", path=path)
         space = _located("/ambient", AmbientSpace, space)
         multidegrees = []
         for i, h in enumerate(h11_multidegrees):

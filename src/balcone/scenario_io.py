@@ -16,7 +16,8 @@ Document layout::
 coefficients, all of one degree, e.g. ``"β*β - 1/4*α*β"``.  Class names, and
 prime divisor names, stay distinct under the CLI's case and ASCII folding.
 Syntax errors report line and column; semantic errors report the path of
-the offending node.
+the offending node.  The reader only finds each key and list entry;
+``Scenario`` checks every value, each rule once.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import os
 import re
 import sys
 
-from .cones import Cone2D
-from .errors import ScenarioError, _located
+from .errors import ScenarioError
 from .pipeline import Scenario, _too_long
 from .report import render_json, scenario_summary
-from .ring import AmbientSpace, check_multidegree
 
 # A JSON string, or a JSON number: its integer digits, then its fraction and exponent.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
@@ -46,29 +45,8 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _int_list(value, path):
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ScenarioError("expected a list of integers", path=path)
-    return value
-
-
-def _int_pair(value, path):
-    pair = _int_list(value, path)
-    if len(pair) != 2:
-        raise ScenarioError("expected a pair of integers", path=path)
-    return tuple(pair)
-
-
-def _cone(value, path):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ScenarioError("expected two integer pairs", path=path)
-    return _located(path, Cone2D, *[_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)])
-
-
 def _named_entries(doc, key, value_key):
-    """(name, value, path) per entry of the list ``doc[key]``."""
+    """(name, value) per entry of the list ``doc[key]``, both as the document holds them."""
     value, path = _require(doc, key, ""), f"/{key}"
     if not isinstance(value, list):
         raise ScenarioError("expected a list of objects", path=path)
@@ -77,50 +55,27 @@ def _named_entries(doc, key, value_key):
         here = f"{path}/{i}"
         if not isinstance(item, dict):
             raise ScenarioError("expected an object", path=here)
-        name = _require(item, "name", here)
-        if not isinstance(name, str) or not name:
-            raise ScenarioError("name must be a non-empty string", path=f"{here}/name")
-        if any("\ud800" <= c <= "\udfff" for c in name):  # JSON's "\ud800" decodes to one
-            raise ScenarioError("name has a lone surrogate, not UTF-8 text", path=f"{here}/name")
-        out.append((name, _require(item, value_key, here), here))
+        out.append((_require(item, "name", here), _require(item, value_key, here)))
     return out
 
 
 def document_to_scenario(doc) -> Scenario:
-    """Validated scenario from a decoded JSON document: the reader checks each key's JSON
-    types, and ``Scenario`` every other rule."""
+    """Validated scenario from a decoded JSON document: the reader finds each key and entry,
+    and passes their values as they are to ``Scenario``, which checks every rule."""
     if not isinstance(doc, dict):
         raise ScenarioError("document must be a JSON object", path="/")
-
-    space = _located("/ambient", AmbientSpace, _int_list(_require(doc, "ambient", ""), "/ambient"))
-
-    raw_divisors = _require(doc, "divisors", "")
-    if not isinstance(raw_divisors, list):
-        raise ScenarioError("expected a list of multidegrees", path="/divisors")
-    divisors = [
-        _located(f"/divisors/{i}", check_multidegree, space, _int_list(d, f"/divisors/{i}"))
-        for i, d in enumerate(raw_divisors)
-    ]
-
-    h11 = [(name, _int_list(raw, f"{here}/multidegree"))
-           for name, raw, here in _named_entries(doc, "h11_basis", "multidegree")]
+    space, divisors = _require(doc, "ambient", ""), _require(doc, "divisors", "")
+    h11 = _named_entries(doc, "h11_basis", "multidegree")
     codim = _named_entries(doc, "codim_basis", "expr")
-
-    kahler = _cone(_require(doc, "kahler_cone", ""), "/kahler_cone")
-    effective = _cone(_require(doc, "effective_cone", ""), "/effective_cone")
-
-    primes = []
-    if "prime_divisors" in doc:
-        for name, raw, here in _named_entries(doc, "prime_divisors", "coords"):
-            primes.append((name, _int_pair(raw, f"{here}/coords")))
-
+    kahler, effective = _require(doc, "kahler_cone", ""), _require(doc, "effective_cone", "")
+    primes = _named_entries(doc, "prime_divisors", "coords") if "prime_divisors" in doc else ()
     return Scenario(
         space=space,
         divisors=divisors,
         h11_names=[name for name, _ in h11],
         h11_multidegrees=[d for _, d in h11],
-        codim_names=[name for name, _, _ in codim],
-        codim_exprs=[raw for _, raw, _ in codim],
+        codim_names=[name for name, _ in codim],
+        codim_exprs=[expr for _, expr in codim],
         kahler_cone=kahler,
         effective_cone=effective,
         prime_divisors=primes,

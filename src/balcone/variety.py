@@ -34,7 +34,7 @@ from itertools import accumulate, compress
 from math import comb, factorial, perm, prod
 from operator import itemgetter, mul
 
-from .errors import ValidationError, _immutable
+from .errors import ValidationError, _immutable, _located
 from .ring import AmbientSpace, check_multidegree
 
 
@@ -85,13 +85,16 @@ def _buckets(poly, field):
 class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors")):
     """Intersection of divisors of the given multidegrees in an ambient product, and the pair
     ``(space, divisors)`` it compares, hashes and prints as.  Its dimension and κ's pass plan
-    are kept beside that tuple, and it refuses attribute assignment."""
+    are kept beside that tuple, and it refuses attribute assignment.  A divisor it refuses
+    is named by its document path, ``/divisors/i``."""
 
     # namedtuple's _replace builds through _make, which would skip the checks.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
-        return super().__new__(cls, space, tuple([check_multidegree(space, d) for d in divisors]))
+        return super().__new__(cls, space, tuple([
+            _located(f"/divisors/{i}", check_multidegree, space, d)
+            for i, d in enumerate(divisors)]))
 
     def __init__(self, space, divisors):
         space, divisors = self  # as validated by __new__

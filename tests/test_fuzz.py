@@ -5,6 +5,10 @@ list entry, or puts a value of another type, a bool, a negative or a 10^30-sized
 integer, an empty list or string, an odd Unicode name or an odd ``expr`` in its
 place, or n nested lists, n ∈ {2, 50, 900, 5000, 10^5}, written into the JSON
 text.  No draw adds a factor or a divisor, so no draw asks for a large κ.
+
+The library layer gets the same treatment: each draw replaces one ``Scenario`` field
+with a value of the shape the reader passes for it, and ``_replace`` must refuse it
+with a ``ScenarioError`` or return a scenario that hashes and round-trips.
 """
 
 import contextlib
@@ -14,6 +18,8 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
+from balcone.errors import ScenarioError
+from balcone.scenario_io import parse_scenario, quintic_conifold_scenario, serialize_scenario
 
 from _helpers import DEMO_SCENARIO_DOCUMENT
 
@@ -107,3 +113,45 @@ def test_no_command_crashes_on_a_mutated_document(tmp_path_factory, text):
         event(f"exit {code}")
         assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
         assert code == 0 or out.getvalue() == "", (argv, code)
+
+
+_PAIR = st.lists(st.integers(-3, 5), min_size=2, max_size=2)
+_TWO = st.lists(_PAIR, min_size=2, max_size=2)
+_NAME_PAIRS = st.lists(_NAMES, min_size=2, max_size=2)
+# Per field: a value of the slot's own kind, so that some draws are accepted, and any value
+# of the shape the reader passes, a key's JSON value or a list of its entries' values.
+_SLOTS = {
+    "space": (st.lists(st.integers(1, 5), min_size=1, max_size=3), _VALUES),
+    "divisors": (_TWO, _VALUES),
+    "h11_names": (_NAME_PAIRS, st.lists(_VALUES, max_size=3)),
+    "h11_multidegrees": (_TWO, st.lists(_VALUES, max_size=3)),
+    "codim_names": (_NAME_PAIRS, st.lists(_VALUES, max_size=3)),
+    "codim_exprs": (st.lists(_EXPRS, min_size=2, max_size=2), st.lists(_VALUES, max_size=3)),
+    "kahler_cone": (_TWO, _VALUES),
+    "effective_cone": (_TWO, _VALUES),
+    "prime_divisors": (st.lists(st.tuples(_NAMES, _PAIR), max_size=3),
+                       st.lists(st.tuples(_VALUES, _VALUES), max_size=3)),
+}
+
+
+@st.composite
+def _changes(draw):
+    """(field, value) for one field of the built-in scenario."""
+    field = draw(st.sampled_from(sorted(_SLOTS)))
+    return field, draw(_SLOTS[field][draw(st.integers(0, 1))])
+
+
+@settings(max_examples=400)
+@given(_changes())
+def test_scenario_refuses_or_round_trips(change):
+    """A library caller's ``Scenario`` is refused at a document path, or it is one that a
+    document can hold: it hashes, and its document parses back to it."""
+    field, value = change
+    try:
+        sc = quintic_conifold_scenario()._replace(**{field: value})
+    except ScenarioError:
+        event(f"{field} refused")
+        return
+    event(f"{field} accepted")
+    hash(sc)
+    assert parse_scenario(serialize_scenario(sc)) == sc

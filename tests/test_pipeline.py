@@ -81,6 +81,16 @@ class TestScenario:
         ({"codim_names": ("x", "x")}, "/codim_basis/1/name"),
         ({"codim_names": ("α∧β", "Alpha")}, "/codim_basis/1/name"),  # Alpha folds to α
         ({"prime_divisors": (("E1", (-1, 1)), ("e1", (-1, 4)))}, "/prime_divisors/1/name"),
+        # names, cones and coords that a document cannot hold either
+        ({"h11_names": (5, "β")}, "/h11_basis/0/name"),
+        ({"codim_names": (5, "b")}, "/codim_basis/0/name"),
+        ({"prime_divisors": (("E1", (-1, 1)), (5, (-1, 4)))}, "/prime_divisors/1/name"),
+        ({"codim_names": ("", "b")}, "/codim_basis/0/name"),
+        ({"prime_divisors": (("", (-1, 1)),)}, "/prime_divisors/0/name"),
+        ({"codim_names": ("a\ud800", "b")}, "/codim_basis/0/name"),  # no encoding writes it
+        ({"kahler_cone": ((0, 0), (0, 1))}, "/kahler_cone"),
+        ({"prime_divisors": (("E1", (1, 2, 3)),)}, "/prime_divisors/0/coords"),
+        ({"prime_divisors": (("E1", "ab"),)}, "/prime_divisors/0/coords"),
     ])
     def test_refusals_name_the_document_path(self, sc, fields, path):
         """A library caller's ``Scenario`` is refused at the document key of the field."""
@@ -94,10 +104,12 @@ class TestScenario:
         ({"codim_exprs": ("α β", "β*β")}, "/codim_basis/0/expr"),
         ({"h11_names": ("α", "β", "γ"), "h11_multidegrees": ((0, 1), (1, 0), (1, 0))},
          "/h11_basis"),
+        ({"kahler_cone": ((0, 0), (0, 1))}, "/kahler_cone"),
+        ({"codim_names": ("", "b")}, "/codim_basis/0/name"),
     ])
     def test_refused_before_the_intersection_is_built(self, sc, fields, path, monkeypatch):
-        """A library caller's ``Scenario`` checks every name and expr before it builds the
-        intersection, whose κ is the costly part."""
+        """A library caller's ``Scenario`` checks every name, cone and expr before it builds
+        the intersection, whose κ is the costly part."""
         def refuse(*args):
             raise AssertionError("the complete intersection was built before the names")
 
@@ -107,10 +119,11 @@ class TestScenario:
         assert info.value.path == path
 
     @pytest.mark.parametrize("field", ["space", "divisors", "h11_names", "h11_multidegrees",
-                                       "codim_names", "codim_exprs", "prime_divisors"])
+                                       "codim_names", "codim_exprs", "kahler_cone",
+                                       "effective_cone", "prime_divisors"])
     def test_replace_stores_tuples(self, sc, field):
-        """Lists from a library caller are kept as the tuples the document reader passes,
-        so the scenario still equals the document's and hashes."""
+        """Lists, from a library caller or the document reader, are kept as tuples and cones
+        as ``Cone2D``, so the scenario still equals the document's and hashes."""
         def lists(value):
             return [lists(v) for v in value] if isinstance(value, tuple) else value
 
@@ -118,6 +131,15 @@ class TestScenario:
         assert getattr(twin, field) == getattr(sc, field)
         assert twin == sc and hash(twin) == hash(sc)
         assert twin.kappa == sc.kappa
+
+    @pytest.mark.parametrize("cone", [((0, 1), (1, 0)), [[2, 0], [0, 3]]],
+                             ids=["clockwise", "non-primitive"])
+    def test_cones_stored_as_cone2d(self, sc, cone):
+        """A cone is kept as its ``Cone2D``, primitive and counterclockwise, so a scenario
+        equals and hashes as the document's whatever pairs span the same cone."""
+        twin = sc._replace(kahler_cone=cone)
+        assert type(twin.kahler_cone) is Cone2D and twin.kahler_cone == sc.kahler_cone
+        assert twin == sc and hash(twin) == hash(sc)
 
     @pytest.mark.parametrize("name", ["ci", "codim_forms", "kappa", "pairing_matrix", "gap"])
     def test_immutable(self, name):

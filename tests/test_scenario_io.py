@@ -171,12 +171,28 @@ _DOCUMENT_ERRORS = [
                                 {"name": "E1", "coords": [-1, 4]}]),
         "/prime_divisors/1/name", id="prime-names-repeat",
     ),
-    # ``Scenario`` checks the h11 multidegrees and the prime names, after the reader's
-    # checks of every key: a later key's error is reported first.
+    # Two faults, the first reported.  Structure comes first: the reader finds every key
+    # and entry before any value is checked.  ``Scenario`` then checks the values, cheapest
+    # first: the integer lists, the cones, the basis counts, the names, the ambient space
+    # and h11 multidegrees, the exprs, and the intersection last.
     pytest.param(
-        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA],
-                kahler_cone=[[1, 0]]),
-        "/kahler_cone", id="h11-multidegree-length-after-cones",
+        mutated(codim_basis=[{"name": "a", "expr": "α*β"}, {"name": "b"}],
+                divisors=[[1, -1], [4, 1]]),
+        "/codim_basis/1/expr", id="missing-expr-before-divisors",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 1]}, dict(_BETA, name="α")],
+                codim_basis=["α*β", "β*β"]),
+        "/codim_basis/0", id="h11-names-repeat-after-codim-entries",
+    ),
+    pytest.param(
+        mutated(ambient="x", prime_divisors=[{"coords": [-1, 1]}]),
+        "/prime_divisors/0/name", id="missing-prime-name-before-ambient",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "", "multidegree": [0, 1]}, _BETA],
+                prime_divisors=[{"name": "E1", "coords": [1, 2, 3]}]),
+        "/prime_divisors/0/coords", id="prime-coords-before-names",
     ),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
@@ -184,27 +200,25 @@ _DOCUMENT_ERRORS = [
                                 {"name": "E3", "coords": [1, 2, 3]}]),
         "/prime_divisors/2/coords", id="prime-names-repeat-after-coords",
     ),
-    # The complete intersection is built after every key is read, so a dimension-0
-    # intersection is refused after a malformed later key.
     pytest.param(
-        mutated(divisors=[[1, 1]] * 5, kahler_cone=[[1, 0]]),
-        "/kahler_cone", id="dimension-0-after-cones",
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA],
+                kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="h11-multidegree-length-after-cones",
     ),
-    # The reader checks each key's JSON types first; ``Scenario`` then counts the bases,
-    # checks the names, the h11 multidegrees and the exprs, and builds the intersection last.
+    pytest.param(
+        mutated(codim_basis=[{"name": "", "expr": "α*β"}, {"name": "b", "expr": "β*β"}],
+                kahler_cone=[[0, 0], [0, 1]]),
+        "/kahler_cone", id="codim-empty-name-after-cones",
+    ),
     pytest.param(
         mutated(h11_basis=[*DEMO_SCENARIO_DOCUMENT["h11_basis"], dict(_BETA, name="γ")],
                 kahler_cone=[[1, 0]]),
         "/kahler_cone", id="h11-three-entries-after-cones",
     ),
     pytest.param(
-        mutated(codim_basis=_codim("α β"), kahler_cone=[[1, 0]]),
-        "/kahler_cone", id="expr-after-cones",
-    ),
-    pytest.param(
-        mutated(h11_basis=[{"name": "α", "multidegree": [0, 1]}, dict(_BETA, name="α")],
-                codim_basis=["α*β", "β*β"]),
-        "/codim_basis/0", id="h11-names-repeat-after-codim-entries",
+        mutated(h11_basis=[*DEMO_SCENARIO_DOCUMENT["h11_basis"], dict(_BETA, name="γ")],
+                codim_basis=[{"name": "", "expr": "α*β"}, {"name": "b", "expr": "β*β"}]),
+        "/h11_basis", id="h11-three-entries-before-names",
     ),
     pytest.param(
         mutated(prime_divisors=[{"name": "E1", "coords": [-1, 1]},
@@ -213,14 +227,31 @@ _DOCUMENT_ERRORS = [
         "/prime_divisors/1/name", id="prime-names-repeat-before-exprs",
     ),
     pytest.param(
+        mutated(ambient=[0, 1],
+                codim_basis=[{"name": "x", "expr": "α*β"}, {"name": "x", "expr": "β*β"}]),
+        "/codim_basis/1/name", id="codim-names-repeat-before-ambient",
+    ),
+    pytest.param(
         mutated(h11_basis=[{"name": "α", "multidegree": [0, 0, 1]}, _BETA],
                 codim_basis=_codim("α β")),
         "/h11_basis/0/multidegree", id="h11-multidegree-length-before-exprs",
     ),
     pytest.param(
+        mutated(codim_basis=_codim("α β"), kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="expr-after-cones",
+    ),
+    pytest.param(
+        mutated(codim_basis=_codim("α β"), divisors=[[1, 1], [4, -1]]),
+        "/codim_basis/0/expr", id="expr-before-divisors",
+    ),
+    pytest.param(
         mutated(h11_basis=[{"name": "α", "multidegree": [0, 0]}, _BETA],
                 divisors=[[1, 1]] * 5),
         "/h11_basis/0/multidegree", id="h11-zero-multidegree-before-dimension-0",
+    ),
+    pytest.param(
+        mutated(divisors=[[1, 1]] * 5, kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="dimension-0-after-cones",
     ),
     # JSON's "\ud800" decodes to a lone surrogate, which no output encoding can write.
     pytest.param(

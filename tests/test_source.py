@@ -37,3 +37,20 @@ def test_no_tuple_built_from_a_generator_or_map():
             if _tuple_over_iterator(node)]
     assert SOURCES
     assert hits == []
+
+
+def test_reader_holds_no_value_rule():
+    """The document reader only finds keys and entries; ``Scenario`` checks every value, so
+    ``scenario_io`` imports nothing that builds a cone, a space or an intersection."""
+    source = Path(balcone.__file__).parent / "scenario_io.py"
+    imported = set()  # the last part of each module name, with or without its package
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        imported |= {name.rpartition(".")[2] for name in names}
+    assert "pipeline" in imported
+    assert imported.isdisjoint({"cones", "ring", "variety"})

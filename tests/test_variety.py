@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from balcone.cones import Cone2D
-from balcone.errors import DegreeMismatchError, ValidationError
+from balcone.errors import DegreeMismatchError, ScenarioError, ValidationError
 from balcone.pipeline import Scenario
 from balcone.ring import AmbientSpace
 from balcone.variety import CompleteIntersection
@@ -54,6 +54,15 @@ class TestConstruction:
         assert (twin._fundamental is None) is (len(divisors) == 1)
         for a, b in [((0, 1), (1, 0)), ((2, 3), (1, 1))]:
             assert twin.kappa(a, b) == finite_difference_kappa(twin.space, divisors, a, b)
+
+    def test_refused_divisor_named_by_its_path(self):
+        """A bad divisor is named by its document path; a ``ScenarioError`` is still the
+        ``ValidationError`` the intersection raised before."""
+        with pytest.raises(ScenarioError) as info:
+            CompleteIntersection((4, 1), [(1, 1), (4, -1)])
+        assert info.value.path == "/divisors/1"
+        assert str(info.value) == ("at /divisors/1: multidegree entry 1: "
+                                   "expected a non-negative integer, got -1")
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
