@@ -48,9 +48,7 @@ def ray_normalize(v) -> Ray:
     if not (type(a) is int and type(b) is int):  # a bool takes this path too
         a, b = Fraction(a), Fraction(b)
         a, b = a.numerator * b.denominator, b.numerator * a.denominator
-    g = gcd(a, b)
-    if g == 0:
-        raise ValidationError("zero vector does not span a ray")
+    g = gcd(a, b) or 1  # 0 only for the zero vector, which Ray refuses
     return Ray(a // g, b // g)
 
 

@@ -31,7 +31,7 @@ from math import comb, lcm
 from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
                      ValidationError, _immutable, _located)
-from .ring import AmbientSpace, check_multidegree
+from .ring import AmbientSpace, _int_list, check_multidegree
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -57,23 +57,19 @@ def _product(f, g):
     return out
 
 
-def _int_list(value, path):
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ScenarioError("expected a list of integers", path=path)
-    return value
-
-
-def _int_pair(value, path):
-    if len(_int_list(value, path)) != 2:
-        raise ScenarioError("expected a pair of integers", path=path)
+def _sized(value, size, path, message):
+    """``value`` as a tuple if a list or tuple of ``size`` entries (None: any), else refused."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        raise ScenarioError(message, path=path)
     return tuple(value)
 
 
+def _int_pair(value, path):
+    return _sized(_located(path, _int_list, value), 2, path, "expected a pair of integers")
+
+
 def _cone(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError("expected two integer pairs", path=path)
+    value = _sized(value, 2, path, "expected two integer pairs")
     return _located(path, Cone2D, *[_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)])
 
 
@@ -140,24 +136,18 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
         # rule is checked once, the cheap ones first, and the intersection is built last.
         (space, divisors, h11_names, h11_multidegrees, codim_names, codim_exprs, kahler,
          effective, primes) = super().__new__(cls, *args, **kwargs)
-        _int_list(space, "/ambient")
-        if not isinstance(divisors, (list, tuple)):
-            raise ScenarioError("expected a list of multidegrees", path="/divisors")
-        for i, d in enumerate(divisors):
-            _int_list(d, f"/divisors/{i}")
-        for i, h in enumerate(h11_multidegrees):
-            _int_list(h, f"/h11_basis/{i}/multidegree")
         # tuples throughout, whatever sequences the caller passes: lists would not hash
-        primes = tuple([(name, _int_pair(c, f"/prime_divisors/{i}/coords"))
-                        for i, (name, c) in enumerate(primes)])
+        primes = [*_sized(primes, None, "/prime_divisors", "expected a list of pairs")]
+        for i, entry in enumerate(primes):
+            path = f"/prime_divisors/{i}"
+            name, coords = _sized(entry, 2, path, "expected a (name, coords) pair")
+            primes[i] = name, _int_pair(coords, f"{path}/coords")
         kahler, effective = _cone(kahler, "/kahler_cone"), _cone(effective, "/effective_cone")
-        h11_names, codim_names = tuple(h11_names), tuple(codim_names)
-        codim_exprs = tuple(codim_exprs)
         # Count both bases before parsing any expr: it would read a third h11 name as h2.
-        for key, n, m in (("h11_basis", len(h11_names), len(h11_multidegrees)),
-                          ("codim_basis", len(codim_names), len(codim_exprs))):
-            if n != 2 or m != 2:
-                raise ScenarioError("expected exactly two basis classes", path=f"/{key}")
+        h11_names, h11_multidegrees, codim_names, codim_exprs = [
+            _sized(v, 2, path, "expected exactly two basis classes") for v, path in (
+                (h11_names, "/h11_basis"), (h11_multidegrees, "/h11_basis"),
+                (codim_names, "/codim_basis"), (codim_exprs, "/codim_basis"))]
         # One pass over the names; each entry is recorded in ``seen`` under its folded name,
         # and a prime divisor may share a basis class's name.
         basis = {}
@@ -193,7 +183,7 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
                 raise ScenarioError(f"column class {j} must have degree {ci.dim - 1}, "
                                     f"got {len(c) - 1}", path=f"/codim_basis/{j}/expr")
         self = super().__new__(cls, space, ci.divisors, h11_names, tuple(multidegrees),
-                               codim_names, codim_exprs, kahler, effective, primes)
+                               codim_names, codim_exprs, kahler, effective, tuple(primes))
         vars(self).update(ci=ci, codim_forms=codim_forms, kappa=ci.kappa(*multidegrees))
         try:
             vars(self)["pairing_matrix"] = Pairing(

@@ -13,6 +13,15 @@ from collections.abc import Sequence
 from .errors import ValidationError
 
 
+def _int_list(value) -> tuple[int, ...]:
+    """``value`` as a tuple, refused unless it is a list or tuple of integers, not bools."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ValidationError("expected a list of integers")
+    return tuple(value)
+
+
 class AmbientSpace(tuple):
     """A product of projective spaces: the tuple of its factor dimensions.
 
@@ -23,11 +32,11 @@ class AmbientSpace(tuple):
     __slots__ = ()
 
     def __new__(cls, dims: Sequence[int]):
-        space = super().__new__(cls, dims)
+        space = super().__new__(cls, _int_list(dims))
         if not space:
             raise ValidationError("ambient space needs at least one projective factor")
         for i, n in enumerate(space):
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            if n < 1:
                 raise ValidationError(
                     f"factor {i}: dimension must be a positive integer, got {n!r}"
                 )
@@ -39,13 +48,13 @@ class AmbientSpace(tuple):
 
 def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> tuple[int, ...]:
     """The multidegree as a tuple, after checking its length and entries."""
-    d = tuple(multidegree)
+    d = _int_list(multidegree)
     if len(d) != len(space):
         raise ValidationError(
             f"multidegree {d} has length {len(d)}, expected {len(space)}"
         )
     for i, di in enumerate(d):
-        if not isinstance(di, int) or isinstance(di, bool) or di < 0:
+        if di < 0:
             raise ValidationError(
                 f"multidegree entry {i}: expected a non-negative integer, got {di!r}"
             )

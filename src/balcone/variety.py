@@ -84,14 +84,17 @@ def _buckets(poly, field):
 
 class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors")):
     """Intersection of divisors of the given multidegrees in an ambient product, and the pair
-    ``(space, divisors)`` it compares, hashes and prints as.  Its dimension and κ's pass plan
-    are kept beside that tuple, and it refuses attribute assignment.  A divisor it refuses
-    is named by its document path, ``/divisors/i``."""
+    ``(space, divisors)`` it compares, hashes and prints as, the space an ``AmbientSpace``.  Its
+    dimension and κ's pass plan are kept beside that tuple, and it refuses attribute
+    assignment.  A divisor it refuses is named by its document path, ``/divisors/i``."""
 
     # namedtuple's _replace builds through _make, which would skip the checks.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, space: AmbientSpace, divisors: Sequence[Sequence[int]]):
+    def __new__(cls, space: Sequence[int], divisors: Sequence[Sequence[int]]):
+        space = AmbientSpace(space)
+        if not isinstance(divisors, (list, tuple)):
+            raise ValidationError("expected a list of multidegrees")
         return super().__new__(cls, space, tuple([
             _located(f"/divisors/{i}", check_multidegree, space, d)
             for i, d in enumerate(divisors)]))

@@ -8,7 +8,9 @@ text.  No draw adds a factor or a divisor, so no draw asks for a large κ.
 
 The library layer gets the same treatment: each draw replaces one ``Scenario`` field
 with a value of the shape the reader passes for it, and ``_replace`` must refuse it
-with a ``ScenarioError`` or return a scenario that hashes and round-trips.
+with a ``ScenarioError`` or return a scenario that hashes and round-trips.  The records
+that hold integers, and ``Scenario``, must refuse what is not a list of integers with a
+``ValidationError``.
 """
 
 import contextlib
@@ -18,8 +20,10 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
-from balcone.errors import ScenarioError
+from balcone.errors import ScenarioError, ValidationError
+from balcone.ring import AmbientSpace, check_multidegree
 from balcone.scenario_io import parse_scenario, quintic_conifold_scenario, serialize_scenario
+from balcone.variety import CompleteIntersection
 
 from _helpers import DEMO_SCENARIO_DOCUMENT
 
@@ -155,3 +159,40 @@ def test_scenario_refuses_or_round_trips(change):
     event(f"{field} accepted")
     hash(sc)
     assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+_STRINGS = st.sampled_from(("", "1", "x", "αβ", "[1, 2]"))
+_NOT_INT = st.one_of(st.booleans(), st.none(), st.floats(allow_nan=False), _STRINGS,
+                     st.just({}), st.just([1]))
+# A non-list, or a list of small integers with one value that is not an integer among them.
+_NOT_INT_LIST = st.one_of(
+    _SMALL, st.none(), _STRINGS, st.dictionaries(_SMALL, _SMALL, max_size=2),
+    st.tuples(st.lists(_SMALL, max_size=2), st.integers(0, 2), _NOT_INT).map(
+        lambda t: [*t[0][:t[1]], t[2], *t[0][t[1]:]]),
+)
+_QUINTIC = quintic_conifold_scenario()
+# Per record: a call with the drawn value in one place that holds integers or their lists.
+_TARGETS = {
+    **{f"Scenario.{field}": lambda v, field=field: _QUINTIC._replace(**{field: v})
+       for field in _QUINTIC._fields},
+    "AmbientSpace": AmbientSpace,
+    "check_multidegree": lambda v: check_multidegree(_QUINTIC.space, v),
+    "CompleteIntersection.space": lambda v: CompleteIntersection(v, _QUINTIC.divisors),
+    "CompleteIntersection.divisors": lambda v: CompleteIntersection(_QUINTIC.space, v),
+    "kappa.a": lambda v: _QUINTIC.ci.kappa(v, (1, 0)),
+    "kappa.b": lambda v: _QUINTIC.ci.kappa((0, 1), v),
+}
+
+
+@settings(max_examples=800)
+@given(st.sampled_from(sorted(_TARGETS)), _NOT_INT_LIST)
+def test_records_refuse_what_is_not_a_list_of_integers(target, value):
+    """Only a ``ValidationError`` escapes a record given a value that is not a list of
+    integers; what it accepts hashes."""
+    try:
+        result = _TARGETS[target](value)
+    except ValidationError:
+        event(f"{target} refused")
+        return
+    event(f"{target} accepted")
+    hash(result)

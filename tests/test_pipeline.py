@@ -91,6 +91,14 @@ class TestScenario:
         ({"kahler_cone": ((0, 0), (0, 1))}, "/kahler_cone"),
         ({"prime_divisors": (("E1", (1, 2, 3)),)}, "/prime_divisors/0/coords"),
         ({"prime_divisors": (("E1", "ab"),)}, "/prime_divisors/0/coords"),
+        # fields that are not lists, or list entries of the wrong shape
+        ({"h11_names": 5}, "/h11_basis"),
+        ({"h11_names": "αβ"}, "/h11_basis"),  # not read as the names ("α", "β")
+        ({"h11_multidegrees": 5}, "/h11_basis"),
+        ({"codim_exprs": None}, "/codim_basis"),
+        ({"prime_divisors": 5}, "/prime_divisors"),
+        ({"prime_divisors": [5]}, "/prime_divisors/0"),
+        ({"prime_divisors": [("E1", (-1, 1), 3)]}, "/prime_divisors/0"),
     ])
     def test_refusals_name_the_document_path(self, sc, fields, path):
         """A library caller's ``Scenario`` is refused at the document key of the field."""

@@ -173,8 +173,10 @@ _DOCUMENT_ERRORS = [
     ),
     # Two faults, the first reported.  Structure comes first: the reader finds every key
     # and entry before any value is checked.  ``Scenario`` then checks the values, cheapest
-    # first: the integer lists, the cones, the basis counts, the names, the ambient space
-    # and h11 multidegrees, the exprs, and the intersection last.
+    # first: the prime coords, the cones, the basis counts, the names, the ambient space
+    # and h11 multidegrees, the exprs, and the intersection last.  Each integer list is
+    # checked where its record is built: the ambient's by ``AmbientSpace``, an h11
+    # multidegree's with the multidegree, and a divisor's by the intersection.
     pytest.param(
         mutated(codim_basis=[{"name": "a", "expr": "α*β"}, {"name": "b"}],
                 divisors=[[1, -1], [4, 1]]),
@@ -243,6 +245,29 @@ _DOCUMENT_ERRORS = [
     pytest.param(
         mutated(codim_basis=_codim("α β"), divisors=[[1, 1], [4, -1]]),
         "/codim_basis/0/expr", id="expr-before-divisors",
+    ),
+    pytest.param(
+        mutated(codim_basis=_codim("α β"), divisors=[[1, 1], [4, "1"]]),
+        "/codim_basis/0/expr", id="expr-before-divisor-integers",
+    ),
+    pytest.param(
+        mutated(codim_basis=_codim("α β"), divisors=5),
+        "/codim_basis/0/expr", id="expr-before-divisors-not-a-list",
+    ),
+    pytest.param(
+        mutated(ambient=[4, "1"],
+                codim_basis=[{"name": "x", "expr": "α*β"}, {"name": "x", "expr": "β*β"}]),
+        "/codim_basis/1/name", id="codim-names-repeat-before-ambient-integers",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, "1"]}, _BETA],
+                kahler_cone=[[1, 0]]),
+        "/kahler_cone", id="h11-multidegree-integers-after-cones",
+    ),
+    pytest.param(
+        mutated(h11_basis=[{"name": "α", "multidegree": [0, True]}, _BETA],
+                codim_basis=[{"name": "", "expr": "α*β"}, {"name": "b", "expr": "β*β"}]),
+        "/codim_basis/0/name", id="h11-multidegree-integers-after-names",
     ),
     pytest.param(
         mutated(h11_basis=[{"name": "α", "multidegree": [0, 0]}, _BETA],

@@ -54,3 +54,13 @@ def test_reader_holds_no_value_rule():
         imported |= {name.rpartition(".")[2] for name in names}
     assert "pipeline" in imported
     assert imported.isdisjoint({"cones", "ring", "variety"})
+
+
+def test_pipeline_leaves_the_integer_rule_to_the_records():
+    """``Scenario`` only names the path: the integer-list rule lives in ``ring``, so
+    ``pipeline`` holds no ``isinstance(…, bool)`` test of its own."""
+    source = Path(balcone.__file__).parent / "pipeline.py"
+    hits = [node.lineno for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+            if _calls(node, "isinstance") and len(node.args) == 2
+            and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
+    assert hits == []

@@ -6,7 +6,8 @@ import pytest
 from balcone.cones import Cone2D
 from balcone.errors import DegreeMismatchError, ScenarioError, ValidationError
 from balcone.pipeline import Scenario
-from balcone.ring import AmbientSpace
+from balcone.ring import AmbientSpace, check_multidegree
+from balcone.scenario_io import quintic_conifold_scenario
 from balcone.variety import CompleteIntersection
 
 from _helpers import finite_difference_kappa, random_fraction
@@ -63,6 +64,30 @@ class TestConstruction:
         assert info.value.path == "/divisors/1"
         assert str(info.value) == ("at /divisors/1: multidegree entry 1: "
                                    "expected a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda ci: AmbientSpace(5), "expected a list of integers"),
+        (lambda ci: AmbientSpace(["x"]), "expected a list of integers"),
+        (lambda ci: check_multidegree(ci.space, 5), "expected a list of integers"),
+        (lambda ci: CompleteIntersection(ci.space, 5), "expected a list of multidegrees"),
+        (lambda ci: CompleteIntersection(ci.space, [5]), "expected a list of integers"),
+        (lambda ci: ci.kappa(5, (1, 0)), "expected a list of integers"),
+        (lambda ci: CompleteIntersection([0, 2], [(0, 1)]), "must be a positive integer"),
+        (lambda ci: CompleteIntersection([True, 3], [(0, 1)]), "expected a list of integers"),
+    ], ids=["space-int", "space-str-entry", "multidegree-int", "divisors-int",
+            "divisor-int", "kappa-int", "space-zero", "space-bool"])
+    def test_records_refuse_what_is_not_a_list_of_integers(self, quintic_ci, build, message):
+        """The records check the integers they hold, each with the one integer-list rule of
+        ``ring``: only a ``ValidationError`` escapes."""
+        with pytest.raises(ValidationError, match=message):
+            build(quintic_ci)
+
+    def test_space_built_as_an_ambient_space(self):
+        """A list of factor dimensions is kept as the ``AmbientSpace`` it validates, so the
+        intersection equals and hashes as the scenario's."""
+        ci, sc = CompleteIntersection([4, 1], [(1, 1), (4, 1)]), quintic_conifold_scenario()
+        assert type(ci.space) is AmbientSpace
+        assert ci == sc.ci and hash(ci) == hash(sc.ci)
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
