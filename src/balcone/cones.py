@@ -36,17 +36,32 @@ class Ray(namedtuple("Ray", "x y")):
         return super().__new__(cls, x, y)
 
 
+def _pair(value, name, kinds=(int, Fraction)):
+    """``value``, refused unless it is a list or tuple of two ``kinds``, not bools: the one
+    rule for the coordinate pairs the value functions take, integers or fractions."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        a, b = value
+        if isinstance(a, kinds) and isinstance(b, kinds) and bool not in (type(a), type(b)):
+            return value
+    raise ValidationError(f"{name} needs exactly two coordinates, each an integer"
+                          + ("" if kinds is int else " or a fraction"))
+
+
 def ray_normalize(v) -> Ray:
     """Primitive integer ray in the direction of a rational vector.
 
     Clears denominators, divides out the gcd, and preserves orientation.
-    An ``int`` pair only divides by its gcd.
+    An ``int`` pair only divides by its gcd; anything but a pair of integers or
+    fractions is a ``ValidationError``.
     """
     if isinstance(v, Ray):
         return v
-    a, b = v
+    try:
+        a, b = v
+    except (TypeError, ValueError):  # not a pair: the rule below refuses it
+        a = b = None
     if not (type(a) is int and type(b) is int):  # a bool takes this path too
-        a, b = Fraction(a), Fraction(b)
+        a, b = map(Fraction, _pair(v, "ray"))
         a, b = a.numerator * b.denominator, b.numerator * a.denominator
     g = gcd(a, b) or 1  # 0 only for the zero vector, which Ray refuses
     return Ray(a // g, b // g)

@@ -28,7 +28,8 @@ from functools import cached_property, reduce
 from itertools import accumulate, repeat
 from math import comb, lcm
 
-from .cones import Cone2D, Pairing, Ray, _dual_edges, dual_cone, is_subcone, ray_normalize
+from .cones import (Cone2D, Pairing, Ray, _dual_edges, _pair, dual_cone, is_subcone,
+                    ray_normalize)
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
                      ValidationError, _immutable, _located)
 from .ring import AmbientSpace, _int_list, check_multidegree
@@ -177,11 +178,14 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
                 raise ScenarioError(f"row class {i} must have degree 1", path=path)
         codim_forms = tuple([parse_class_expr(e, h11_names, path=f"/codim_basis/{j}/expr")
                              for j, e in enumerate(codim_exprs)])
-        ci = _located("/divisors", CompleteIntersection, space, divisors)
+        # dim = Σn_i − r needs no intersection, so the exprs' degree is read before the
+        # build; divisors the build refuses (not a list, or dim < 1) are left to it.
+        dim = sum(space) - len(divisors) if isinstance(divisors, (list, tuple)) else 0
         for j, c in enumerate(codim_forms):
-            if len(c) != ci.dim:
-                raise ScenarioError(f"column class {j} must have degree {ci.dim - 1}, "
+            if 0 < dim != len(c):
+                raise ScenarioError(f"column class {j} must have degree {dim - 1}, "
                                     f"got {len(c) - 1}", path=f"/codim_basis/{j}/expr")
+        ci = _located("/divisors", CompleteIntersection, space, divisors)
         self = super().__new__(cls, space, ci.divisors, h11_names, tuple(multidegrees),
                                codim_names, codim_exprs, kahler, effective, tuple(primes))
         vars(self).update(ci=ci, codim_forms=codim_forms, kappa=ci.kappa(*multidegrees))
@@ -226,6 +230,8 @@ def kappa_in_basis(scenario: Scenario, u, v) -> list[int]:
 
     With L1 = X·u₀ + Y·v₀ and L2 = X·u₁ + Y·v₁, Σ C(dim,j)·k_j·X^j·Y^(dim−j) equals
     Σ C(dim,i)·κ_i·L1^i·L2^(dim−i): one Horner pass in L1, O(dim²) integer products."""
+    if not (type(u) is Ray and type(v) is Ray):  # a Ray is a pair of integers already
+        u, v = [_pair(w, "basis class", int) for w in (u, v)]
     d = scenario.ci.dim
     h, l2_powers = [], list(accumulate(repeat((v[1], u[1]), d), _product, initial=(1,)))
     for i in range(d, -1, -1):
@@ -246,19 +252,33 @@ def balanced_image_closure(scenario: Scenario) -> Cone2D:
     k_j = ∫ u^j v^(dim−j) from :func:`kappa_in_basis`; so its ray is
     k_(j+1)·ev + k_j·eu, where the edges (eu, ev) of the Kähler cone's dual
     pair with (u, v) to (0, δ) and (δ, 0) for one δ > 0.
+
+    That cone is the closure only when it holds every live term; otherwise, as on a
+    Kähler cone that is not nef, a ``ComputationError`` names the first term outside.
     """
     d = scenario.ci.dim
     k = kappa_in_basis(scenario, *scenario.kahler_cone)
     # Some term is live: all k_j = 0 would make κ ≡ 0, whose pairing Scenario refuses.
     live = [j for j in range(d) if k[j] or k[j + 1]]
     eu, ev = _dual_edges(scenario.kahler_cone, scenario.pairing_matrix)
-    first, last = ([k[j + 1] * a + k[j] * b for a, b in zip(ev, eu)] for j in (live[-1], live[0]))
+    (fx, fy), (lx, ly) = ends = [(k[j], k[j + 1]) for j in (live[-1], live[0])]
+    first, last = ([y * a + x * b for a, b in zip(ev, eu)] for x, y in ends)
     try:
-        return Cone2D(first, last)
+        cone = Cone2D(first, last)
     except ValidationError as e:
         raise ComputationError(
             f"balanced-map image closure is not a planar cone: {e}"
         ) from e
+    # (x, y) -> x·eu + y·ev is one-to-one and keeps conic combinations, so a term lies in
+    # the cone of the end terms exactly when (k_j, k_(j+1)) lies in the cone of theirs.
+    s = fx * ly - fy * lx  # not 0, since the end terms span a planar cone
+    for j in live:
+        if (k[j] * ly - k[j + 1] * lx) * s < 0 or (fx * k[j + 1] - fy * k[j]) * s < 0:
+            raise ComputationError(
+                f"balanced-map image closure is not the cone of its end terms: term j = {j} "
+                f"of ω^(dim−1) = (s·u + t·v)^{d - 1} on the supplied Kähler cone "
+                f"{[list(r) for r in scenario.kahler_cone]} lies outside it")
+    return cone
 
 
 def balanced_cone(scenario: Scenario) -> Cone2D:
@@ -283,14 +303,10 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     forms by the common denominator q, so P·A^(dim−2) is built in integers and
     the integrals are divided by q^(dim−1) at the end.
     """
-    a = tuple([Fraction(x) for x in ample])
-    if len(a) != 2:
-        raise ValidationError("ample class needs exactly two coordinates")
+    a = tuple([Fraction(x) for x in _pair(ample, "ample class")])
     if a[0] <= 0 or a[1] <= 0:
         raise ValidationError("ample coordinates must be strictly positive")
-    kp = tuple([Fraction(x) for x in known_prime])
-    if len(kp) != 2:
-        raise ValidationError("prime divisor class needs exactly two coordinates")
+    kp = tuple([Fraction(x) for x in _pair(known_prime, "prime divisor class")])
     q = lcm(*[x.denominator for x in a + kp])
     (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))

@@ -38,7 +38,7 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 def fmt_rational(value) -> str:
     """Reduced ``p/q`` string with positive denominator; plain ``p`` for integers."""
     try:
-        return str(value) if type(value) is int else str(Fraction(value))
+        return str(value if type(value) in (int, Fraction) else Fraction(value))
     except ValueError:  # more digits than int's string conversion allows
         raise ComputationError(
             f"result has more than {sys.get_int_max_str_digits()} digits, "
@@ -193,9 +193,9 @@ def demo_payload(sc: Scenario) -> dict:
         {
             "effective_ray": list(e),
             "balanced_ray": list(b),
-            "value": fmt_rational(pm.pair(e, b)),
+            "value": fmt_rational(f[0] * b[0] + f[1] * b[1]),  # pm.pair(e, b)
         }
-        for e in sc.effective_cone
+        for e, f in zip(sc.effective_cone, map(pm.functional, sc.effective_cone))
         for b in gr.balanced_cone
     ]
     bounds = [

@@ -12,14 +12,15 @@ from collections.abc import Sequence
 
 from .errors import ValidationError
 
+_INT = frozenset([int])
+
 
 def _int_list(value) -> tuple[int, ...]:
     """``value`` as a tuple, refused unless it is a list or tuple of integers, not bools."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ValidationError("expected a list of integers")
-    return tuple(value)
+    if isinstance(value, (list, tuple)) and (_INT.issuperset(map(type, value)) or all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        return tuple(value)
+    raise ValidationError("expected a list of integers")
 
 
 class AmbientSpace(tuple):
@@ -35,11 +36,10 @@ class AmbientSpace(tuple):
         space = super().__new__(cls, _int_list(dims))
         if not space:
             raise ValidationError("ambient space needs at least one projective factor")
-        for i, n in enumerate(space):
-            if n < 1:
-                raise ValidationError(
-                    f"factor {i}: dimension must be a positive integer, got {n!r}"
-                )
+        if min(space) < 1:
+            i = next(i for i, n in enumerate(space) if n < 1)
+            raise ValidationError(
+                f"factor {i}: dimension must be a positive integer, got {space[i]!r}")
         return space
 
     def __repr__(self):
@@ -50,13 +50,10 @@ def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> tuple[
     """The multidegree as a tuple, after checking its length and entries."""
     d = _int_list(multidegree)
     if len(d) != len(space):
+        raise ValidationError(f"multidegree {d} has length {len(d)}, expected {len(space)}")
+    if min(d, default=0) < 0:
+        i = next(i for i, di in enumerate(d) if di < 0)
         raise ValidationError(
-            f"multidegree {d} has length {len(d)}, expected {len(space)}"
-        )
-    for i, di in enumerate(d):
-        if di < 0:
-            raise ValidationError(
-                f"multidegree entry {i}: expected a non-negative integer, got {di!r}"
-            )
+            f"multidegree entry {i}: expected a non-negative integer, got {d[i]!r}")
     return d
 

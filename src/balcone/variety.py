@@ -62,11 +62,13 @@ def _fields(bounds):
             for s, m in zip(shifts, bounds)], shifts[-1]
 
 
-def _widest(space, r):
-    """W: the most exponent vectors e ≤ n with one |e| = t ≤ r, a bound on F's terms as
-    each divisor is multiplied in."""
+def _widest(space, r, cap):
+    """W: the most exponent vectors e ≤ n with one |e| = t ≤ r, a bound on F's terms as each
+    divisor is multiplied in; or a count ≥ cap once one reaches it, as none shrinks later."""
     layers = [1]  # the number of e with |e| = t over the factors so far
     for n in space:
+        if max(layers) >= cap:
+            break
         layers = [sum(layers[max(0, t - n):t + 1])
                   for t in range(min(r, len(layers) + n - 1) + 1)]
     return max(layers)
@@ -92,7 +94,7 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors"))
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, space: Sequence[int], divisors: Sequence[Sequence[int]]):
-        space = AmbientSpace(space)
+        space = space if isinstance(space, AmbientSpace) else AmbientSpace(space)
         if not isinstance(divisors, (list, tuple)):
             raise ValidationError("expected a list of multidegrees")
         return super().__new__(cls, space, tuple([
@@ -113,7 +115,7 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors"))
         ms = [*groups.values()]
         # x-powers keep up to ∏(m_g+1)·(dim+1) states, F at most W terms in each degree
         # it is built through; take the smaller bound, the x-powers on a tie.
-        if _widest(space, len(divisors)) < prod([m + 1 for m in ms]):
+        if _widest(space, len(divisors), cap := prod([m + 1 for m in ms])) < cap:
             fields, yshift = _fields(space)  # one field per factor, e_i ≤ n_i
             fundamental = {0: 1}
             for d in divisors:

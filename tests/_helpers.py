@@ -16,6 +16,18 @@ from _ring_oracle import RingClass, express_in_basis, h11_classes, linear_combin
 # The shipped document, decoded once for the tests that mutate or compare it.
 DEMO_SCENARIO_DOCUMENT = json.loads(DEMO_SCENARIO_JSON)
 
+# A Kähler cone that cannot be nef: k = (−360, 336, −312, 288) on its rays, so the middle
+# term of ω^2 lies outside the cone of the end terms (6,1), (4,1), and the closure is refused.
+NOT_NEF_DOCUMENT = {
+    "ambient": [4, 1],
+    "divisors": [[2, 0], [3, 0]],
+    "h11_basis": [{"name": "a", "multidegree": [0, 1]},
+                  {"name": "b", "multidegree": [2, 2]}],
+    "codim_basis": [{"name": "c1", "expr": "b*a"}, {"name": "c2", "expr": "b*b"}],
+    "kahler_cone": [[2, 1], [-3, -1]],
+    "effective_cone": [[1, 0], [0, 1]],
+}
+
 
 def random_space(rng, max_total=8, max_factors=3):
     k = rng.randint(1, max_factors)
@@ -122,7 +134,8 @@ def reference_image_closure(sc):
     """Image closure from the ring: every binomial term through express_in_basis.
 
     Scans the terms of (s*u + t*v)^(dim-1) from the u-dominant end and from
-    the v-dominant end for the first non-zero codim coordinates.
+    the v-dominant end for the first non-zero codim coordinates, and refuses
+    the cone they span unless it holds every non-zero term.
     """
     n = sc.ci.dim - 1
     u, v = (
@@ -133,9 +146,12 @@ def reference_image_closure(sc):
     ]
     live = [c for c in coords if any(c)]
     try:
-        return Cone2D(live[0], live[-1])
+        cone = Cone2D(live[0], live[-1])
     except ValidationError as e:
         raise ComputationError(f"balanced-map image closure is not a planar cone: {e}") from e
+    if not all(cone.contains(c) for c in live):
+        raise ComputationError("balanced-map image closure is not the cone of its end terms")
+    return cone
 
 
 REFERENCE_VULGAR = {
@@ -227,6 +243,15 @@ def reference_class_expr(expr, names, path="expr"):
     for _, j, coeff in terms:
         form[j] += coeff
     return tuple(form)
+
+
+def widest_by_count(dims, r):
+    """W, the most exponent vectors e ≤ n with one degree |e| = t ≤ r, by listing every e."""
+    counts = [0] * (r + 1)
+    for e in product(*(range(k + 1) for k in dims)):
+        if sum(e) <= r:
+            counts[sum(e)] += 1
+    return max(counts)
 
 
 def finite_difference_kappa(dims, divisors, a, b):

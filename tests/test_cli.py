@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from balcone import cli
 from balcone.cli import main
 from balcone.scenario_io import DEMO_SCENARIO_JSON
 
-from _helpers import pn_document
+from _helpers import NOT_NEF_DOCUMENT, pn_document
 
 
 def run(capsys, *argv):
@@ -288,6 +290,45 @@ class TestCommands:
         code, out, err = run(capsys, command, "--scenario", str(path))
         assert (code, out) == (4, "")
         assert "not a planar cone" in err
+
+    @pytest.mark.parametrize("command", ["image", "gap", "demo", "render"])
+    def test_image_closure_refused_when_a_term_leaves_the_end_terms(
+            self, capsys, tmp_path, command):
+        """A Kähler cone that cannot be nef, k = (−360, 336, −312, 288): the end terms span
+        (6,1), (4,1), and the middle term of ω^2 lies outside that cone."""
+        path = tmp_path / "not-nef.json"
+        path.write_text(json.dumps(NOT_NEF_DOCUMENT), encoding="utf-8")
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (4, "")
+        assert err == ("computation error: balanced-map image closure is not the cone of its "
+                       "end terms: term j = 1 of ω^(dim−1) = (s·u + t·v)^2 on the supplied "
+                       "Kähler cone [[2, 1], [-3, -1]] lies outside it\n")
+
+    def test_codim_degree_refused_before_a_costly_build(self, capsys, tmp_path):
+        """(P^1)^20 cut by 19 distinct 0/1 divisors has dim 1, so its degree-2 exprs are
+        wrong.  Building that intersection took 1.4 s; dim needs only the divisor count."""
+        rng = random.Random(20)
+        divisors = set()
+        while len(divisors) < 19:
+            d = tuple([rng.randint(0, 1) for _ in range(20)])
+            if any(d):
+                divisors.add(d)
+        path = tmp_path / "p1x20.json"
+        path.write_text(json.dumps({
+            "ambient": [1] * 20,
+            "divisors": sorted(divisors),
+            "h11_basis": [{"name": "a", "multidegree": [1] * 10 + [0] * 10},
+                          {"name": "b", "multidegree": [0] * 10 + [1] * 10}],
+            "codim_basis": [{"name": "c1", "expr": "a*b"}, {"name": "c2", "expr": "b*b"}],
+            "kahler_cone": [[1, 0], [0, 1]],
+            "effective_cone": [[1, 0], [0, 1]],
+        }), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gap", "--scenario", str(path))
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (3, "")
+        assert err == ("scenario error: at /codim_basis/0/expr: column class 0 must have "
+                       "degree 0, got 2\n")
 
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -56,6 +56,16 @@ class TestRay:
         with pytest.raises(ValidationError, match="primitive"):
             Ray(2, 4)
 
+    @pytest.mark.parametrize("value", [
+        5, None, "ab", (1, 2, 3), (1, "x"), (1, None), (True, 1), (0.5, 1), [], {},
+    ])
+    def test_not_a_pair_of_numbers_rejected(self, value):
+        """Only a pair of integers or fractions, not bools, names a direction."""
+        with pytest.raises(ValidationError, match="ray needs exactly two coordinates"):
+            ray_normalize(value)
+        with pytest.raises(ValidationError, match="ray needs exactly two coordinates"):
+            Cone2D(value, (0, 1))
+
     @pytest.mark.parametrize("pair", [(True, 0), (1, False), (1.0, 0), (Fraction(1), 0)])
     def test_non_integer_entries_rejected(self, pair):
         # bool is an int subclass: a JSON `true` must not pass as the entry 1

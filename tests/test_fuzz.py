@@ -9,8 +9,8 @@ text.  No draw adds a factor or a divisor, so no draw asks for a large κ.
 The library layer gets the same treatment: each draw replaces one ``Scenario`` field
 with a value of the shape the reader passes for it, and ``_replace`` must refuse it
 with a ``ScenarioError`` or return a scenario that hashes and round-trips.  The records
-that hold integers, and ``Scenario``, must refuse what is not a list of integers with a
-``ValidationError``.
+that hold integers, ``Scenario`` and the value functions that take a coordinate pair must
+refuse what is not a list of integers with a ``ValidationError``.
 """
 
 import contextlib
@@ -20,7 +20,9 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
+from balcone.cones import Cone2D, ray_normalize
 from balcone.errors import ScenarioError, ValidationError
+from balcone.pipeline import divisor_bound_functional, kappa_in_basis
 from balcone.ring import AmbientSpace, check_multidegree
 from balcone.scenario_io import parse_scenario, quintic_conifold_scenario, serialize_scenario
 from balcone.variety import CompleteIntersection
@@ -181,14 +183,26 @@ _TARGETS = {
     "CompleteIntersection.divisors": lambda v: CompleteIntersection(_QUINTIC.space, v),
     "kappa.a": lambda v: _QUINTIC.ci.kappa(v, (1, 0)),
     "kappa.b": lambda v: _QUINTIC.ci.kappa((0, 1), v),
+    # The value functions that take a coordinate pair; their lists are kept as tuples.
+    "ray_normalize": ray_normalize,
+    "Cone2D.r1": lambda v: Cone2D(v, (0, 1)),
+    "Cone2D.r2": lambda v: Cone2D((1, 0), v),
+    "kappa_in_basis.u": lambda v: tuple(kappa_in_basis(_QUINTIC, v, (1, 0))),
+    "kappa_in_basis.v": lambda v: tuple(kappa_in_basis(_QUINTIC, (0, 1), v)),
+    "divisor_bound_functional.prime": lambda v: divisor_bound_functional(_QUINTIC, v, (1, 1)),
+    "divisor_bound_functional.ample": lambda v: divisor_bound_functional(_QUINTIC, (-1, 1), v),
 }
+# Nine malformed values for the pair-taking functions: an int, None, a str, a 3-tuple, a
+# pair with a str or a bool, an empty list or dict, and a pair with a 5001-digit entry.
+_MALFORMED = st.sampled_from((5, None, "ab", (1, 2, 3), (1, "x"), (True, 1), [], {},
+                              (10**5000, 1)))
 
 
 @settings(max_examples=800)
-@given(st.sampled_from(sorted(_TARGETS)), _NOT_INT_LIST)
+@given(st.sampled_from(sorted(_TARGETS)), st.one_of(_NOT_INT_LIST, _MALFORMED))
 def test_records_refuse_what_is_not_a_list_of_integers(target, value):
-    """Only a ``ValidationError`` escapes a record given a value that is not a list of
-    integers; what it accepts hashes."""
+    """Only a ``ValidationError`` escapes a record or value function given a value that is
+    not a list of integers; what it accepts hashes."""
     try:
         result = _TARGETS[target](value)
     except ValidationError:

@@ -11,8 +11,9 @@ against relations that need no second implementation.
 """
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from balcone.pipeline import (
     divisor_bound_functional,
     kappa_in_basis,
 )
+from balcone.report import demo_payload, fmt_rational
 from balcone.ring import AmbientSpace
 from balcone.scenario_io import (
     document_to_scenario,
@@ -38,9 +40,11 @@ from balcone.variety import CompleteIntersection
 
 from _helpers import (
     DEMO_SCENARIO_DOCUMENT,
+    NOT_NEF_DOCUMENT,
     finite_difference_kappa,
     pn_document,
     reference_image_closure,
+    widest_by_count,
 )
 from _ring_oracle import (
     divisor_class,
@@ -202,18 +206,18 @@ def test_image_inside_balanced_on_nef_kahler(doc):
 
 
 def _powers_outside_image(sc):
-    """(i, c) for each ω^(dim−1) whose codim coordinates c lie outside the image closure.
+    """(i, c) for each ω^(dim−1) whose codim coordinates c lie outside the image closure,
+    or None when the closure is refused.
 
     ω = s·u + t·v on the Kähler rays u, v, with s/(s+t) = i/8 for i = 1…7.  The
     coordinates solve P·c = (∫h1·ω^(dim−1), ∫h2·ω^(dim−1)) by Cramer's rule, with
     the integrals read from κ: no binomial term is scanned, so the check shares
-    nothing with the closure's end-term rule.  A refused closure holds nothing.
+    nothing with the closure's end-term rule.
     """
     try:
         image = balanced_image_closure(sc)
     except ComputationError:
-        event("refused")
-        return []
+        return None
     n, (u, v) = sc.ci.dim - 1, sc.kahler_cone
     (p11, p12), (p21, p22) = pm = sc.pairing_matrix
     outside = []
@@ -231,30 +235,39 @@ def _powers_outside_image(sc):
 @_FEWER
 @given(documents(kahler_rays=_NEF_PAIR))
 def test_image_closure_holds_the_powers_of_kahler_classes(doc):
-    assert _powers_outside_image(_scenario(doc)) == []
+    outside = _powers_outside_image(_scenario(doc))
+    if outside is None:
+        event("refused")
+    assert not outside
 
 
-@pytest.mark.parametrize("doc", [
-    pytest.param(DEMO_SCENARIO_DOCUMENT, id="quintic"),
+@pytest.mark.parametrize("doc, outside", [
+    pytest.param(DEMO_SCENARIO_DOCUMENT, [], id="quintic"),
     pytest.param(dict(DEMO_SCENARIO_DOCUMENT, kahler_cone=[[1, 0], [-1, 2]],
-                      effective_cone=[[0, 1], [-1, 4]]), id="r1-gap"),
+                      effective_cone=[[0, 1], [-1, 4]]), [], id="r1-gap"),
     pytest.param(dict(DEMO_SCENARIO_DOCUMENT, kahler_cone=[[1, 0], [-1, 2]],
-                      effective_cone=[[1, 0], [-1, 4]]), id="no-gap"),
-    # A Kähler cone that cannot be nef (k = (−360, 336, −312, 288)): the closure
-    # spans the end terms (6,1), (4,1), and six of the seven powers fall outside it.
-    pytest.param({
-        "ambient": [4, 1],
-        "divisors": [[2, 0], [3, 0]],
-        "h11_basis": [{"name": "a", "multidegree": [0, 1]},
-                      {"name": "b", "multidegree": [2, 2]}],
-        "codim_basis": [{"name": "c1", "expr": "b*a"}, {"name": "c2", "expr": "b*b"}],
-        "kahler_cone": [[2, 1], [-3, -1]],
-        "effective_cone": [[1, 0], [0, 1]],
-    }, id="not-nef", marks=pytest.mark.xfail(
-        strict=True, reason="the end-term closure is wrong on a Kähler cone that is not nef")),
+                      effective_cone=[[1, 0], [-1, 4]]), [], id="no-gap"),
+    # The end terms span (6,1), (4,1), and six of the seven powers fall outside that cone:
+    # the closure is refused, not reported.
+    pytest.param(NOT_NEF_DOCUMENT, None, id="not-nef"),
 ])
-def test_image_closure_holds_the_powers_on_fixed_documents(doc):
-    assert _powers_outside_image(document_to_scenario(doc)) == []
+def test_image_closure_holds_the_powers_on_fixed_documents(doc, outside):
+    assert _powers_outside_image(document_to_scenario(doc)) == outside
+
+
+@_FEWER
+@given(documents())
+def test_demo_boundary_values_are_the_pairings(doc):
+    """The demo takes each effective ray's functional once; its values are ``pm.pair``'s."""
+    sc = _scenario(doc)
+    try:
+        boundary = demo_payload(sc)["boundary_pairings"]
+    except ComputationError:
+        event("refused")
+        return
+    assert [entry["value"] for entry in boundary] == [
+        fmt_rational(sc.pairing_matrix.pair(e, b))
+        for e in sc.effective_cone for b in sc.gap.balanced_cone]
 
 
 @_FEWER
@@ -604,6 +617,20 @@ def test_kappa_work_is_pinned(monkeypatch, dims, divisors, a, b, build, kappa):
     counts[:] = [0, 0]
     assert ci.kappa(a, b) == finite_difference_kappa(dims, divisors, a, b)
     assert tuple(counts) == kappa
+
+
+@_FEWER_NO_SHRINK
+@given(products())
+def test_side_choice_matches_a_brute_force_count(case):
+    """κ starts from F exactly when W < ∏(m_g+1), W counted by listing every exponent
+    vector; ``_widest`` stops once a count reaches its cap, and counts W when none does."""
+    ci = case[0]
+    r, widest = len(ci.divisors), widest_by_count(ci.space, len(ci.divisors))
+    cap = prod([m + 1 for m in Counter(ci.divisors).values()])
+    event("fundamental class" if widest < cap else "pass")
+    assert (variety._widest(ci.space, r, cap) < cap) == (widest < cap)
+    assert (ci._fundamental is not None) == (widest < cap)
+    assert variety._widest(ci.space, r, widest + 1) == widest
 
 
 def test_finite_difference_on_the_quintic():

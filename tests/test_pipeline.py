@@ -114,6 +114,7 @@ class TestScenario:
          "/h11_basis"),
         ({"kahler_cone": ((0, 0), (0, 1))}, "/kahler_cone"),
         ({"codim_names": ("", "b")}, "/codim_basis/0/name"),
+        ({"codim_exprs": ("α*β*β", "β*β")}, "/codim_basis/0/expr"),  # degree 3, dim − 1 = 2
     ])
     def test_refused_before_the_intersection_is_built(self, sc, fields, path, monkeypatch):
         """A library caller's ``Scenario`` checks every name, cone and expr before it builds
@@ -304,6 +305,18 @@ class TestBoundFunctional:
     def test_nonpositive_ample_rejected(self, sc):
         with pytest.raises(ValidationError, match="positive"):
             divisor_bound_functional(sc, (-1, 1), (3, 0))
+
+    @pytest.mark.parametrize("value", [5, None, "ab", (1, "x"), (True, 1), [], {}])
+    def test_not_a_pair_of_numbers_rejected(self, sc, value):
+        """The value functions refuse what is not a pair of integers or fractions with a
+        ``ValidationError``, and ``kappa_in_basis`` also a fraction, which it would floor."""
+        with pytest.raises(ValidationError, match="prime divisor class needs exactly two"):
+            divisor_bound_functional(sc, value, (1, 1))
+        with pytest.raises(ValidationError, match="ample class needs exactly two"):
+            divisor_bound_functional(sc, (-1, 1), value)
+        for u, v in ((value, (1, 0)), ((0, 1), value), ((Fraction(1, 2), 0), (0, 1))):
+            with pytest.raises(ValidationError, match="basis class needs exactly two"):
+                kappa_in_basis(sc, u, v)
 
     def test_three_entry_classes_rejected(self, sc):
         with pytest.raises(ValidationError, match="ample class needs exactly two"):

@@ -98,7 +98,7 @@ _DOCUMENT_ERRORS = [
     pytest.param([], "/", id="not-an-object"),
     pytest.param(mutated(ambient=[0, 1]), "/ambient", id="ambient-zero"),
     pytest.param(mutated(divisors=5), "/divisors", id="divisors-not-a-list"),
-    pytest.param(mutated(divisors=[[1, -1]]), "/divisors/0", id="divisor-negative"),
+    pytest.param(mutated(divisors=[[1, 1], [4, -1]]), "/divisors/1", id="divisor-negative"),
     pytest.param(mutated(divisors=[[1, 1]] * 5), "/divisors", id="dimension-0"),
     pytest.param(mutated(divisors=[[1, 1], [4, 1, 0]]), "/divisors/1", id="divisor-length"),
     pytest.param(mutated(h11_basis={"α": [0, 1]}), "/h11_basis", id="h11-object"),
@@ -174,7 +174,8 @@ _DOCUMENT_ERRORS = [
     # Two faults, the first reported.  Structure comes first: the reader finds every key
     # and entry before any value is checked.  ``Scenario`` then checks the values, cheapest
     # first: the prime coords, the cones, the basis counts, the names, the ambient space
-    # and h11 multidegrees, the exprs, and the intersection last.  Each integer list is
+    # and h11 multidegrees, the exprs and their degree (dim = Σn_i − r counts the divisors
+    # but reads none), and the intersection last.  Each integer list is
     # checked where its record is built: the ambient's by ``AmbientSpace``, an h11
     # multidegree's with the multidegree, and a divisor's by the intersection.
     pytest.param(
@@ -253,6 +254,10 @@ _DOCUMENT_ERRORS = [
     pytest.param(
         mutated(codim_basis=_codim("α β"), divisors=5),
         "/codim_basis/0/expr", id="expr-before-divisors-not-a-list",
+    ),
+    # One divisor fewer makes dim 4, so the degree-2 exprs are wrong before the entries are read.
+    pytest.param(
+        mutated(divisors=[[1, -1]]), "/codim_basis/0/expr", id="expr-degree-before-divisors",
     ),
     pytest.param(
         mutated(ambient=[4, "1"],

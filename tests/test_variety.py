@@ -89,6 +89,13 @@ class TestConstruction:
         assert type(ci.space) is AmbientSpace
         assert ci == sc.ci and hash(ci) == hash(sc.ci)
 
+    def test_ambient_space_kept_as_given(self):
+        """An ``AmbientSpace`` is already validated: the intersection keeps that object."""
+        space = AmbientSpace([4, 1])
+        assert CompleteIntersection(space, [(1, 1), (4, 1)]).space is space
+        sc = quintic_conifold_scenario()  # one AmbientSpace per parse
+        assert sc.ci.space is sc.space
+
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValidationError, match="dimension"):
             CompleteIntersection(AmbientSpace([4, 1]), [(1, 0)] * 5)
