@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,12 @@ def test_render_svg(benchmark, sc):
 
 def test_cone_from_int_pairs(benchmark, sc):
     rays = [tuple(r) for r in sc.gap.balanced_cone]  # plain int pairs, not Ray
+    benchmark(Cone2D, *rays)
+
+
+def test_cone_from_fraction_pairs(benchmark, sc):
+    # Fraction pairs, as `dual --rays 1/2,3` reads them and the image closure builds them
+    rays = [(Fraction(x, 3), Fraction(y, 2)) for x, y in sc.gap.balanced_cone]
     benchmark(Cone2D, *rays)
 
 

@@ -5,7 +5,6 @@ from .cones import (
     Cone2D,
     Pairing,
     Ray,
-    det2,
     dual_cone,
     is_subcone,
     ray_normalize,
@@ -58,7 +57,6 @@ __all__ = [
     "ValidationError",
     "balanced_cone",
     "balanced_image_closure",
-    "det2",
     "divisor_bound_functional",
     "dual_cone",
     "gap_report",

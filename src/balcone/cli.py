@@ -176,7 +176,3 @@ def main(argv=None) -> int:
         print(f"{label}: {e}", file=sys.stderr)
         return status
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,10 +4,13 @@ A ray is a primitive integer pair and a cone is the pair of its two rays in
 counterclockwise order (positive determinant), so equality of cones is
 structural and both compare, hash and unpack as the tuples they are; so
 does a pairing, the pair of its matrix rows.
-Openness is a membership mode rather than a separate type.  Rational input
-vectors are normalized to primitive integer rays on entry.  Determinants and
-membership are exact arithmetic in the input's own type (``int`` on rays);
-barycentric coordinates and pairings are ``Fraction``.  Nothing is rounded.
+Openness is a membership mode rather than a separate type.  One number model
+holds throughout: a coordinate is an object whose type is exactly ``int`` or
+``Fraction`` (a bool, a float, a string or a subclass is not one), and a vector
+is a list or tuple of two coordinates, read by ``_pair`` alone.  Vectors are
+normalized to primitive integer rays on entry.  Determinants and membership are
+exact arithmetic on coordinates (``int`` on rays); barycentric coordinates and
+pairings are ``Fraction``.  Nothing is rounded.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class Ray(namedtuple("Ray", "x y")):
     _make = classmethod(lambda cls, pair: cls(*pair))
 
     def __new__(cls, x, y):
-        if not isinstance(x, int) or not isinstance(y, int) or bool in (type(x), type(y)):
+        if type(x) is not int or type(y) is not int:
             raise ValidationError(f"ray entries must be integers, got ({x!r}, {y!r})")
         if x == 0 and y == 0:
             raise ValidationError("zero vector does not span a ray")
@@ -36,51 +39,40 @@ class Ray(namedtuple("Ray", "x y")):
         return super().__new__(cls, x, y)
 
 
-def _pair(value, name, kinds=(int, Fraction)):
-    """``value``, refused unless it is a list or tuple of two ``kinds``, not bools: the one
-    rule for the coordinate pairs the value functions take, integers or fractions."""
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        a, b = value
-        if isinstance(a, kinds) and isinstance(b, kinds) and bool not in (type(a), type(b)):
-            return value
+def _pair(value, name, kinds=frozenset([int, Fraction])):
+    """``value``, refused unless it is a list or tuple of two coordinates whose types are in
+    ``kinds``: the one rule for every vector the value functions take."""
+    if isinstance(value, (list, tuple)) and len(value) == 2 and kinds.issuperset(map(type, value)):
+        return value
     raise ValidationError(f"{name} needs exactly two coordinates, each an integer"
-                          + ("" if kinds is int else " or a fraction"))
+                          + (" or a fraction" if Fraction in kinds else ""))
 
 
 def ray_normalize(v) -> Ray:
-    """Primitive integer ray in the direction of a rational vector.
+    """Primitive integer ray in the direction of a pair of coordinates.
 
-    Clears denominators, divides out the gcd, and preserves orientation.
-    An ``int`` pair only divides by its gcd; anything but a pair of integers or
-    fractions is a ``ValidationError``.
+    Clears denominators, divides out the gcd, and preserves orientation; an
+    ``int`` is its own numerator over 1.  Anything but a pair of coordinates is a
+    ``ValidationError``.
     """
     if isinstance(v, Ray):
         return v
-    try:
-        a, b = v
-    except (TypeError, ValueError):  # not a pair: the rule below refuses it
-        a = b = None
-    if not (type(a) is int and type(b) is int):  # a bool takes this path too
-        a, b = map(Fraction, _pair(v, "ray"))
-        a, b = a.numerator * b.denominator, b.numerator * a.denominator
+    a, b = _pair(v, "ray")
+    a, b = a.numerator * b.denominator, b.numerator * a.denominator
     g = gcd(a, b) or 1  # 0 only for the zero vector, which Ray refuses
     return Ray(a // g, b // g)
 
 
 def det2(u, v) -> int | Fraction:
-    """Determinant of a 2x2 matrix with the given rows, exact in their own type:
-    ``int`` on integers, ``Fraction`` on rationals.  Any other result (a rounded
-    float product) is redone in ``Fraction``, which reads a float exactly."""
-    d = u[0] * v[1] - u[1] * v[0]
-    if not isinstance(d, (int, Fraction)):
-        d = Fraction(u[0]) * Fraction(v[1]) - Fraction(u[1]) * Fraction(v[0])
-    return d
+    """Determinant of the 2x2 matrix with rows ``u`` and ``v``, exact on coordinates:
+    ``int`` on integers, ``Fraction`` once an entry is a fraction."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 class Cone2D(namedtuple("Cone2D", "r1 r2")):
     """Salient full-dimensional cone: the pair of rays ``(r1, r2)`` with det > 0.
 
-    Either input may be a ray or a rational vector; both are normalized,
+    Either input may be a ray or a pair of coordinates; both are normalized,
     swapped into counterclockwise order when needed, and rejected when
     parallel or antipodal.
     """
@@ -102,12 +94,13 @@ class Cone2D(namedtuple("Cone2D", "r1 r2")):
 
     def barycentric(self, v) -> tuple[Fraction, Fraction]:
         """Coefficients (s, t) with v = s*r1 + t*r2, exactly."""
-        denom = det2(self.r1, self.r2)
+        v, denom = _pair(v, "vector"), det2(self.r1, self.r2)
         return (Fraction(det2(v, self.r2), denom), Fraction(det2(self.r1, v), denom))
 
     def contains(self, v, mode: str = "closed") -> bool:
-        """Membership of a rational vector, in closed or open mode."""
+        """Membership of a vector, in closed or open mode."""
         # det2(r1, r2) > 0, so the numerators of barycentric(v) carry its signs
+        v = _pair(v, "vector")
         s, t = det2(v, self.r2), det2(self.r1, v)
         if mode == "closed":
             return s >= 0 and t >= 0
@@ -135,9 +128,10 @@ class Pairing(tuple):
     __slots__ = ()
 
     def __new__(cls, rows):
-        rows = tuple([tuple([Fraction(v) for v in row]) for row in rows])
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        if not isinstance(rows, (list, tuple)) or len(rows) != 2:
             raise ValidationError("pairing matrix must be 2x2")
+        rows = tuple([tuple([Fraction(v) for v in _pair(row, "each row of a 2x2 pairing matrix")])
+                      for row in rows])
         pairing = super().__new__(cls, rows)
         if pairing.det == 0:
             raise DegeneratePairingError("pairing matrix is singular")
@@ -149,13 +143,13 @@ class Pairing(tuple):
 
     def functional(self, r) -> tuple[Fraction, Fraction]:
         """The linear form y -> p(r, y) on the column space, i.e. M^T r."""
-        x, y = r
+        x, y = _pair(r, "row vector")
         (m00, m01), (m10, m11) = self
         return (m00 * x + m10 * y, m01 * x + m11 * y)
 
     def pair(self, x, y) -> Fraction:
         fx = self.functional(x)
-        yx, yy = y
+        yx, yy = _pair(y, "column vector")
         return fx[0] * yx + fx[1] * yy
 
     def __repr__(self):

@@ -32,7 +32,7 @@ from .cones import (Cone2D, Pairing, Ray, _dual_edges, _pair, dual_cone, is_subc
                     ray_normalize)
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
                      ValidationError, _immutable, _located)
-from .ring import AmbientSpace, _int_list, check_multidegree
+from .ring import _INT, AmbientSpace, _int_list, check_multidegree
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -230,8 +230,7 @@ def kappa_in_basis(scenario: Scenario, u, v) -> list[int]:
 
     With L1 = X·u₀ + Y·v₀ and L2 = X·u₁ + Y·v₁, Σ C(dim,j)·k_j·X^j·Y^(dim−j) equals
     Σ C(dim,i)·κ_i·L1^i·L2^(dim−i): one Horner pass in L1, O(dim²) integer products."""
-    if not (type(u) is Ray and type(v) is Ray):  # a Ray is a pair of integers already
-        u, v = [_pair(w, "basis class", int) for w in (u, v)]
+    u, v = [_pair(w, "basis class", _INT) for w in (u, v)]
     d = scenario.ci.dim
     h, l2_powers = [], list(accumulate(repeat((v[1], u[1]), d), _product, initial=(1,)))
     for i in range(d, -1, -1):
@@ -303,11 +302,11 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     forms by the common denominator q, so P·A^(dim−2) is built in integers and
     the integrals are divided by q^(dim−1) at the end.
     """
-    a = tuple([Fraction(x) for x in _pair(ample, "ample class")])
+    a = _pair(ample, "ample class")
     if a[0] <= 0 or a[1] <= 0:
         raise ValidationError("ample coordinates must be strictly positive")
-    kp = tuple([Fraction(x) for x in _pair(known_prime, "prime divisor class")])
-    q = lcm(*[x.denominator for x in a + kp])
+    kp = _pair(known_prime, "prime divisor class")
+    q = lcm(*[x.denominator for x in (*a, *kp)])
     (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
     return tuple([integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)

@@ -16,9 +16,8 @@ _INT = frozenset([int])
 
 
 def _int_list(value) -> tuple[int, ...]:
-    """``value`` as a tuple, refused unless it is a list or tuple of integers, not bools."""
-    if isinstance(value, (list, tuple)) and (_INT.issuperset(map(type, value)) or all(
-            isinstance(x, int) and not isinstance(x, bool) for x in value)):
+    """``value`` as a tuple; refused unless a list or tuple of exact ``int``s (not bools)."""
+    if isinstance(value, (list, tuple)) and _INT.issuperset(map(type, value)):
         return tuple(value)
     raise ValidationError("expected a list of integers")
 

@@ -189,14 +189,65 @@ class TestContains:
         with pytest.raises(ValueError):
             QUADRANT.contains((1, 1), "fuzzy")
 
-    def test_float_entries_read_exactly(self):
-        # 0.1 * 3 rounds to 0.30000000000000004, but the binary value of 0.1
-        # times 3 lies below it, so the vector is just outside the cone.
+    def test_float_entries_refused(self):
+        # 0.1 * 3 rounds to 0.30000000000000004, but the binary value of 0.1 times 3
+        # lies below it: a float is not the number it prints, so it is no coordinate.
         cone, v = Cone2D((1, 0), (1, 3)), (0.1, 0.30000000000000004)
-        assert not cone.contains(v)
-        exact = tuple(map(Fraction, v))
-        assert cone.barycentric(v) == cone.barycentric(exact)
-        assert cone.barycentric(v)[0] < 0
+        for call in (cone.contains, cone.barycentric):
+            with pytest.raises(ValidationError, match="vector needs exactly two coordinates"):
+                call(v)
+        exact = tuple(map(Fraction, v))  # read exactly by the caller: just outside
+        assert not cone.contains(exact) and cone.barycentric(exact)[0] < 0
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class TestOneNumberModel:
+    """A coordinate is an object whose type is exactly ``int`` or ``Fraction``, and a vector
+    is a list or tuple of two coordinates; every entry of the 2x2 layer refuses the rest."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ray_normalize({2: 0, 4: 0}),
+        lambda: ray_normalize(x for x in (3, 6)),
+        lambda: Cone2D((x for x in (3, 6)), (0, 1)),
+        lambda: QUINTIC_PAIRING.functional({1: 0, 2: 0}),
+        lambda: Pairing([[True, 0], [0, 1]]),
+        lambda: Pairing([["1/2", 0], [0, 1]]),
+        lambda: Pairing([[0.5, 0], [0, 1]]),
+        lambda: Pairing([5, 5]),
+        lambda: QUINTIC_PAIRING.functional(5),
+        lambda: BALANCED.contains(5),
+        lambda: BALANCED.barycentric("ab"),
+        lambda: BALANCED.contains((0.1, 0.3)),
+    ], ids=["ray-dict", "ray-generator", "cone-generator", "functional-dict", "pairing-bool",
+            "pairing-str", "pairing-float", "pairing-flat", "functional-int", "contains-int",
+            "barycentric-str", "contains-float"])
+    def test_refused(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: ray_normalize((_Int(2), 4)),
+        lambda: Ray(_Int(1), 2),
+        lambda: Pairing([[_Int(1), 0], [0, 1]]),
+        lambda: QUINTIC_PAIRING.pair((1, 0), (0, _Int(1))),
+        lambda: AmbientSpace([4, _Int(1)]),
+        lambda: BALANCED.contains((_Fraction(1, 2), 1)),
+    ], ids=["ray_normalize", "Ray", "Pairing", "pair", "AmbientSpace", "contains-fraction"])
+    def test_subclasses_refused(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_lists_accepted_and_pairing_entries_stay_fractions(self):
+        assert ray_normalize([-2, 16]) == Ray(-1, 8) and BALANCED.contains([-1, 8], "open")
+        assert QUINTIC_PAIRING.functional([1, 0]) == (0, 4)
+        assert all(type(x) is Fraction for row in Pairing([[0, 4], [4, 5]]) for x in row)
 
 
 class TestDet2:

@@ -20,7 +20,7 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
-from balcone.cones import Cone2D, ray_normalize
+from balcone.cones import Cone2D, Pairing, ray_normalize
 from balcone.errors import ScenarioError, ValidationError
 from balcone.pipeline import divisor_bound_functional, kappa_in_basis
 from balcone.ring import AmbientSpace, check_multidegree
@@ -183,7 +183,9 @@ _TARGETS = {
     "CompleteIntersection.divisors": lambda v: CompleteIntersection(_QUINTIC.space, v),
     "kappa.a": lambda v: _QUINTIC.ci.kappa(v, (1, 0)),
     "kappa.b": lambda v: _QUINTIC.ci.kappa((0, 1), v),
-    # The value functions that take a coordinate pair; their lists are kept as tuples.
+}
+# The value functions that take a coordinate pair; their lists are kept as tuples.
+_PAIR_TARGETS = {
     "ray_normalize": ray_normalize,
     "Cone2D.r1": lambda v: Cone2D(v, (0, 1)),
     "Cone2D.r2": lambda v: Cone2D((1, 0), v),
@@ -191,7 +193,15 @@ _TARGETS = {
     "kappa_in_basis.v": lambda v: tuple(kappa_in_basis(_QUINTIC, (0, 1), v)),
     "divisor_bound_functional.prime": lambda v: divisor_bound_functional(_QUINTIC, v, (1, 1)),
     "divisor_bound_functional.ample": lambda v: divisor_bound_functional(_QUINTIC, (-1, 1), v),
+    "Pairing.row0": lambda v: Pairing([v, (0, 1)]),
+    "Pairing.row1": lambda v: Pairing([(1, 0), v]),
+    "Pairing.functional": _QUINTIC.pairing_matrix.functional,
+    "Pairing.pair.x": lambda v: _QUINTIC.pairing_matrix.pair(v, (0, 1)),
+    "Pairing.pair.y": lambda v: _QUINTIC.pairing_matrix.pair((1, 0), v),
+    "Cone2D.contains": _QUINTIC.kahler_cone.contains,
+    "Cone2D.barycentric": _QUINTIC.kahler_cone.barycentric,
 }
+_TARGETS.update(_PAIR_TARGETS)
 # Nine malformed values for the pair-taking functions: an int, None, a str, a 3-tuple, a
 # pair with a str or a bool, an empty list or dict, and a pair with a 5001-digit entry.
 _MALFORMED = st.sampled_from((5, None, "ab", (1, 2, 3), (1, "x"), (True, 1), [], {},
@@ -202,7 +212,8 @@ _MALFORMED = st.sampled_from((5, None, "ab", (1, 2, 3), (1, "x"), (True, 1), [],
 @given(st.sampled_from(sorted(_TARGETS)), st.one_of(_NOT_INT_LIST, _MALFORMED))
 def test_records_refuse_what_is_not_a_list_of_integers(target, value):
     """Only a ``ValidationError`` escapes a record or value function given a value that is
-    not a list of integers; what it accepts hashes."""
+    not a list of integers; what it accepts hashes, and a value function that takes a
+    coordinate pair accepts nothing but a list or tuple."""
     try:
         result = _TARGETS[target](value)
     except ValidationError:
@@ -210,3 +221,4 @@ def test_records_refuse_what_is_not_a_list_of_integers(target, value):
         return
     event(f"{target} accepted")
     hash(result)
+    assert target not in _PAIR_TARGETS or isinstance(value, (list, tuple))

@@ -217,7 +217,7 @@ def test_public_api():
         AmbientSpace CompleteIntersection Cone2D ComputationError DEMO_SCENARIO_JSON
         DegeneratePairingError DegreeMismatchError GapReport GeometryError Pairing Ray
         Scenario ScenarioError UnknownNameError ValidationError balanced_cone
-        balanced_image_closure det2 divisor_bound_functional dual_cone gap_report
+        balanced_image_closure divisor_bound_functional dual_cone gap_report
         integrate_forms is_subcone parse_scenario quintic_conifold_scenario ray_normalize
         scenario_to_document serialize_scenario
     """.split()
