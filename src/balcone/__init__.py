@@ -6,8 +6,6 @@ from .cones import (
     Pairing,
     Ray,
     dual_cone,
-    is_subcone,
-    ray_normalize,
 )
 from .errors import (
     ComputationError,
@@ -61,10 +59,8 @@ __all__ = [
     "dual_cone",
     "gap_report",
     "integrate_forms",
-    "is_subcone",
     "parse_scenario",
     "quintic_conifold_scenario",
-    "ray_normalize",
     "scenario_to_document",
     "serialize_scenario",
 ]

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegeneratePairingError, ValidationError
+from .errors import DegeneratePairingError, ValidationError, _entries
 
 
 class Ray(namedtuple("Ray", "x y")):
@@ -39,13 +39,16 @@ class Ray(namedtuple("Ray", "x y")):
         return super().__new__(cls, x, y)
 
 
-def _pair(value, name, kinds=frozenset([int, Fraction])):
-    """``value``, refused unless it is a list or tuple of two coordinates whose types are in
-    ``kinds``: the one rule for every vector the value functions take."""
-    if isinstance(value, (list, tuple)) and len(value) == 2 and kinds.issuperset(map(type, value)):
-        return value
-    raise ValidationError(f"{name} needs exactly two coordinates, each an integer"
-                          + (" or a fraction" if Fraction in kinds else ""))
+_COORDS = frozenset([int, Fraction])
+
+
+def _pair(value, name, kinds=_COORDS):
+    """``value`` as a tuple of two coordinates of types in ``kinds``, or refused naming ``name``."""
+    try:
+        return _entries(value, "", 2, kinds)
+    except ValidationError:
+        raise ValidationError(f"{name} needs exactly two coordinates, each an integer"
+                              + (" or a fraction" if Fraction in kinds else "")) from None
 
 
 def ray_normalize(v) -> Ray:
@@ -112,11 +115,6 @@ class Cone2D(namedtuple("Cone2D", "r1 r2")):
         return f"Cone2D({tuple(self.r1)}, {tuple(self.r2)})"
 
 
-def is_subcone(inner: Cone2D, outer: Cone2D) -> bool:
-    """Whether both generators of ``inner`` lie in the closed ``outer`` cone."""
-    return outer.contains(inner.r1) and outer.contains(inner.r2)
-
-
 class Pairing(tuple):
     """Non-degenerate 2x2 rational pairing p(x, y) = x^T M y: the rows of M as
     ``Fraction`` pairs.
@@ -128,10 +126,8 @@ class Pairing(tuple):
     __slots__ = ()
 
     def __new__(cls, rows):
-        if not isinstance(rows, (list, tuple)) or len(rows) != 2:
-            raise ValidationError("pairing matrix must be 2x2")
         rows = tuple([tuple([Fraction(v) for v in _pair(row, "each row of a 2x2 pairing matrix")])
-                      for row in rows])
+                      for row in _entries(rows, "pairing matrix must be 2x2", 2)])
         pairing = super().__new__(cls, rows)
         if pairing.det == 0:
             raise DegeneratePairingError("pairing matrix is singular")
@@ -166,10 +162,11 @@ def _dual_edges(cone: Cone2D, pairing: Pairing):
     return (-s * f1[1], s * f1[0]), (s * f2[1], -s * f2[0])
 
 
-def dual_cone(cone: Cone2D, pairing: Pairing) -> Cone2D:
-    """Cone of column vectors pairing non-negatively with everything in ``cone``.
+def dual_cone(cone, pairing: Pairing) -> Cone2D:
+    """Cone of column vectors pairing non-negatively with everything in ``Cone2D(*cone)``.
 
     Each boundary ray of the result annihilates exactly one generator of the
     input under the pairing and is strictly positive against the other.
     """
+    cone = Cone2D(*_entries(cone, "a cone needs exactly two vectors", 2))
     return Cone2D(*_dual_edges(cone, pairing))

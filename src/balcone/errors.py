@@ -29,6 +29,16 @@ class ScenarioError(ValidationError):
         super().__init__(prefix + message)
 
 
+def _entries(value, message, size=None, kinds=None, path=None) -> tuple:
+    """``value`` as a tuple: the one rule for every list the library is handed.  Refused with
+    ``message``, a ``ScenarioError`` at ``path`` if given, unless a list or tuple of ``size``
+    entries whose exact types are all in ``kinds``, each if given (a bool is not an ``int``)."""
+    if (isinstance(value, (list, tuple)) and (size is None or len(value) == size)
+            and (kinds is None or kinds.issuperset(map(type, value)))):
+        return tuple(value)
+    raise ScenarioError(message, path=path) if path else ValidationError(message)
+
+
 def _located(path, build, *args):
     """``build(*args)``, its ``ValidationError`` re-raised as a ``ScenarioError`` at ``path``;
     a ``ScenarioError`` that names a path of its own is re-raised unchanged."""

@@ -28,11 +28,10 @@ from functools import cached_property, reduce
 from itertools import accumulate, repeat
 from math import comb, lcm
 
-from .cones import (Cone2D, Pairing, Ray, _dual_edges, _pair, dual_cone, is_subcone,
-                    ray_normalize)
+from .cones import _COORDS, Cone2D, Pairing, Ray, _dual_edges, _pair, dual_cone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
-                     ValidationError, _immutable, _located)
-from .ring import _INT, AmbientSpace, _int_list, check_multidegree
+                     ValidationError, _entries, _immutable, _located)
+from .ring import _INT, AmbientSpace, check_multidegree
 from .variety import CompleteIntersection
 
 H11_FORMS = ((0, 1), (1, 0))  # h1 and h2 as binary forms of degree 1
@@ -58,20 +57,10 @@ def _product(f, g):
     return out
 
 
-def _sized(value, size, path, message):
-    """``value`` as a tuple if a list or tuple of ``size`` entries (None: any), else refused."""
-    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
-        raise ScenarioError(message, path=path)
-    return tuple(value)
-
-
-def _int_pair(value, path):
-    return _sized(_located(path, _int_list, value), 2, path, "expected a pair of integers")
-
-
 def _cone(value, path):
-    value = _sized(value, 2, path, "expected two integer pairs")
-    return _located(path, Cone2D, *[_int_pair(v, f"{path}/{i}") for i, v in enumerate(value)])
+    value = _entries(value, "expected two integer pairs", 2, path=path)
+    return _located(path, Cone2D, *[_entries(v, "expected a pair of integers", 2, _INT,
+                                             f"{path}/{i}") for i, v in enumerate(value)])
 
 
 def _too_long() -> str:
@@ -138,15 +127,16 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
         (space, divisors, h11_names, h11_multidegrees, codim_names, codim_exprs, kahler,
          effective, primes) = super().__new__(cls, *args, **kwargs)
         # tuples throughout, whatever sequences the caller passes: lists would not hash
-        primes = [*_sized(primes, None, "/prime_divisors", "expected a list of pairs")]
+        primes = [*_entries(primes, "expected a list of pairs", path="/prime_divisors")]
         for i, entry in enumerate(primes):
             path = f"/prime_divisors/{i}"
-            name, coords = _sized(entry, 2, path, "expected a (name, coords) pair")
-            primes[i] = name, _int_pair(coords, f"{path}/coords")
+            name, coords = _entries(entry, "expected a (name, coords) pair", 2, path=path)
+            primes[i] = name, _entries(coords, "expected a pair of integers", 2, _INT,
+                                       f"{path}/coords")
         kahler, effective = _cone(kahler, "/kahler_cone"), _cone(effective, "/effective_cone")
         # Count both bases before parsing any expr: it would read a third h11 name as h2.
         h11_names, h11_multidegrees, codim_names, codim_exprs = [
-            _sized(v, 2, path, "expected exactly two basis classes") for v, path in (
+            _entries(v, "expected exactly two basis classes", 2, path=path) for v, path in (
                 (h11_names, "/h11_basis"), (h11_multidegrees, "/h11_basis"),
                 (codim_names, "/codim_basis"), (codim_exprs, "/codim_basis"))]
         # One pass over the names; each entry is recorded in ``seen`` under its folded name,
@@ -191,7 +181,7 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
         vars(self).update(ci=ci, codim_forms=codim_forms, kappa=ci.kappa(*multidegrees))
         try:
             vars(self)["pairing_matrix"] = Pairing(
-                [[integrate_forms(self, (h, c)) for c in codim_forms] for h in H11_FORMS])
+                [[_integrate(self, (h, c)) for c in codim_forms] for h in H11_FORMS])
         except DegeneratePairingError:
             raise ScenarioError("intersection pairing of the chosen bases is degenerate",
                                 path="/") from None
@@ -218,7 +208,15 @@ class GapReport(namedtuple("GapReport",
 
 
 def integrate_forms(scenario: Scenario, forms) -> Fraction:
-    """Integral over the intersection of a product of binary forms, read from κ."""
+    """Integral over the intersection of a product of binary forms, read from κ: ``forms`` is
+    a list or tuple of forms, each a list or tuple of ``int`` or ``Fraction`` coefficients."""
+    return _integrate(scenario, [_entries(f, "a binary form needs integer or fraction "
+                                          "coefficients", kinds=_COORDS)
+                                 for f in _entries(forms, "expected a list of binary forms")])
+
+
+def _integrate(scenario, forms):
+    """:func:`integrate_forms` on forms the library built itself."""
     acc = reduce(_product, forms, [1])
     if len(acc) != len(scenario.kappa):
         raise DegreeMismatchError(scenario.ci.dim, len(acc) - 1)
@@ -309,7 +307,7 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     q = lcm(*[x.denominator for x in (*a, *kp)])
     (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
-    return tuple([integrate_forms(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
+    return tuple([_integrate(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
                   for h in H11_FORMS])
 
 
@@ -334,7 +332,7 @@ def gap_report(scenario: Scenario) -> GapReport:
     """
     image = balanced_image_closure(scenario)
     bal = balanced_cone(scenario)
-    if not is_subcone(image, bal):
+    if not all(map(bal.contains, image)):
         k = kappa_in_basis(scenario, *scenario.kahler_cone)
         culprit = (f"the supplied Kähler cone {[list(r) for r in scenario.kahler_cone]} is not "
                    f"nef: k_j = ∫ u^j v^(dim−j) on its rays is {tuple(k)}" if min(k) < 0 else

@@ -36,9 +36,11 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def fmt_rational(value) -> str:
-    """Reduced ``p/q`` string with positive denominator; plain ``p`` for integers."""
+    """Reduced ``p/q`` string, positive denominator; ``p`` for an ``int``; else ``TypeError``."""
+    if type(value) not in (int, Fraction):
+        raise TypeError(f"{type(value).__name__} is not an integer or a fraction")
     try:
-        return str(value if type(value) in (int, Fraction) else Fraction(value))
+        return str(value)
     except ValueError:  # more digits than int's string conversion allows
         raise ComputationError(
             f"result has more than {sys.get_int_max_str_digits()} digits, "

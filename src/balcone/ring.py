@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _entries
 
 _INT = frozenset([int])
-
-
-def _int_list(value) -> tuple[int, ...]:
-    """``value`` as a tuple; refused unless a list or tuple of exact ``int``s (not bools)."""
-    if isinstance(value, (list, tuple)) and _INT.issuperset(map(type, value)):
-        return tuple(value)
-    raise ValidationError("expected a list of integers")
 
 
 class AmbientSpace(tuple):
@@ -32,7 +25,7 @@ class AmbientSpace(tuple):
     __slots__ = ()
 
     def __new__(cls, dims: Sequence[int]):
-        space = super().__new__(cls, _int_list(dims))
+        space = super().__new__(cls, _entries(dims, "expected a list of integers", kinds=_INT))
         if not space:
             raise ValidationError("ambient space needs at least one projective factor")
         if min(space) < 1:
@@ -47,7 +40,7 @@ class AmbientSpace(tuple):
 
 def check_multidegree(space: AmbientSpace, multidegree: Sequence[int]) -> tuple[int, ...]:
     """The multidegree as a tuple, after checking its length and entries."""
-    d = _int_list(multidegree)
+    d = _entries(multidegree, "expected a list of integers", kinds=_INT)
     if len(d) != len(space):
         raise ValidationError(f"multidegree {d} has length {len(d)}, expected {len(space)}")
     if min(d, default=0) < 0:

@@ -27,7 +27,7 @@ import os
 import re
 import sys
 
-from .errors import ScenarioError
+from .errors import ScenarioError, _entries
 from .pipeline import Scenario, _too_long
 from .report import render_json, scenario_summary
 
@@ -47,12 +47,10 @@ def _require(doc, key, path):
 
 def _named_entries(doc, key, value_key):
     """(name, value) per entry of the list ``doc[key]``, both as the document holds them."""
-    value, path = _require(doc, key, ""), f"/{key}"
-    if not isinstance(value, list):
-        raise ScenarioError("expected a list of objects", path=path)
     out = []
-    for i, item in enumerate(value):
-        here = f"{path}/{i}"
+    for i, item in enumerate(_entries(_require(doc, key, ""), "expected a list of objects",
+                                      path=f"/{key}")):
+        here = f"/{key}/{i}"
         if not isinstance(item, dict):
             raise ScenarioError("expected an object", path=here)
         out.append((_require(item, "name", here), _require(item, value_key, here)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import atan2, cos, pi, sin
 
 from .cones import Cone2D, Ray
-from .errors import ValidationError
+from .errors import ValidationError, _entries
 from .report import format_class_label
 
 _WIDTH = 800
@@ -22,6 +22,8 @@ _LEFT = (170.0, 290.0)
 _RIGHT = (590.0, 290.0)
 # html.escape(text, quote=False) without importing html and its entity table.
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_NO_CONES = ("report lacks cone data (need scenario, image_closure and balanced_cone sections, "
+             "each cone as two rays)")
 
 
 def _fmt(value: float) -> str:
@@ -79,7 +81,7 @@ def _panel(origin, wedges, labels, caption) -> list:
 
 
 def _cone(pairs) -> Cone2D:
-    return Cone2D(*[Ray(*p) for p in pairs])
+    return Cone2D(*[Ray(*_entries(p, _NO_CONES, 2)) for p in _entries(pairs, _NO_CONES, 2)])
 
 
 def render_cone_diagram(report) -> str:
@@ -87,17 +89,13 @@ def render_cone_diagram(report) -> str:
     try:
         scenario = report["scenario"]
         kahler = _cone(scenario["kahler_cone"])
-        h11_names, codim_names = (tuple(scenario[k]) for k in ("h11_basis", "codim_basis"))
+        names = [scenario[k] for k in ("h11_basis", "codim_basis")]
         image = _cone(report["image_closure"]["rays"])
         balanced = _cone(report["balanced_cone"]["rays"])
     except (KeyError, TypeError) as e:
-        raise ValidationError(
-            "report lacks cone data (need scenario, image_closure and "
-            "balanced_cone sections, each cone as two rays)"
-        ) from e
-    if any(len(ns) != 2 or not all(isinstance(n, str) for n in ns)
-           for ns in (h11_names, codim_names)):
-        raise ValidationError("report needs two string names in h11_basis and in codim_basis")
+        raise ValidationError(_NO_CONES) from e
+    h11_names, codim_names = [_entries(ns, "report needs two string names in h11_basis and in "
+                                       "codim_basis", 2, {str}) for ns in names]
 
     (kt1, kt2), (it1, it2), (bt1, bt2) = map(_angles, (kahler, image, balanced))
     kahler_labels = [(t, format_class_label(r, h11_names), 1.22)

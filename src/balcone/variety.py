@@ -34,7 +34,7 @@ from itertools import accumulate, compress
 from math import comb, factorial, perm, prod
 from operator import itemgetter, mul
 
-from .errors import ValidationError, _immutable, _located
+from .errors import ValidationError, _entries, _immutable, _located
 from .ring import AmbientSpace, check_multidegree
 
 
@@ -95,11 +95,9 @@ class CompleteIntersection(namedtuple("CompleteIntersection", "space divisors"))
 
     def __new__(cls, space: Sequence[int], divisors: Sequence[Sequence[int]]):
         space = space if isinstance(space, AmbientSpace) else AmbientSpace(space)
-        if not isinstance(divisors, (list, tuple)):
-            raise ValidationError("expected a list of multidegrees")
         return super().__new__(cls, space, tuple([
             _located(f"/divisors/{i}", check_multidegree, space, d)
-            for i, d in enumerate(divisors)]))
+            for i, d in enumerate(_entries(divisors, "expected a list of multidegrees"))]))
 
     def __init__(self, space, divisors):
         space, divisors = self  # as validated by __new__

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import balcone
-from balcone.cones import Cone2D, Pairing, Ray, det2, dual_cone, is_subcone
+from balcone.cones import Cone2D, Pairing, Ray, det2, dual_cone
 from balcone.pipeline import (
     H11_FORMS,
     balanced_cone,
@@ -86,8 +86,8 @@ def test_criterion_4_image_closure_and_gap_witness():
     witness = Ray(-1, 8)
     ok = (
         image == Cone2D((1, 0), (0, 1))
-        and is_subcone(image, gr.balanced_cone)
-        and not is_subcone(gr.balanced_cone, image)
+        and all(map(gr.balanced_cone.contains, image))
+        and not all(map(image.contains, gr.balanced_cone))
         and gr.strict
         and gr.witness == witness
         and gr.balanced_cone.contains(witness, "open")

@@ -14,7 +14,6 @@ from balcone.cones import (
     _dual_edges,
     det2,
     dual_cone,
-    is_subcone,
     ray_normalize,
 )
 from balcone.errors import DegeneratePairingError, ValidationError
@@ -143,6 +142,18 @@ class TestDualCone:
     def test_derived_example(self):
         p = Pairing(((2, 1), (1, 2)))
         assert dual_cone(QUADRANT, p) == Cone2D((2, -1), (-1, 2))
+
+    def test_plain_pair_of_vectors_in_either_order(self):
+        quintic = Pairing([[0, 4], [4, 5]])
+        assert dual_cone(((0, 1), (1, 0)), quintic) == Cone2D((1, 0), (-5, 4))
+        assert dual_cone([[1, 0], [0, 1]], quintic) == Cone2D((1, 0), (-5, 4))
+
+    @pytest.mark.parametrize("cone", [5, ((1, 0), (0, 1), (1, 1)), {(1, 0): 0, (0, 1): 1}],
+                             ids=["int", "three-vectors", "dict"])
+    def test_what_is_not_a_pair_of_vectors_refused(self, cone):
+        """Read as ``Cone2D`` reads a pair of vectors: a dict's keys are not read as its rays."""
+        with pytest.raises(ValidationError, match="a cone needs exactly two vectors"):
+            dual_cone(cone, QUINTIC_PAIRING)
 
     def test_derived_example_against_grid_sampling(self):
         # Dense cross-check: membership in the computed dual must agree
@@ -324,17 +335,19 @@ def test_dual_edges_annihilate_one_ray_and_share_one_positive_value(a, b, m):
     assert dual_cone(cone, pairing) == Cone2D(e1, e2)
 
 
-class TestIsSubcone:
+class TestInclusion:
+    """A cone lies in another when both of its rays do: ``all(map(outer.contains, inner))``."""
+
     def test_strict_inclusion(self):
-        assert is_subcone(QUADRANT, BALANCED)
-        assert not is_subcone(BALANCED, QUADRANT)
+        assert all(map(BALANCED.contains, QUADRANT))
+        assert not all(map(QUADRANT.contains, BALANCED))
 
     def test_self_inclusion_not_strict(self):
-        assert is_subcone(QUADRANT, QUADRANT)
+        assert all(map(QUADRANT.contains, QUADRANT))
         assert all(QUADRANT.contains(g) for g in QUADRANT)
 
     def test_reverse_fails(self):
-        assert not is_subcone(BALANCED, QUADRANT)
+        assert not all(map(QUADRANT.contains, BALANCED))
 
 
 class TestConeProperties:

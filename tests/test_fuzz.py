@@ -9,8 +9,9 @@ text.  No draw adds a factor or a divisor, so no draw asks for a large κ.
 The library layer gets the same treatment: each draw replaces one ``Scenario`` field
 with a value of the shape the reader passes for it, and ``_replace`` must refuse it
 with a ``ScenarioError`` or return a scenario that hashes and round-trips.  The records
-that hold integers, ``Scenario`` and the value functions that take a coordinate pair must
-refuse what is not a list of integers with a ``ValidationError``.
+that hold integers, ``Scenario``, the value functions that take a coordinate pair,
+``integrate_forms`` and ``dual_cone`` must refuse what is not a list of integers with a
+``ValidationError``.
 """
 
 import contextlib
@@ -20,9 +21,9 @@ import json
 from hypothesis import event, given, settings, strategies as st
 
 from balcone.cli import main
-from balcone.cones import Cone2D, Pairing, ray_normalize
+from balcone.cones import Cone2D, Pairing, dual_cone, ray_normalize
 from balcone.errors import ScenarioError, ValidationError
-from balcone.pipeline import divisor_bound_functional, kappa_in_basis
+from balcone.pipeline import divisor_bound_functional, integrate_forms, kappa_in_basis
 from balcone.ring import AmbientSpace, check_multidegree
 from balcone.scenario_io import parse_scenario, quintic_conifold_scenario, serialize_scenario
 from balcone.variety import CompleteIntersection
@@ -183,6 +184,10 @@ _TARGETS = {
     "CompleteIntersection.divisors": lambda v: CompleteIntersection(_QUINTIC.space, v),
     "kappa.a": lambda v: _QUINTIC.ci.kappa(v, (1, 0)),
     "kappa.b": lambda v: _QUINTIC.ci.kappa((0, 1), v),
+    # a form of any degree, times a power of h2 that brings the product to dim = 3
+    "integrate_forms": lambda v: integrate_forms(
+        _QUINTIC, [v, *[(1, 0)] * (4 - len(v) if isinstance(v, (list, tuple)) else 0)]),
+    "dual_cone": lambda v: dual_cone(v, _QUINTIC.pairing_matrix),
 }
 # The value functions that take a coordinate pair; their lists are kept as tuples.
 _PAIR_TARGETS = {

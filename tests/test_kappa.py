@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import Phase, assume, event, example, given, settings, strategies as st
 
-from balcone.cones import Cone2D, Pairing, det2, dual_cone, is_subcone
+from balcone.cones import Cone2D, Pairing, det2, dual_cone
 from balcone.errors import ComputationError, ScenarioError, ValidationError
 from balcone.pipeline import (
     balanced_cone,
@@ -202,7 +202,7 @@ def test_image_inside_balanced_on_nef_kahler(doc):
     except ComputationError:
         event("degenerate")
         return
-    assert is_subcone(image, balanced_cone(sc))
+    assert all(map(balanced_cone(sc).contains, image))
 
 
 def _powers_outside_image(sc):

@@ -36,9 +36,15 @@ class TestRationalSerialization:
 
     def test_integers_printed_by_str_within_the_digit_limit(self):
         assert fmt_rational(-10**30) == "-1" + "0" * 30
-        assert fmt_rational(True) == "1"  # a bool is read as a number, not as its name
         with pytest.raises(ComputationError, match="digits"):
             fmt_rational(10**5000)
+
+    @pytest.mark.parametrize("value", [True, 0.1, "1", None], ids=["bool", "float", "str", "None"])
+    def test_other_types_refused(self, value):
+        """Only exact ``int`` and ``Fraction`` are printed: a bool is not read as 1, and 0.1
+        is not read as the binary fraction it stores."""
+        with pytest.raises(TypeError, match="is not an integer or a fraction"):
+            fmt_rational(value)
 
 
 class TestClassLabels:
@@ -218,7 +224,7 @@ def test_public_api():
         DegeneratePairingError DegreeMismatchError GapReport GeometryError Pairing Ray
         Scenario ScenarioError UnknownNameError ValidationError balanced_cone
         balanced_image_closure divisor_bound_functional dual_cone gap_report
-        integrate_forms is_subcone parse_scenario quintic_conifold_scenario ray_normalize
-        scenario_to_document serialize_scenario
+        integrate_forms parse_scenario quintic_conifold_scenario scenario_to_document
+        serialize_scenario
     """.split()
     assert all(hasattr(balcone, name) for name in balcone.__all__)

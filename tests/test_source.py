@@ -64,3 +64,28 @@ def test_pipeline_leaves_the_integer_rule_to_the_records():
             if _calls(node, "isinstance") and len(node.args) == 2
             and "bool" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}]
     assert hits == []
+
+
+def _is_list_or_tuple_test(node):
+    """``isinstance(…, (list, tuple))``, in either order."""
+    return (_calls(node, "isinstance") and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and {n.id for n in node.args[1].elts if isinstance(n, ast.Name)} == {"list", "tuple"})
+
+
+def test_one_reader_for_every_list():
+    """``errors._entries`` is the one rule for a list the library is handed: the records and
+    surfaces that read lists hold no list test or type-set test of their own, and the
+    helpers it replaced are defined nowhere."""
+    package = Path(balcone.__file__).parent
+    readers = ("ring.py", "variety.py", "scenario_io.py", "svg.py")
+    hits = [f"{name}:{node.lineno}" for name in readers
+            for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+            if _is_list_or_tuple_test(node)
+            or isinstance(node, ast.Attribute) and node.attr == "issuperset"]
+    assert hits == []
+    defined = {node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_entries" in defined
+    assert defined.isdisjoint({"_sized", "_int_list", "_int_pair", "is_subcone"})

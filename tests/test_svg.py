@@ -49,13 +49,17 @@ class TestRender:
             ({"scenario": {"h11_basis": ["α"]}}, "two string names"),
             ({"scenario": {"codim_basis": ["α∧β", "β∧β", "α∧α"]}}, "two string names"),
             ({"scenario": {"h11_basis": [1, None]}}, "two string names"),
+            ({"scenario": {"h11_basis": "αβ"}}, "two string names"),
+            ({"scenario": {"codim_basis": "αβ"}}, "two string names"),
             ({"balanced_cone": {"rays": [[1, 0]] * 3}}, "cone data"),
+            ({"image_closure": {"rays": [{1: 0, 0: 0}, [0, 1]]}}, "cone data"),
+            ({"image_closure": {"rays": {(1, 0): 0, (0, 1): 0}}}, "cone data"),
             ({"image_closure": {"rays": [[1, 0], [1, 0]]}}, "parallel or antipodal"),
             ({"image_closure": {"rays": [[0, 1], [0, -1]]}}, "parallel or antipodal"),
         ],
         ids=["pairing-report", "one-ray", "three-entry-ray", "one-name-basis",
-             "three-name-basis", "non-string-names",
-             "three-ray-cone", "parallel-image", "antipodal-image"],
+             "three-name-basis", "non-string-names", "h11-string", "codim-string",
+             "three-ray-cone", "dict-ray", "dict-of-rays", "parallel-image", "antipodal-image"],
     )
     def test_report_without_cone_data_rejected(self, gap_doc, change, match):
         if change is None:
