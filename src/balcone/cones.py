@@ -42,13 +42,13 @@ class Ray(namedtuple("Ray", "x y")):
 _COORDS = frozenset([int, Fraction])
 
 
-def _pair(value, name, kinds=_COORDS):
-    """``value`` as a tuple of two coordinates of types in ``kinds``, or refused naming ``name``."""
+def _pair(value, name):
+    """``value`` as a tuple of two coordinates, or refused naming ``name``."""
     try:
-        return _entries(value, "", 2, kinds)
+        return _entries(value, "", 2, _COORDS)
     except ValidationError:
-        raise ValidationError(f"{name} needs exactly two coordinates, each an integer"
-                              + (" or a fraction" if Fraction in kinds else "")) from None
+        raise ValidationError(f"{name} needs exactly two coordinates, each an integer "
+                              "or a fraction") from None
 
 
 def ray_normalize(v) -> Ray:

@@ -6,12 +6,12 @@ written in degree-1 coordinates: the Kähler cone and the (pseudo-)effective
 cone.  The effective cone is input, not derived; what the pipeline verifies
 about it is arithmetic (pairing certificates), not geometry.
 
-Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers
-computed once per scenario from the multidegrees of h1 and h2, through
-:func:`integrate_forms` (the pairing, ``intersect``, the bound functional) or
-:func:`kappa_in_basis` (the image closure, in O(dim²) integer products, its rays
-k_(j+1)·ev + k_j·eu with (eu, ev) the ``cones._dual_edges`` of the Kähler cone).  Classes
-in h1 and h2, such as the codim basis, are binary forms: a tuple of d+1
+Every reported number is read from κ_j = ∫ h1^j h2^(dim−j), integers computed once per
+scenario from the multidegrees of h1 and h2, through :func:`integrate_forms`, the one
+integrator of binary forms (the pairing, ``intersect``, the bound functional on its classes
+as given), or :func:`kappa_in_basis` (the image closure, in O(dim²) integer products, its
+rays k_(j+1)·ev + k_j·eu with (eu, ev) the ``cones._dual_edges`` of the Kähler cone).
+Classes in h1 and h2, such as the codim basis, are binary forms: a tuple of d+1
 coefficients, entry j that of h1^j h2^(d−j).
 A :class:`Scenario` computes κ and the pairing at construction and its gap
 report, ``sc.gap``, on first use; the demo and gap payloads of that object
@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, repeat
-from math import comb, lcm
+from math import comb
 
 from .cones import _COORDS, Cone2D, Pairing, Ray, _dual_edges, _pair, dual_cone, ray_normalize
 from .errors import (ComputationError, DegeneratePairingError, DegreeMismatchError, ScenarioError,
@@ -168,9 +168,10 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
                 raise ScenarioError(f"row class {i} must have degree 1", path=path)
         codim_forms = tuple([parse_class_expr(e, h11_names, path=f"/codim_basis/{j}/expr")
                              for j, e in enumerate(codim_exprs)])
-        # dim = Σn_i − r needs no intersection, so the exprs' degree is read before the
-        # build; divisors the build refuses (not a list, or dim < 1) are left to it.
-        dim = sum(space) - len(divisors) if isinstance(divisors, (list, tuple)) else 0
+        # dim = Σn_i − r needs no intersection, so the divisors are read as a list and the
+        # exprs' degree checked before the build, which refuses an entry or dim < 1.
+        divisors = _entries(divisors, "expected a list of multidegrees", path="/divisors")
+        dim = sum(space) - len(divisors)
         for j, c in enumerate(codim_forms):
             if 0 < dim != len(c):
                 raise ScenarioError(f"column class {j} must have degree {dim - 1}, "
@@ -181,7 +182,7 @@ class Scenario(namedtuple("Scenario", "space divisors h11_names h11_multidegrees
         vars(self).update(ci=ci, codim_forms=codim_forms, kappa=ci.kappa(*multidegrees))
         try:
             vars(self)["pairing_matrix"] = Pairing(
-                [[_integrate(self, (h, c)) for c in codim_forms] for h in H11_FORMS])
+                [[integrate_forms(self, (h, c)) for c in codim_forms] for h in H11_FORMS])
         except DegeneratePairingError:
             raise ScenarioError("intersection pairing of the chosen bases is degenerate",
                                 path="/") from None
@@ -210,13 +211,8 @@ class GapReport(namedtuple("GapReport",
 def integrate_forms(scenario: Scenario, forms) -> Fraction:
     """Integral over the intersection of a product of binary forms, read from κ: ``forms`` is
     a list or tuple of forms, each a list or tuple of ``int`` or ``Fraction`` coefficients."""
-    return _integrate(scenario, [_entries(f, "a binary form needs integer or fraction "
-                                          "coefficients", kinds=_COORDS)
-                                 for f in _entries(forms, "expected a list of binary forms")])
-
-
-def _integrate(scenario, forms):
-    """:func:`integrate_forms` on forms the library built itself."""
+    forms = [_entries(f, "a binary form needs integer or fraction coefficients", kinds=_COORDS)
+             for f in _entries(forms, "expected a list of binary forms")]
     acc = reduce(_product, forms, [1])
     if len(acc) != len(scenario.kappa):
         raise DegreeMismatchError(scenario.ci.dim, len(acc) - 1)
@@ -228,7 +224,8 @@ def kappa_in_basis(scenario: Scenario, u, v) -> list[int]:
 
     With L1 = X·u₀ + Y·v₀ and L2 = X·u₁ + Y·v₁, Σ C(dim,j)·k_j·X^j·Y^(dim−j) equals
     Σ C(dim,i)·κ_i·L1^i·L2^(dim−i): one Horner pass in L1, O(dim²) integer products."""
-    u, v = [_pair(w, "basis class", _INT) for w in (u, v)]
+    u, v = [_entries(w, "basis class needs exactly two coordinates, each an integer", 2, _INT)
+            for w in (u, v)]
     d = scenario.ci.dim
     h, l2_powers = [], list(accumulate(repeat((v[1], u[1]), d), _product, initial=(1,)))
     for i in range(d, -1, -1):
@@ -296,19 +293,16 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     integrand has the top degree dim, and on a threefold it is the triple
     product D ^ P ^ A.  The integral is linear in D, so l_i is the integral
     of h_i ^ P ^ A^(dim-2).  Non-negativity of this form on valid (a1, a2)
-    certifies bounds on prime divisor classes.  P and A are scaled to integer
-    forms by the common denominator q, so P·A^(dim−2) is built in integers and
-    the integrals are divided by q^(dim−1) at the end.
+    certifies bounds on prime divisor classes.  P·A^(dim−2) is built on the classes
+    as given, with ``int`` or ``Fraction`` coefficients, and each l_i is read from κ
+    by :func:`integrate_forms`.
     """
     a = _pair(ample, "ample class")
     if a[0] <= 0 or a[1] <= 0:
         raise ValidationError("ample coordinates must be strictly positive")
-    kp = _pair(known_prime, "prime divisor class")
-    q = lcm(*[x.denominator for x in (*a, *kp)])
-    (a1, a2), (p1, p2) = ([int(x * q) for x in v] for v in (a, kp))
+    (a1, a2), (p1, p2) = a, _pair(known_prime, "prime divisor class")
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
-    return tuple([_integrate(scenario, (h, rest)) / q ** (scenario.ci.dim - 1)
-                  for h in H11_FORMS])
+    return tuple([integrate_forms(scenario, (h, rest)) for h in H11_FORMS])
 
 
 def _gap_witness(image_ray: Ray, balanced_ray: Ray) -> Ray:

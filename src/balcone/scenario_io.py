@@ -94,7 +94,10 @@ def quintic_conifold_scenario() -> Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Scenario from JSON text; locates syntax and semantic errors."""
+    """Scenario from JSON text; locates syntax and semantic errors, and refuses a value that
+    is not text (``str``, ``bytes`` or ``bytearray``) naming its type."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ScenarioError(f"expected JSON text, got {type(text).__name__}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

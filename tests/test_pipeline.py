@@ -116,6 +116,7 @@ class TestScenario:
         ({"kahler_cone": ((0, 0), (0, 1))}, "/kahler_cone"),
         ({"codim_names": ("", "b")}, "/codim_basis/0/name"),
         ({"codim_exprs": ("α*β*β", "β*β")}, "/codim_basis/0/expr"),  # degree 3, dim − 1 = 2
+        ({"divisors": 5}, "/divisors"),  # counted for dim through the one list reader
     ])
     def test_refused_before_the_intersection_is_built(self, sc, fields, path, monkeypatch):
         """A library caller's ``Scenario`` checks every name, cone and expr before it builds
@@ -328,6 +329,18 @@ class TestBoundFunctional:
     def test_zero_prime(self, sc):
         assert divisor_bound_functional(sc, (0, 0), (3, 4)) == (0, 0)
 
+    @pytest.mark.parametrize("prime, ample", [
+        ((-1, 1), (3, 4)), ((Fraction(1, 2), -5), (Fraction(3, 2), Fraction(1, 3))),
+    ])
+    def test_fractions_from_the_classes_as_given(self, sc, prime, ample):
+        """The integrals of h·P·A on the classes as given are ``Fraction``s, whether the
+        classes hold integers or fractions."""
+        (p1, p2), (a1, a2) = prime, ample
+        expected = [integrate_forms(sc, [h, (p2, p1), (a2, a1)]) for h in ((0, 1), (1, 0))]
+        got = divisor_bound_functional(sc, prime, ample)
+        assert got == tuple(expected)
+        assert {type(x) for x in got} == {Fraction}
+
     def test_nonpositive_ample_rejected(self, sc):
         with pytest.raises(ValidationError, match="positive"):
             divisor_bound_functional(sc, (-1, 1), (3, 0))
@@ -341,7 +354,8 @@ class TestBoundFunctional:
         with pytest.raises(ValidationError, match="ample class needs exactly two"):
             divisor_bound_functional(sc, (-1, 1), value)
         for u, v in ((value, (1, 0)), ((0, 1), value), ((Fraction(1, 2), 0), (0, 1))):
-            with pytest.raises(ValidationError, match="basis class needs exactly two"):
+            with pytest.raises(ValidationError, match="^basis class needs exactly two "
+                               "coordinates, each an integer$"):
                 kappa_in_basis(sc, u, v)
 
     def test_three_entry_classes_rejected(self, sc):

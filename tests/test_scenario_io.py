@@ -361,6 +361,23 @@ def test_json_integer_too_long_located_past_other_digit_runs(before):
     assert (info.value.line, info.value.column) == (44, 7)
 
 
+@pytest.mark.parametrize("value, kind", [
+    (5, "int"), (None, "NoneType"), ([DEMO_SCENARIO_JSON], "list"),
+    (DEMO_SCENARIO_DOCUMENT, "dict"),
+], ids=["int", "None", "list", "dict"])
+def test_what_is_not_text_refused_naming_its_type(value, kind):
+    """Only ``str``, ``bytes`` and ``bytearray`` are JSON text; a decoded document is not."""
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(value)
+    assert str(info.value) == f"expected JSON text, got {kind}"
+    assert (info.value.path, info.value.line) == (None, None)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_json_bytes_read_as_text(kind):
+    assert parse_scenario(kind(DEMO_SCENARIO_JSON, "utf-8")) == quintic_conifold_scenario()
+
+
 class TestClassExpr:
     def test_rational_combination(self):
         names = ("α", "β")

@@ -74,18 +74,18 @@ def _is_list_or_tuple_test(node):
 
 
 def test_one_reader_for_every_list():
-    """``errors._entries`` is the one rule for a list the library is handed: the records and
-    surfaces that read lists hold no list test or type-set test of their own, and the
-    helpers it replaced are defined nowhere."""
-    package = Path(balcone.__file__).parent
-    readers = ("ring.py", "variety.py", "scenario_io.py", "svg.py")
-    hits = [f"{name}:{node.lineno}" for name in readers
-            for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+    """``errors._entries`` is the one rule for a list the library is handed: no other module
+    holds a list test or type-set test of its own, and the helpers it replaced, and
+    ``integrate_forms``' unread twin ``_integrate``, are defined nowhere."""
+    readers = [path for path in SOURCES if path.name != "errors.py"]
+    hits = [f"{path.name}:{node.lineno}" for path in readers
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if _is_list_or_tuple_test(node)
             or isinstance(node, ast.Attribute) and node.attr == "issuperset"]
+    assert len(readers) == len(SOURCES) - 1
     assert hits == []
     defined = {node.name for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_entries" in defined
-    assert defined.isdisjoint({"_sized", "_int_list", "_int_pair", "is_subcone"})
+    assert defined.isdisjoint({"_sized", "_int_list", "_int_pair", "is_subcone", "_integrate"})
