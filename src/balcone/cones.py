@@ -44,11 +44,8 @@ _COORDS = frozenset([int, Fraction])
 
 def _pair(value, name):
     """``value`` as a tuple of two coordinates, or refused naming ``name``."""
-    try:
-        return _entries(value, "", 2, _COORDS)
-    except ValidationError:
-        raise ValidationError(f"{name} needs exactly two coordinates, each an integer "
-                              "or a fraction") from None
+    return _entries(value, f"{name} needs exactly two coordinates, each an integer or a fraction",
+                    2, _COORDS)
 
 
 def ray_normalize(v) -> Ray:

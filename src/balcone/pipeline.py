@@ -297,10 +297,10 @@ def divisor_bound_functional(scenario: Scenario, known_prime, ample) -> tuple[Fr
     as given, with ``int`` or ``Fraction`` coefficients, and each l_i is read from κ
     by :func:`integrate_forms`.
     """
-    a = _pair(ample, "ample class")
-    if a[0] <= 0 or a[1] <= 0:
+    a1, a2 = _pair(ample, "ample class")
+    if a1 <= 0 or a2 <= 0:
         raise ValidationError("ample coordinates must be strictly positive")
-    (a1, a2), (p1, p2) = a, _pair(known_prime, "prime divisor class")
+    p1, p2 = _pair(known_prime, "prime divisor class")
     rest = reduce(_product, [(a2, a1)] * (scenario.ci.dim - 2), (p2, p1))
     return tuple([integrate_forms(scenario, (h, rest)) for h in H11_FORMS])
 
