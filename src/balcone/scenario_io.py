@@ -94,14 +94,18 @@ def quintic_conifold_scenario() -> Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Scenario from JSON text; locates syntax and semantic errors, and refuses a value that
-    is not text (``str``, ``bytes`` or ``bytearray``) naming its type."""
+    """Scenario from JSON text, a ``str`` or UTF-8 ``bytes`` or ``bytearray``; locates syntax
+    and semantic errors, and refuses any other value naming its type."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise ScenarioError(f"expected JSON text, got {type(text).__name__}")
     try:
+        # UTF-8, as the CLI reads a file, so that each handler below reads a str.
+        text = text if isinstance(text, str) else text.decode()
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(e.msg, line=e.lineno, column=e.colno) from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"cannot decode JSON text: {e}") from None
     except RecursionError:
         raise ScenarioError("JSON nesting is too deep") from None
     except ValueError:  # an integer literal longer than int's string conversion allows

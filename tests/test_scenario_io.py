@@ -375,7 +375,15 @@ def test_what_is_not_text_refused_naming_its_type(value, kind):
 
 @pytest.mark.parametrize("kind", [bytes, bytearray])
 def test_json_bytes_read_as_text(kind):
+    """Bytes are read as UTF-8, and a refusal in them is located in the decoded text."""
     assert parse_scenario(kind(DEMO_SCENARIO_JSON, "utf-8")) == quintic_conifold_scenario()
+    text = DEMO_SCENARIO_JSON.replace("[\n    4,", "[\n    " + "4" * 5000 + ",", 1)
+    with pytest.raises(ScenarioError, match="digits, the limit") as info:
+        parse_scenario(kind(text, "utf-8"))
+    assert (info.value.line, info.value.column) == (3, 5)
+    with pytest.raises(ScenarioError, match="^cannot decode JSON text: 'utf-8' codec") as info:
+        parse_scenario(kind(b'{"ambient": "\xff"}'))
+    assert (info.value.path, info.value.line) == (None, None)
 
 
 class TestClassExpr:
