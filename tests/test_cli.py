@@ -135,14 +135,18 @@ class TestScenarioLoading:
                 assert code == (4 if argv[0] in failing else 0), (argv, err)
                 assert code == 0 or f"more than {sys.get_int_max_str_digits()} digits" in err
 
-    def test_semantic_error_path(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key, value, message", [
+        ("kahler_cone", [[0, 0], [0, 1]], "at /kahler_cone: "),
+        ("divisors", [[1, 1], [4, "1"]], "at /divisors/1: expected a list of integers"),
+    ], ids=["zero-ray", "divisor-string"])
+    def test_semantic_error_path(self, capsys, tmp_path, key, value, message):
         doc = json.loads(DEMO_SCENARIO_JSON)
-        doc["kahler_cone"] = [[0, 0], [0, 1]]
+        doc[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run(capsys, "gap", "--scenario", str(path))
-        assert code == 3
-        assert "/kahler_cone" in err
+        code, out, err = run(capsys, "gap", "--scenario", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"scenario error: {message}")
 
 
 class TestCommands:
@@ -379,12 +383,15 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
 
 
+# The directory that holds the balcone under test, for the subprocess tests below.
+PACKAGE_ROOT = str(Path(balcone.__file__).resolve().parent.parent)
+
+
 def test_cli_import_leaves_rendering_modules_unloaded():
     # balcone.svg, html and xml cost start-up time and memory on every command
     # that draws no figure, so only `render` may load them.  typing, pathlib,
     # dataclasses and inspect are loaded by nothing in balcone; -S keeps
     # site-packages' .pth files from loading them.
-    src = str(Path(balcone.__file__).resolve().parent.parent)
     code = (
         "import sys; import balcone.cli; print(sorted(m for m in "
         "('balcone.svg', 'html', 'xml', 'typing', 'pathlib', 'dataclasses', 'inspect') "
@@ -392,6 +399,21 @@ def test_cli_import_leaves_rendering_modules_unloaded():
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """No output may depend on the order of a set, which changes with the hash seed."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT, PYTHONHASHSEED=seed)
+        svg = tmp_path / f"quintic-{seed}.svg"
+        demo = subprocess.run([sys.executable, "-m", "balcone", "demo", "--format", "json"],
+                              capture_output=True, check=True, env=env).stdout
+        subprocess.run([sys.executable, "-m", "balcone", "render", "--out", str(svg)],
+                       capture_output=True, check=True, env=env)
+        outputs.append((demo, svg.read_bytes()))
+    assert outputs[0][0].startswith(b"{") and outputs[0][1].startswith(b"<svg")
+    assert outputs[0] == outputs[1]

@@ -227,6 +227,7 @@ class TestOneNumberModel:
         lambda: ray_normalize({2: 0, 4: 0}),
         lambda: ray_normalize(x for x in (3, 6)),
         lambda: Cone2D((x for x in (3, 6)), (0, 1)),
+        lambda: Cone2D({2: 0, 4: 0}, (0, 1)),
         lambda: QUINTIC_PAIRING.functional({1: 0, 2: 0}),
         lambda: Pairing([[True, 0], [0, 1]]),
         lambda: Pairing([["1/2", 0], [0, 1]]),
@@ -236,9 +237,9 @@ class TestOneNumberModel:
         lambda: BALANCED.contains(5),
         lambda: BALANCED.barycentric("ab"),
         lambda: BALANCED.contains((0.1, 0.3)),
-    ], ids=["ray-dict", "ray-generator", "cone-generator", "functional-dict", "pairing-bool",
-            "pairing-str", "pairing-float", "pairing-flat", "functional-int", "contains-int",
-            "barycentric-str", "contains-float"])
+    ], ids=["ray-dict", "ray-generator", "cone-generator", "cone-dict", "functional-dict",
+            "pairing-bool", "pairing-str", "pairing-float", "pairing-flat", "functional-int",
+            "contains-int", "barycentric-str", "contains-float"])
     def test_refused(self, call):
         with pytest.raises(ValidationError):
             call()
